@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -104,6 +105,33 @@ def floor_normalize(probs, floor: float) -> np.ndarray:
     raise AssertionError("floor_normalize did not converge")
 
 
+def check_cem_params(batch_size, elite_frac, smoothing, sigma_min_frac, prob_floor) -> None:
+    """Raise ValueError, message led by the parameter's name, on the first bad value.
+
+    ``sigma_min_frac <= 0.5`` keeps every stddev at most (hi - lo)/2, which
+    bounds the rejection loop in ``CemAgent.propose``.
+    """
+    if isinstance(batch_size, bool) or not isinstance(batch_size, Integral) or batch_size < 1:
+        raise ValueError("batch_size must be a positive integer")
+    reals = {
+        "elite_frac": elite_frac,
+        "smoothing": smoothing,
+        "sigma_min_frac": sigma_min_frac,
+        "prob_floor": prob_floor,
+    }
+    for name, value in reals.items():
+        if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite number")
+    if not 0.0 < elite_frac <= 1.0:
+        raise ValueError("elite_frac must be in (0, 1]")
+    if not 0.0 <= smoothing <= 1.0:
+        raise ValueError("smoothing must be in [0, 1]")
+    if not 0.0 < sigma_min_frac <= 0.5:
+        raise ValueError("sigma_min_frac must be in (0, 0.5]")
+    if prob_floor < 0.0:
+        raise ValueError("prob_floor must be >= 0")
+
+
 class CemAgent(Agent):
     """Cross-entropy-method policy over per-knob sampling distributions.
 
@@ -120,12 +148,14 @@ class CemAgent(Agent):
         Weight of the elite statistics in the update; 0 freezes the
         distributions, 1 replaces them with the elite fit.
     sigma_min_frac:
-        Stddev floor for interval knobs, as a fraction of (hi - lo).
+        Stddev floor for interval knobs, as a fraction of (hi - lo)
+        (0 < f <= 0.5).
     prob_floor:
         Per-category probability floor for value-set knobs.
 
     Initial distributions match the uniform baseline: mean at the interval
     midpoint with stddev (hi - lo)/2, and equal category probabilities.
+    The defaults here are also the run config's ``agent_params`` defaults.
     """
 
     def __init__(
@@ -137,16 +167,7 @@ class CemAgent(Agent):
         sigma_min_frac: float = 0.05,
         prob_floor: float = 0.01,
     ):
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if not 0.0 < elite_frac <= 1.0:
-            raise ValueError("elite_frac must be in (0, 1]")
-        if not 0.0 <= smoothing <= 1.0:
-            raise ValueError("smoothing must be in [0, 1]")
-        if sigma_min_frac <= 0.0:
-            raise ValueError("sigma_min_frac must be > 0")
-        if prob_floor < 0.0:
-            raise ValueError("prob_floor must be >= 0")
+        check_cem_params(batch_size, elite_frac, smoothing, sigma_min_frac, prob_floor)
         self.space = space
         self.batch_size = int(batch_size)
         self.elite_frac = float(elite_frac)

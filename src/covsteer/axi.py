@@ -22,7 +22,8 @@ occupancies match).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from numbers import Integral
 
 import numpy as np
 
@@ -42,26 +43,25 @@ ACTION_SPACE = ActionSpace(
     )
 )
 
-# Multipliers matching the reference experiment: reward only slave 4's FIFO.
-SLAVE4_MULTIPLIERS = {"fifo_full_slave_4": 1.0}
-
 
 @dataclass(frozen=True)
 class AxiConfig:
-    n_masters: int = N_MASTERS
-    n_slaves: int = N_SLAVES
+    """Overridable parameters of the fixed 2-master, 10-slave instance.
+
+    Run configs take their ``dut_params`` keys and defaults from these fields.
+    """
+
     fifo_depth: int = 4
     region_size: int = 0x1000
     cycles_per_step: int = 100
     drain_period: int = 3
 
     def __post_init__(self):
-        if self.n_masters != N_MASTERS or self.n_slaves != N_SLAVES:
-            raise ValueError("this crossbar instance is fixed at 2 masters and 10 slaves")
-        if self.fifo_depth < 1 or self.region_size < 1 or self.drain_period < 1:
-            raise ValueError("fifo_depth, region_size and drain_period must be >= 1")
-        if self.cycles_per_step < 0:
-            raise ValueError("cycles_per_step must be >= 0")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            least = 0 if f.name == "cycles_per_step" else 1
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+                raise ValueError(f"{f.name} must be an integer >= {least}")
 
 
 class SlaveFifo:
@@ -139,7 +139,7 @@ def decode_action(action: Action, config: AxiConfig) -> tuple[int, int]:
 
 def decode_address(addr: int, config: AxiConfig) -> int:
     """Address decoder: region index of an in-map address."""
-    if not 0 <= addr < config.n_slaves * config.region_size:
+    if not 0 <= addr < N_SLAVES * config.region_size:
         raise AddressDecodeError(f"address {addr:#x} outside the slave map")
     return addr // config.region_size
 
@@ -156,15 +156,15 @@ def simulate_step(
     """
     a_min, a_max = addr_range
     cycles = config.cycles_per_step
-    counts = [0] * config.n_slaves
+    counts = [0] * N_SLAVES
     records: list[CycleRecord] = []
     if cycles == 0:
         return tuple(counts), ()
-    addrs = rng.integers(a_min, a_max, size=(cycles, config.n_masters))
+    addrs = rng.integers(a_min, a_max, size=(cycles, N_MASTERS))
     req_id = 0
     for cycle in range(cycles):
         enqueues = []
-        for master in range(config.n_masters):
+        for master in range(N_MASTERS):
             addr = int(addrs[cycle, master])
             slave = decode_address(addr, config)
             accepted = fifos[slave].not_full
@@ -192,7 +192,7 @@ def golden_check(trace: Trace, config: AxiConfig) -> list[TraceViolation]:
 
     Returns every violation found (empty list means the trace is clean).
     """
-    queues: list[deque] = [deque() for _ in range(config.n_slaves)]
+    queues: list[deque] = [deque() for _ in range(N_SLAVES)]
     violations: list[TraceViolation] = []
     for rec in trace:
         for enq in rec.enqueues:
@@ -255,15 +255,13 @@ class AxiDut(DutModel):
         self.last_trace: Trace = ()
 
     def reset(self, seed: int) -> Observation:
-        self._fifos = [SlaveFifo(self.config.fifo_depth) for _ in range(self.config.n_slaves)]
+        self._fifos = [SlaveFifo(self.config.fifo_depth) for _ in range(N_SLAVES)]
         self.last_trace = ()
-        return (0.0,) * self.config.n_slaves
+        return (0.0,) * N_SLAVES
 
     def step(self, action: Action, rng: np.random.Generator):
         if self._fifos is None:
-            self._fifos = [
-                SlaveFifo(self.config.fifo_depth) for _ in range(self.config.n_slaves)
-            ]
+            self._fifos = [SlaveFifo(self.config.fifo_depth) for _ in range(N_SLAVES)]
         addr_range = decode_action(action, self.config)
         counts, trace = simulate_step(self._fifos, self.config, addr_range, rng)
         if self.scoreboard:

@@ -18,6 +18,8 @@ error      code, detail                               server
 
 Requests and responses alternate strictly; every ``reset`` is answered by
 ``reset_ack`` or ``error``, every ``step`` by ``step_ack`` or ``error``.
+An episode is one ``reset`` and one ``step``, so ``step_ack.done`` is always
+``true``; a second ``step`` without a new ``reset`` is a ``protocol`` error.
 Unknown types, missing fields, and unexpected extra fields are all
 rejected. Error codes: ``decode`` (unparseable line), ``protocol``
 (request out of order), ``invalid_action`` (action outside the served
@@ -271,7 +273,7 @@ def _send(wfile, msg: BridgeMessage) -> None:
     wfile.flush()
 
 
-def serve_dut(dut: DutModel, rfile, wfile, max_steps: int = 1) -> None:
+def serve_dut(dut: DutModel, rfile, wfile) -> None:
     """Serve one session: hello, then answer reset/step until the stream closes.
 
     Decode failures and design-model faults are answered with error
@@ -279,8 +281,7 @@ def serve_dut(dut: DutModel, rfile, wfile, max_steps: int = 1) -> None:
     """
     space = dut.action_space()
     _send(wfile, Hello(PROTOCOL_VERSION, space, dut.event_names()))
-    rng = None
-    steps_taken = 0
+    rng = None  # the open episode's stimulus stream: set by reset, spent by its step
     try:
         for line in rfile:
             try:
@@ -295,14 +296,10 @@ def serve_dut(dut: DutModel, rfile, wfile, max_steps: int = 1) -> None:
                     _send(wfile, Error("dut_fault", f"{type(exc).__name__}: {exc}"))
                     continue
                 rng = stimulus_rng(msg.seed)
-                steps_taken = 0
                 _send(wfile, ResetAck(tuple(float(x) for x in obs)))
             elif isinstance(msg, Step):
                 if rng is None:
-                    _send(wfile, Error("protocol", "step before reset"))
-                    continue
-                if steps_taken >= max_steps:
-                    _send(wfile, Error("protocol", "step after episode end"))
+                    _send(wfile, Error("protocol", "step needs a fresh reset"))
                     continue
                 action = Action(msg.action)
                 violations = validate(space, action)
@@ -314,13 +311,13 @@ def serve_dut(dut: DutModel, rfile, wfile, max_steps: int = 1) -> None:
                 except Exception as exc:  # noqa: BLE001 - reported to the peer
                     _send(wfile, Error("dut_fault", f"{type(exc).__name__}: {exc}"))
                     continue
-                steps_taken += 1
+                rng = None
                 _send(
                     wfile,
                     StepAck(
                         observation=tuple(float(x) for x in obs),
                         counts=tuple(int(c) for c in counts),
-                        done=steps_taken >= max_steps,
+                        done=True,
                     ),
                 )
             else:
@@ -364,7 +361,6 @@ class DutProxy(DutModel):
     def step(self, action: Action, rng=None):
         # rng is unused: stimulus randomness lives on the serving side.
         ack = self._request(Step(tuple(action.values)), StepAck)
-        self.last_done = ack.done
         return ack.observation, ack.counts
 
     def event_names(self):

@@ -2,14 +2,14 @@
 
     covsteer run --config cfg.json [--seed N] [--episodes N]
                  [--agent random|cem] [--out DIR]
-    covsteer report LOG... [--out FILE]
+    covsteer report RUN_DIR... [--out FILE]
     covsteer serve --dut rle|axi (--stdio | --port P) [--host H]
 
 ``run`` writes episodes.csv, summary.json and histograms.csv into the
 output directory and exits 0 on success; a partial episodes.csv is kept
-when a campaign aborts. ``report`` prints a comparison table and writes
-the same data as JSON. ``serve`` exposes a bundled design to bridge
-clients over stdio or TCP.
+when a campaign aborts. ``report`` reads completed run directories, prints
+a comparison table and writes the same data as JSON. ``serve`` exposes a
+bundled design to bridge clients over stdio or TCP.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ def cmd_run(config: RunConfig, out_dir: str | Path | None = None) -> Path:
         env = Environment(dut, config.multipliers)
         agent = make_agent(config, env.space)
         actions = []
-        total_reward = 0.0
+        rewards = []
 
         with EpisodeCsvWriter(
             out / "episodes.csv", env.space.names, [e.name for e in env.events]
@@ -72,15 +72,12 @@ def cmd_run(config: RunConfig, out_dir: str | Path | None = None) -> Path:
 
             def record(rec):
                 actions.append(rec.action)
+                rewards.append(rec.reward)
                 writer.write(rec)
 
             cumulative = run_campaign(
                 env, agent, config.episodes, config.seed, on_record=record
             )
-        total_reward = sum(
-            count * ev.multiplier
-            for count, ev in zip(cumulative.totals, env.events)
-        )
         hists = knob_histograms(env.space, actions)
         write_histograms_csv(out / "histograms.csv", hists)
         write_summary(
@@ -90,7 +87,8 @@ def cmd_run(config: RunConfig, out_dir: str | Path | None = None) -> Path:
             knob_names=env.space.names,
             event_names=[e.name for e in env.events],
             cumulative=cumulative,
-            total_reward=total_reward,
+            # The report re-sums the logged rewards the same way, so both agree.
+            total_reward=sum(rewards),
             hists=hists,
             agent_snapshot=agent.snapshot(),
         )
@@ -136,7 +134,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", default=None, help="override the output directory")
 
     p_report = sub.add_parser("report", help="compare episode logs")
-    p_report.add_argument("logs", nargs="+", help="run directories or episodes.csv paths")
+    p_report.add_argument("logs", nargs="+", help="run directories of completed runs")
     p_report.add_argument("--out", default=None, help="where to write report.json")
 
     p_serve = sub.add_parser("serve", help="serve a bundled design over the bridge")

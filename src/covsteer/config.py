@@ -10,50 +10,44 @@ Schema (all keys optional except ``dut``):
       "episodes": 1000,
       "seed": 0,
       "multipliers": {"e3_partial_count": 1.0},
-      "agent_params": {
-        "batch_size": 50, "elite_frac": 0.2, "smoothing": 0.7,
-        "sigma_min_frac": 0.05, "prob_floor": 0.01
-      },
-      "dut_params": {                // axi only
-        "fifo_depth": 4, "drain_period": 3,
-        "cycles_per_step": 100, "region_size": 4096
-      },
+      "agent_params": {"batch_size": 50},  // CemAgent keyword arguments
+      "dut_params": {"fifo_depth": 4},     // axi only: AxiConfig fields
       "out_dir": "runs/rle_random_seed0"
     }
 
 Multiplier keys must name events of the chosen design; events left out get
-multiplier 0. Every key the file leaves out is defaulted and the applied
-defaults are echoed into the run's summary.
+multiplier 0. Numbers must be finite: json parses ``NaN`` and ``Infinity``,
+and both are rejected. Every key the file leaves out is defaulted and the
+applied defaults are echoed into the run's summary.
+
+The ``agent_params`` keys, defaults and range checks are those of
+``agents.CemAgent``; the ``dut_params`` keys, defaults and checks are the
+fields of ``axi.AxiConfig``. ``dut_params`` is echoed as given, with the
+design's defaults left implicit.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 from . import axi, rle
+from .agents import CemAgent, check_cem_params
 from .errors import ConfigError
 
 AGENT_KINDS = ("random", "cem")
 
-AGENT_DEFAULTS = {
-    "batch_size": 50,
-    "elite_frac": 0.2,
-    "smoothing": 0.7,
-    "sigma_min_frac": 0.05,
-    "prob_floor": 0.01,
+# CemAgent's keyword defaults, in signature order.
+_CEM_DEFAULTS = {
+    name: p.default
+    for name, p in inspect.signature(CemAgent).parameters.items()
+    if p.default is not p.empty
 }
 
-AXI_DUT_DEFAULTS = {
-    "fifo_depth": 4,
-    "drain_period": 3,
-    "cycles_per_step": 100,
-    "region_size": 0x1000,
-}
-
-# Bundled designs: event names for early validation, no params / axi params.
+# Bundled designs: event names for early validation.
 DUT_EVENT_NAMES = {"rle": rle.EVENT_NAMES, "axi": axi.EVENT_NAMES}
-DUT_PARAM_KEYS = {"rle": (), "axi": tuple(AXI_DUT_DEFAULTS)}
 
 _TOP_KEYS = {
     "dut",
@@ -74,7 +68,7 @@ class RunConfig:
     episodes: int = 1000
     seed: int = 0
     multipliers: dict = field(default_factory=dict)
-    agent_params: dict = field(default_factory=lambda: dict(AGENT_DEFAULTS))
+    agent_params: dict = field(default_factory=lambda: dict(_CEM_DEFAULTS))
     dut_params: dict = field(default_factory=dict)
     out_dir: str = ""
     defaulted: tuple[str, ...] = ()
@@ -98,7 +92,7 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _is_real(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
 def _is_int(x) -> bool:
@@ -159,7 +153,7 @@ def build_config(raw: dict, overrides: dict | None = None) -> RunConfig:
         defaulted.append("multipliers")
     _require(isinstance(multipliers, dict), "config key 'multipliers' must be an object")
     for name, value in multipliers.items():
-        _require(_is_real(value), f"multiplier for {name!r} must be a number")
+        _require(_is_real(value), f"multiplier for {name!r} must be a finite number")
     if not is_bridge:
         known = set(DUT_EVENT_NAMES[dut])
         bad = set(multipliers) - known
@@ -167,39 +161,35 @@ def build_config(raw: dict, overrides: dict | None = None) -> RunConfig:
             raise ConfigError(f"unknown event in multipliers: {sorted(bad)[0]!r}")
     multipliers = {str(k): float(v) for k, v in multipliers.items()}
 
-    agent_params = dict(AGENT_DEFAULTS)
+    agent_params = dict(_CEM_DEFAULTS)
     given = merged.get("agent_params")
     if given is None:
-        defaulted.extend(f"agent_params.{k}" for k in AGENT_DEFAULTS)
-    else:
-        _require(isinstance(given, dict), "config key 'agent_params' must be an object")
-        bad = set(given) - set(AGENT_DEFAULTS)
-        if bad:
-            raise ConfigError(f"unknown agent_params key: {sorted(bad)[0]!r}")
-        for key, value in given.items():
-            _require(_is_real(value), f"agent_params.{key} must be a number")
-        defaulted.extend(f"agent_params.{k}" for k in AGENT_DEFAULTS if k not in given)
-        agent_params.update(given)
-    _require(
-        _is_int(agent_params["batch_size"]) and agent_params["batch_size"] >= 1,
-        "agent_params.batch_size must be a positive integer",
-    )
-    _require(0.0 < agent_params["elite_frac"] <= 1.0, "agent_params.elite_frac must be in (0, 1]")
-    _require(0.0 <= agent_params["smoothing"] <= 1.0, "agent_params.smoothing must be in [0, 1]")
-    _require(agent_params["sigma_min_frac"] > 0.0, "agent_params.sigma_min_frac must be > 0")
-    _require(agent_params["prob_floor"] >= 0.0, "agent_params.prob_floor must be >= 0")
+        given = {}
+    _require(isinstance(given, dict), "config key 'agent_params' must be an object")
+    bad = set(given) - set(_CEM_DEFAULTS)
+    if bad:
+        raise ConfigError(f"unknown agent_params key: {sorted(bad)[0]!r}")
+    defaulted.extend(f"agent_params.{k}" for k in _CEM_DEFAULTS if k not in given)
+    agent_params.update(given)
+    try:
+        check_cem_params(**agent_params)
+    except ValueError as exc:
+        raise ConfigError(f"agent_params.{exc}") from None
 
     dut_params = merged.get("dut_params")
     if dut_params is None:
         dut_params = {}
         defaulted.append("dut_params")
     _require(isinstance(dut_params, dict), "config key 'dut_params' must be an object")
-    allowed = DUT_PARAM_KEYS.get(dut, ())
-    bad = set(dut_params) - set(allowed)
+    allowed = {f.name for f in fields(axi.AxiConfig)} if dut == "axi" else set()
+    bad = set(dut_params) - allowed
     if bad:
         raise ConfigError(f"unknown dut_params key for {dut!r}: {sorted(bad)[0]!r}")
-    for key, value in dut_params.items():
-        _require(_is_int(value), f"dut_params.{key} must be an integer")
+    if dut == "axi":
+        try:
+            axi.AxiConfig(**dut_params)
+        except ValueError as exc:
+            raise ConfigError(f"dut_params.{exc}") from None
 
     out_dir = merged.get("out_dir")
     if out_dir is None:

@@ -23,13 +23,6 @@ class EventSpec:
     multiplier: float = 0.0
 
 
-def check_event_ids(events) -> None:
-    """Event ids must be 0..N-1 in order, with no gaps."""
-    for i, ev in enumerate(events):
-        if ev.id != i:
-            raise ValueError(f"event ids must be 0..{len(events) - 1} in order, got {ev.id} at {i}")
-
-
 def compute_reward(counts: CoverageCounts, events) -> float:
     """Accumulate counts[i] * multiplier[i] left to right.
 

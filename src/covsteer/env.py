@@ -1,10 +1,11 @@
 """Episode protocol: reset, step, and the design-model contract.
 
-Every episode starts with ``reset(seed)`` and runs ``step(action)`` until
-the step counter reaches ``max_steps`` (1 for both bundled designs). A
-step validates the action, hands it to the design model together with the
-episode's stimulus random stream, and returns the observation, the
-per-event counts, and the multiplier-weighted reward.
+An episode is one ``reset(seed)`` followed by one ``step(action)``: the
+agent picks knob values once, the design model expands them into stimulus
+and simulates it, and the episode ends. A step validates the action, hands
+it to the design model together with the episode's stimulus random
+stream, and returns the observation, the per-event counts, and the
+multiplier-weighted reward. A second step needs a new reset.
 
 Seeding is split so any episode can be replayed in isolation:
 
@@ -55,7 +56,6 @@ def agent_rng(campaign_seed: int) -> np.random.Generator:
 class StepResult:
     observation: Observation
     reward: float
-    done: bool
     counts: CoverageCounts
 
 
@@ -96,14 +96,7 @@ class DutModel(ABC):
 class Environment:
     """Binds a design model to an event/multiplier list and enforces the episode protocol."""
 
-    def __init__(
-        self,
-        dut: DutModel,
-        multipliers: Mapping[str, float] | None = None,
-        max_steps: int = 1,
-    ):
-        if max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
+    def __init__(self, dut: DutModel, multipliers: Mapping[str, float] | None = None):
         self.dut = dut
         self.space = dut.action_space()
         names = dut.event_names()
@@ -115,35 +108,29 @@ class Environment:
             EventSpec(id=i, name=n, multiplier=float(mult.get(n, 0.0)))
             for i, n in enumerate(names)
         )
-        self.max_steps = max_steps
-        self._steps: int | None = None  # None until the first reset
+        # The open episode's stimulus stream: set by reset, spent by its step.
         self._rng: np.random.Generator | None = None
 
-    def reset(self, seed: int | None = None) -> Observation:
-        """Start a new episode; a mid-episode reset discards the partial episode."""
-        if seed is None:
-            seed = int(np.random.SeedSequence().generate_state(1, np.uint64)[0])
+    def reset(self, seed: int) -> Observation:
+        """Start a new episode; a reset before the step discards the open one."""
         obs = self.dut.reset(int(seed))
         self._rng = stimulus_rng(seed)
-        self._steps = 0
         return tuple(float(x) for x in obs)
 
     def step(self, action: Action) -> StepResult:
-        if self._steps is None:
-            raise EpisodeProtocolError("step called before reset")
-        if self._steps >= self.max_steps:
-            raise EpisodeProtocolError("episode already done; call reset")
+        """Run the episode's one step; a rejected action leaves the episode open."""
+        if self._rng is None:
+            raise EpisodeProtocolError("step needs a fresh reset")
         violations = validate(self.space, action)
         if violations:
             raise InvalidActionError(violations)
         obs, counts = self.dut.step(action, self._rng)
+        self._rng = None
         counts = tuple(int(c) for c in counts)
         reward = compute_reward(counts, self.events)
-        self._steps += 1
         return StepResult(
             observation=tuple(float(x) for x in obs),
             reward=reward,
-            done=self._steps >= self.max_steps,
             counts=counts,
         )
 
@@ -157,8 +144,8 @@ def run_campaign(
 ) -> CumulativeCoverage:
     """Run the reset/propose/step/observe loop for a fixed episode count.
 
-    The record callback fires after every step, so a partially written log
-    survives an abort. Raises whatever the environment or agent raises.
+    The record callback fires after every episode, so a partially written
+    log survives an abort. Raises whatever the environment or agent raises.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
@@ -166,13 +153,10 @@ def run_campaign(
     cumulative = CumulativeCoverage.zero(len(env.events))
     for ep in range(episodes):
         env.reset(episode_seed(seed, ep))
-        done = False
-        while not done:
-            action = agent.propose(rng)
-            result = env.step(action)
-            agent.observe(action, result.reward)
-            if on_record is not None:
-                on_record(EpisodeRecord(ep, action, result.counts, result.reward))
-            cumulative = cumulative.merge(result.counts)
-            done = result.done
+        action = agent.propose(rng)
+        result = env.step(action)
+        agent.observe(action, result.reward)
+        if on_record is not None:
+            on_record(EpisodeRecord(ep, action, result.counts, result.reward))
+        cumulative = cumulative.merge(result.counts)
     return cumulative

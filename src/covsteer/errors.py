@@ -18,7 +18,7 @@ class InvalidActionError(CovsteerError):
 
 
 class EpisodeProtocolError(CovsteerError):
-    """reset/step were called out of order (step before reset, step after done)."""
+    """A step was called without a fresh reset (before the first, or twice in one episode)."""
 
 
 class ScoreboardError(CovsteerError):

@@ -8,8 +8,9 @@ identical bytes. A run directory holds ``episodes.csv``, ``summary.json``
 ``histograms.csv`` (per-knob value frequencies).
 
 Reports aggregate several runs of the same design side by side: per-event
-totals, event ratios of the first run over each other run, and per-knob
-histograms. Output is data, not images.
+totals, total reward, and event ratios of the first run over each other
+run. A report reads each run's column schema from its ``summary.json``.
+Output is data, not images.
 """
 
 from __future__ import annotations
@@ -82,44 +83,34 @@ class EpisodeLog:
         return sum(self.rewards)
 
 
-def _split_columns(middle: list[str], event_names=None) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Split the columns between episode and reward into knobs and events."""
-    from .config import DUT_EVENT_NAMES
-
-    candidates = [tuple(event_names)] if event_names else list(DUT_EVENT_NAMES.values())
-    for events in candidates:
-        n = len(events)
-        if n and len(middle) > n and tuple(middle[-n:]) == tuple(events):
-            return tuple(middle[:-n]), tuple(events)
-    raise ReportError(
-        "cannot split log columns into knobs and events; "
-        "pass the run directory so summary.json is available"
-    )
-
-
 def read_episode_log(path) -> EpisodeLog:
-    """Load episodes.csv; accepts the csv path or its run directory."""
+    """Load a run's episodes.csv; accepts the run directory or the csv path in it.
+
+    The knob and event columns are the ones the run's summary.json names.
+    """
     p = Path(path)
     if p.is_dir():
         p = p / "episodes.csv"
     if not p.exists():
         raise ReportError(f"episode log not found: {p}")
-    event_names = None
-    sidecar = p.parent / "summary.json"
-    if sidecar.exists():
-        try:
-            meta = json.loads(sidecar.read_text(encoding="utf-8"))
-            event_names = meta.get("event_names")
-        except (OSError, json.JSONDecodeError):
-            event_names = None
+    summary = p.parent / "summary.json"
+    if not summary.exists():
+        raise ReportError(
+            f"no summary.json next to {p}; pass the run directory of a completed run"
+        )
+    try:
+        meta = json.loads(summary.read_text(encoding="utf-8"))
+        knob_names = tuple(meta["knob_names"])
+        ev_names = tuple(meta["event_names"])
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ReportError(f"cannot read the column schema from {summary}: {exc!r}") from None
     with open(p, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if not lines:
         raise ReportError(f"episode log is empty: {p}")
     header = lines[0].split(",")
-    if header[0] != "episode" or header[-1] != "reward" or len(header) < 3:
-        raise ReportError(f"unrecognized episode log header in {p}")
-    knob_names, ev_names = _split_columns(header[1:-1], event_names)
+    if header != ["episode", *knob_names, *ev_names, "reward"]:
+        raise ReportError(f"episode log header in {p} does not match {summary}")
     n_knobs, n_events = len(knob_names), len(ev_names)
     episodes, rewards = [], []
     knob_cols = [[] for _ in range(n_knobs)]
@@ -217,24 +208,15 @@ def build_report(paths) -> dict:
             raise ReportError(
                 f"episode logs have different schemas: {first.path} vs {log.path}"
             )
-    runs = []
-    for log in logs:
-        hist = {}
-        for name, col in zip(log.knob_names, log.knob_values):
-            values: dict[str, int] = {}
-            for v in col:
-                key = format_real(v)
-                values[key] = values.get(key, 0) + 1
-            hist[name] = values
-        runs.append(
-            {
-                "path": log.path,
-                "episodes": len(log.episodes),
-                "event_totals": log.event_totals,
-                "total_reward": log.total_reward,
-                "knob_value_counts": hist,
-            }
-        )
+    runs = [
+        {
+            "path": log.path,
+            "episodes": len(log.episodes),
+            "event_totals": log.event_totals,
+            "total_reward": log.total_reward,
+        }
+        for log in logs
+    ]
     ratios = []
     for log in logs[1:]:
         entry = {}

@@ -357,10 +357,8 @@ class RleDut(DutModel):
 
     def __init__(self, scoreboard: bool = True):
         self.scoreboard = scoreboard
-        self._last_state: RleState | None = None
 
     def reset(self, seed: int) -> Observation:
-        self._last_state = None
         return (0.0, 0.0, 0.0, 0.0)
 
     def step(self, action: Action, rng: np.random.Generator):
@@ -374,7 +372,6 @@ class RleDut(DutModel):
                     f"compressor output diverged from golden model for "
                     f"count_width={stim.count_width}, length={len(stim.sequence)}"
                 )
-        self._last_state = state
         obs = (
             float(len(state.word_vec)),
             float(state.zc_bits_used),

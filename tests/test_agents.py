@@ -196,6 +196,27 @@ class TestCemObserve:
         with pytest.raises(ValueError):
             CemAgent(WIDTH8, prob_floor=0.2)  # 8 * 0.2 > 1
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"sigma_min_frac": float("nan")},
+            {"sigma_min_frac": float("inf")},
+            {"sigma_min_frac": 1e300},
+            {"sigma_min_frac": 0.6},
+            {"elite_frac": float("nan")},
+            {"prob_floor": float("nan")},
+            {"batch_size": 2.5},
+        ],
+    )
+    def test_non_finite_and_hanging_hyperparameters_rejected(self, params):
+        with pytest.raises(ValueError, match=next(iter(params))):
+            CemAgent(UNIT, **params)
+
+    def test_widest_stddev_floor_still_proposes(self):
+        agent = CemAgent(UNIT, sigma_min_frac=0.5)
+        rng = np.random.default_rng(0)
+        assert all(0.0 <= agent.propose(rng).values[0] <= 1.0 for _ in range(100))
+
 
 class BanditEnv:
     """Reward 1 exactly when the discrete knob hits the target value."""

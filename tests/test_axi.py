@@ -220,9 +220,9 @@ class TestAxiDut:
             dut.step(Action((4, 4)), np.random.default_rng(0))
 
     def test_config_is_pinned_to_paper_instance(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             AxiConfig(n_slaves=4)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             AxiConfig(n_masters=3)
 
     def test_overridable_parameters(self):

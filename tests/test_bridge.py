@@ -123,14 +123,14 @@ def test_encode_decode_roundtrip(msg):
 class Session:
     """Raw client side of one served session over a socketpair."""
 
-    def __init__(self, dut_factory=RleDut, max_steps=1):
+    def __init__(self, dut_factory=RleDut):
         self.client, server = socket.socketpair()
         self.rfile = self.client.makefile("rb")
         self.wfile = self.client.makefile("wb")
 
         def serve():
             with server:
-                serve_dut(dut_factory(), server.makefile("rb"), server.makefile("wb"), max_steps)
+                serve_dut(dut_factory(), server.makefile("rb"), server.makefile("wb"))
 
         self.thread = threading.Thread(target=serve, daemon=True)
         self.thread.start()

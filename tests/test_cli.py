@@ -72,9 +72,24 @@ class TestCmdRun:
             name: sum(col) for name, col in zip(log.event_names, log.counts)
         }
         assert summary["episodes"] == 80
-        assert summary["total_reward"] == pytest.approx(sum(log.rewards))
+        assert summary["total_reward"] == sum(log.rewards)
         assert summary["agent_snapshot"]["kind"] == "cem"
         assert "out_dir" in summary["applied_defaults"]
+
+    def test_total_reward_equals_report_exactly(self, tmp_path):
+        # Fractional multipliers make a total of counts x multipliers differ
+        # from the sum of the logged per-episode rewards in the last bits.
+        cfg = build_config(
+            rle_config(
+                episodes=300,
+                agent="random",
+                multipliers={"e0_word_full": 0.1, "e1_zc_full": 0.7, "e2_counter_mid": 1.3},
+            )
+        )
+        out = cmd_run(cfg, tmp_path / "run")
+        summary = json.loads((out / "summary.json").read_text())
+        report = cmd_report([out], tmp_path / "report.json")
+        assert summary["total_reward"] == report["runs"][0]["total_reward"]
 
     def test_csv_replay_reproduces_counts(self, tmp_path):
         # The log is loss-free: logged actions + derived episode seeds
@@ -154,11 +169,26 @@ class TestCmdReport:
         with pytest.raises(ReportError, match="schemas"):
             cmd_report([rle_out, axi_out], tmp_path / "r.json")
 
-    def test_csv_path_without_sidecar_still_reads_bundled_schema(self, tmp_path):
+    def test_csv_path_reads_schema_from_summary(self, tmp_path):
         out = cmd_run(build_config(rle_config(episodes=10)), tmp_path / "run")
-        (out / "summary.json").unlink()
         log = read_episode_log(out / "episodes.csv")
         assert log.knob_names == ("zero_prob", "count_width", "seq_length")
+        (out / "summary.json").unlink()
+        with pytest.raises(ReportError, match="pass the run directory"):
+            read_episode_log(out / "episodes.csv")
+
+    def test_header_must_match_summary(self, tmp_path):
+        out = cmd_run(build_config(rle_config(episodes=10)), tmp_path / "run")
+        summary = json.loads((out / "summary.json").read_text())
+        summary["event_names"].reverse()
+        (out / "summary.json").write_text(json.dumps(summary))
+        with pytest.raises(ReportError, match="does not match"):
+            read_episode_log(out)
+
+    def test_report_has_no_second_histogram(self, tmp_path):
+        out = cmd_run(build_config(rle_config(episodes=10)), tmp_path / "run")
+        report = cmd_report([out], tmp_path / "r.json")
+        assert set(report["runs"][0]) == {"path", "episodes", "event_totals", "total_reward"}
 
 
 class TestMainEntry:

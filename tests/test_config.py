@@ -3,7 +3,7 @@ import json
 import pytest
 
 from covsteer.agents import RandomAgent
-from covsteer.config import AGENT_DEFAULTS, build_config, parse_config
+from covsteer.config import build_config, parse_config
 from covsteer.env import Environment, run_campaign
 from covsteer.errors import ConfigError
 from covsteer.rle import RleDut
@@ -32,9 +32,17 @@ class TestParseConfig:
         assert cfg.dut == "rle"
         assert cfg.agent == "cem"
         assert cfg.multipliers == {"e3_partial_count": 1.0}
-        assert cfg.agent_params == AGENT_DEFAULTS
+        cem_defaults = {
+            "batch_size": 50,
+            "elite_frac": 0.2,
+            "smoothing": 0.7,
+            "sigma_min_frac": 0.05,
+            "prob_floor": 0.01,
+        }
+        assert cfg.agent_params == cem_defaults
+        assert list(cfg.agent_params) == list(cem_defaults)
         assert "out_dir" in cfg.defaulted
-        assert all(f"agent_params.{k}" in cfg.defaulted for k in AGENT_DEFAULTS)
+        assert all(f"agent_params.{k}" in cfg.defaulted for k in cem_defaults)
 
     def test_empty_multipliers_means_zero_reward(self, tmp_path):
         cfg = parse_config(write(tmp_path, {"dut": "rle"}))
@@ -89,6 +97,9 @@ class TestParseConfig:
         assert cfg.dut_params == {"fifo_depth": 8}
         with pytest.raises(ConfigError, match="dut_params"):
             parse_config(write(tmp_path, {"dut": "rle", "dut_params": {"fifo_depth": 8}}))
+        for bad in ({"fifo_depth": 0}, {"drain_period": 2.5}, {"n_slaves": 4}):
+            with pytest.raises(ConfigError, match="dut_params"):
+                parse_config(write(tmp_path, {"dut": "axi", "dut_params": bad}))
 
     def test_agent_params_unknown_key(self, tmp_path):
         with pytest.raises(ConfigError, match="agent_params"):
@@ -106,11 +117,24 @@ class TestParseConfig:
             {"batch_size": 2.5},
             {"sigma_min_frac": 0.0},
             {"prob_floor": -0.01},
+            # Non-finite values parse from JSON; a huge stddev floor spins propose.
+            {"sigma_min_frac": float("nan")},
+            {"sigma_min_frac": float("inf")},
+            {"sigma_min_frac": 1e300},
+            {"sigma_min_frac": 0.6},
+            {"elite_frac": float("nan")},
+            {"smoothing": float("nan")},
+            {"prob_floor": float("inf")},
         ],
     )
     def test_agent_params_out_of_range(self, tmp_path, params):
         with pytest.raises(ConfigError, match="agent_params"):
             parse_config(write(tmp_path, {"dut": "rle", "agent_params": params}))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_multiplier_rejected(self, tmp_path, value):
+        with pytest.raises(ConfigError, match="e0_word_full"):
+            parse_config(write(tmp_path, {"dut": "rle", "multipliers": {"e0_word_full": value}}))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from covsteer.coverage import CumulativeCoverage, EventSpec, check_event_ids, compute_reward
+from covsteer.coverage import CumulativeCoverage, EventSpec, compute_reward
 
 
 def events(*multipliers):
@@ -81,8 +81,3 @@ class TestCumulativeCoverage:
         with pytest.raises(ValueError):
             CumulativeCoverage.zero(2).merge((1, 2, 3))
 
-
-def test_check_event_ids():
-    check_event_ids(events(0, 0, 1))
-    with pytest.raises(ValueError):
-        check_event_ids([EventSpec(1, "e1", 0.0)])

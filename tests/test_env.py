@@ -1,34 +1,12 @@
 import numpy as np
 import pytest
 
-from covsteer.actionspace import Action, ActionSpace, KnobSpec
+from covsteer.actionspace import Action
 from covsteer.agents import RandomAgent
 from covsteer.coverage import compute_reward
 from covsteer.env import Environment, episode_seed, run_campaign
 from covsteer.errors import EpisodeProtocolError, InvalidActionError
 from covsteer.rle import RleDut
-
-
-class CountingDut:
-    """Toy multi-step design: one event fires when the knob exceeds 0.5."""
-
-    def __init__(self):
-        self._total = 0
-
-    def reset(self, seed):
-        self._total = 0
-        return (0.0,)
-
-    def step(self, action, rng):
-        fired = 1 if action.values[0] > 0.5 else 0
-        self._total += fired
-        return (float(self._total),), (fired,)
-
-    def event_names(self):
-        return ("above_half",)
-
-    def action_space(self):
-        return ActionSpace(knobs=(KnobSpec.continuous("level", 0.0, 1.0),))
 
 
 def rle_env(multipliers=None):
@@ -44,15 +22,14 @@ class TestReset:
         assert rle_env().reset(seed=0) == (0.0, 0.0, 0.0, 0.0)
 
     def test_reset_mid_episode_restarts(self):
-        env = Environment(CountingDut(), max_steps=3)
+        env = rle_env()
         env.reset(seed=1)
-        env.step(Action((0.9,)))
-        env.reset(seed=1)
-        # counter was zeroed: three more steps fit in the episode
-        for _ in range(3):
-            result = env.step(Action((0.9,)))
-        assert result.done
-        assert result.observation == (3.0,)
+        env.reset(seed=2)
+        # the open episode was discarded: the step runs on seed 2's stream
+        fresh = rle_env()
+        fresh.reset(seed=2)
+        action = Action((0.4, 6, 300))
+        assert env.step(action) == fresh.step(action)
 
 
 class TestStep:
@@ -61,7 +38,6 @@ class TestStep:
         env.reset(seed=5)
         result = env.step(Action((0.4, 6, 300)))
         assert result.reward == result.counts[3]
-        assert result.done
 
     def test_zero_multipliers_zero_reward(self):
         env = rle_env()
@@ -101,24 +77,13 @@ class TestStep:
         env.reset(seed=0)
         with pytest.raises(InvalidActionError):
             env.step(Action((1.5, 6, 300)))
-        result = env.step(Action((0.4, 6, 300)))
-        assert result.done
+        env.step(Action((0.4, 6, 300)))
+        with pytest.raises(EpisodeProtocolError):
+            env.step(Action((0.4, 6, 300)))
 
     def test_unknown_multiplier_rejected(self):
         with pytest.raises(ValueError):
             rle_env({"not_an_event": 1.0})
-
-
-class TestMultiStep:
-    def test_done_after_max_steps(self):
-        env = Environment(CountingDut(), {"above_half": 1.0}, max_steps=2)
-        env.reset(seed=0)
-        first = env.step(Action((0.8,)))
-        assert not first.done
-        second = env.step(Action((0.2,)))
-        assert second.done
-        with pytest.raises(EpisodeProtocolError):
-            env.step(Action((0.8,)))
 
 
 class TestRunCampaign:
@@ -148,15 +113,6 @@ class TestRunCampaign:
             return records
 
         assert one() == one()
-
-    def test_multi_step_campaign_counts_steps(self):
-        env = Environment(CountingDut(), {"above_half": 1.0}, max_steps=3)
-        records = []
-        cumulative = run_campaign(
-            env, RandomAgent(env.space), 5, seed=1, on_record=records.append
-        )
-        assert len(records) == 15  # one record per step
-        assert cumulative.episodes == 15
 
     def test_agent_errors_propagate_after_partial_log(self):
         class FailingAgent(RandomAgent):
