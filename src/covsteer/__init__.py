@@ -27,7 +27,6 @@ from .env import (
     DutModel,
     Environment,
     EpisodeRecord,
-    Observation,
     StepResult,
     agent_rng,
     episode_seed,
@@ -71,7 +70,6 @@ __all__ = [
     "EventSpec",
     "InvalidActionError",
     "KnobSpec",
-    "Observation",
     "RandomAgent",
     "RemoteDutError",
     "ReportError",

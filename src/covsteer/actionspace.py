@@ -9,12 +9,24 @@ discrete values round-trip exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
 CONTINUOUS = "continuous"
 DISCRETE = "discrete"
+
+
+def is_finite_real(value) -> bool:
+    """A real number, not a bool, that converts to a finite float."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 @dataclass(frozen=True)

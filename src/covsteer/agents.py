@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from numbers import Integral, Real
+from numbers import Integral
 
 import numpy as np
 
-from .actionspace import CONTINUOUS, Action, ActionSpace, sample_uniform
+from .actionspace import CONTINUOUS, Action, ActionSpace, is_finite_real, sample_uniform
 
 
 class Agent(ABC):
@@ -120,7 +120,7 @@ def check_cem_params(batch_size, elite_frac, smoothing, sigma_min_frac, prob_flo
         "prob_floor": prob_floor,
     }
     for name, value in reals.items():
-        if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+        if not is_finite_real(value):
             raise ValueError(f"{name} must be a finite number")
     if not 0.0 < elite_frac <= 1.0:
         raise ValueError("elite_frac must be in (0, 1]")
@@ -140,7 +140,7 @@ class CemAgent(Agent):
     space:
         The knob space proposals are drawn from.
     batch_size:
-        Observations buffered between refits (B).
+        Rewarded episodes buffered between refits (B).
     elite_frac:
         Fraction of the batch, rounded up, refitted toward (0 < f <= 1).
         Ties at the elite boundary break toward the earlier buffer entry.

@@ -28,7 +28,7 @@ from numbers import Integral
 import numpy as np
 
 from .actionspace import Action, ActionSpace, KnobSpec
-from .env import DutModel, Observation
+from .env import DutModel
 from .errors import AddressDecodeError, ScoreboardError
 
 N_MASTERS = 2
@@ -62,6 +62,9 @@ class AxiConfig:
             least = 0 if f.name == "cycles_per_step" else 1
             if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
                 raise ValueError(f"{f.name} must be an integer >= {least}")
+        # Addresses are drawn as int64, so the whole map must fit below 2**63.
+        if N_SLAVES * self.region_size > 1 << 63:
+            raise ValueError(f"region_size must be at most {(1 << 63) // N_SLAVES}")
 
 
 class SlaveFifo:
@@ -248,33 +251,24 @@ def golden_check(trace: Trace, config: AxiConfig) -> list[TraceViolation]:
 class AxiDut(DutModel):
     """Crossbar wrapped in the design-model contract, with trace replay checking."""
 
-    def __init__(self, config: AxiConfig | None = None, scoreboard: bool = True):
+    def __init__(self, config: AxiConfig | None = None):
         self.config = config or AxiConfig()
-        self.scoreboard = scoreboard
-        self._fifos: list[SlaveFifo] | None = None
-        self.last_trace: Trace = ()
 
-    def reset(self, seed: int) -> Observation:
-        self._fifos = [SlaveFifo(self.config.fifo_depth) for _ in range(N_SLAVES)]
-        self.last_trace = ()
-        return (0.0,) * N_SLAVES
+    def reset(self, seed: int) -> None:
+        """Nothing to clear: every step starts from empty FIFOs."""
 
-    def step(self, action: Action, rng: np.random.Generator):
-        if self._fifos is None:
-            self._fifos = [SlaveFifo(self.config.fifo_depth) for _ in range(N_SLAVES)]
+    def step(self, action: Action, rng: np.random.Generator) -> tuple[int, ...]:
+        fifos = [SlaveFifo(self.config.fifo_depth) for _ in range(N_SLAVES)]
         addr_range = decode_action(action, self.config)
-        counts, trace = simulate_step(self._fifos, self.config, addr_range, rng)
-        if self.scoreboard:
-            violations = golden_check(trace, self.config)
-            if violations:
-                first = violations[0]
-                raise ScoreboardError(
-                    f"{len(violations)} trace violations; first at cycle "
-                    f"{first.cycle}: {first.kind} ({first.detail})"
-                )
-        self.last_trace = trace
-        obs = tuple(float(f.occupancy) for f in self._fifos)
-        return obs, counts
+        counts, trace = simulate_step(fifos, self.config, addr_range, rng)
+        violations = golden_check(trace, self.config)
+        if violations:
+            first = violations[0]
+            raise ScoreboardError(
+                f"{len(violations)} trace violations; first at cycle "
+                f"{first.cycle}: {first.kind} ({first.detail})"
+            )
+        return counts
 
     def event_names(self):
         return EVENT_NAMES

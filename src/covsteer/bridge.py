@@ -10,16 +10,18 @@ type       fields                                     direction
 =========  =========================================  ==================
 hello      protocol_version, action_space, events     server, once first
 reset      seed                                       client
-reset_ack  observation                                server
+reset_ack  (none)                                     server
 step       action                                     client
-step_ack   observation, counts, done                  server
+step_ack   counts                                     server
 error      code, detail                               server
 =========  =========================================  ==================
 
 Requests and responses alternate strictly; every ``reset`` is answered by
 ``reset_ack`` or ``error``, every ``step`` by ``step_ack`` or ``error``.
-An episode is one ``reset`` and one ``step``, so ``step_ack.done`` is always
-``true``; a second ``step`` without a new ``reset`` is a ``protocol`` error.
+An episode is one ``reset`` and one ``step``; a second ``step`` without a
+new ``reset`` is a ``protocol`` error, and so is a retry after a
+``dut_fault``. The serving side runs its episodes through
+``env.Environment``, so these rules are the in-process ones.
 Unknown types, missing fields, and unexpected extra fields are all
 rejected. Error codes: ``decode`` (unparseable line), ``protocol``
 (request out of order), ``invalid_action`` (action outside the served
@@ -36,16 +38,18 @@ import json
 import socket
 from dataclasses import dataclass
 
-from .actionspace import Action, ActionSpace, KnobSpec, validate
-from .env import DutModel, stimulus_rng
+from .actionspace import Action, ActionSpace, KnobSpec, is_finite_real
+from .env import DutModel, Environment
 from .errors import (
     BridgeDecodeError,
     BridgeProtocolError,
+    EpisodeProtocolError,
+    InvalidActionError,
     RemoteDutError,
     TransportError,
 )
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 DEFAULT_TIMEOUT = 30.0
 
 
@@ -56,7 +60,7 @@ class Reset:
 
 @dataclass(frozen=True)
 class ResetAck:
-    observation: tuple[float, ...]
+    pass
 
 
 @dataclass(frozen=True)
@@ -66,9 +70,7 @@ class Step:
 
 @dataclass(frozen=True)
 class StepAck:
-    observation: tuple[float, ...]
     counts: tuple[int, ...]
-    done: bool
 
 
 @dataclass(frozen=True)
@@ -88,9 +90,9 @@ BridgeMessage = Reset | ResetAck | Step | StepAck | Hello | Error
 
 _FIELDS = {
     "reset": ("seed",),
-    "reset_ack": ("observation",),
+    "reset_ack": (),
     "step": ("action",),
-    "step_ack": ("observation", "counts", "done"),
+    "step_ack": ("counts",),
     "hello": ("protocol_version", "action_space", "events"),
     "error": ("code", "detail"),
 }
@@ -128,6 +130,8 @@ def _space_from_payload(obj) -> ActionSpace:
         if not isinstance(item, dict):
             raise BridgeDecodeError("malformed knob payload")
         kind = item.get("kind")
+        if not isinstance(item.get("name"), str):
+            raise BridgeDecodeError("knob name must be a string")
         try:
             if kind == "continuous":
                 if set(item) != {"name", "kind", "lo", "hi"}:
@@ -140,7 +144,7 @@ def _space_from_payload(obj) -> ActionSpace:
                     raise BridgeDecodeError("malformed discrete knob payload")
                 knobs.append(KnobSpec.discrete(item["name"], _real_list(item["values"])))
             else:
-                raise BridgeDecodeError(f"unknown knob kind {kind!r}")
+                raise BridgeDecodeError("knob kind must be 'continuous' or 'discrete'")
         except ValueError as exc:
             raise BridgeDecodeError(f"invalid knob payload: {exc}") from exc
     try:
@@ -150,31 +154,29 @@ def _space_from_payload(obj) -> ActionSpace:
 
 
 def _real(x) -> float:
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise BridgeDecodeError(f"expected a number, got {x!r}")
+    if not is_finite_real(x):
+        raise BridgeDecodeError(f"expected a finite number, got {type(x).__name__}")
     return float(x)
 
 
 def _real_list(xs) -> tuple[float, ...]:
     if not isinstance(xs, list):
-        raise BridgeDecodeError(f"expected a list of numbers, got {xs!r}")
+        raise BridgeDecodeError(f"expected a list of numbers, got {type(xs).__name__}")
     return tuple(_real(x) for x in xs)
 
 
 def _count_list(xs) -> tuple[int, ...]:
     if not isinstance(xs, list):
-        raise BridgeDecodeError(f"expected a list of counts, got {xs!r}")
-    out = []
+        raise BridgeDecodeError(f"expected a list of counts, got {type(xs).__name__}")
     for x in xs:
         if isinstance(x, bool) or not isinstance(x, int) or x < 0:
-            raise BridgeDecodeError(f"counts must be non-negative integers, got {x!r}")
-        out.append(x)
-    return tuple(out)
+            raise BridgeDecodeError("counts must be non-negative integers")
+    return tuple(xs)
 
 
 def _unsigned(x) -> int:
     if isinstance(x, bool) or not isinstance(x, int) or x < 0:
-        raise BridgeDecodeError(f"expected an unsigned integer, got {x!r}")
+        raise BridgeDecodeError("expected an unsigned integer")
     return x
 
 
@@ -183,16 +185,11 @@ def encode(msg: BridgeMessage) -> bytes:
     if isinstance(msg, Reset):
         body = {"type": "reset", "seed": _unsigned(msg.seed)}
     elif isinstance(msg, ResetAck):
-        body = {"type": "reset_ack", "observation": [_wire_num(x) for x in msg.observation]}
+        body = {"type": "reset_ack"}
     elif isinstance(msg, Step):
         body = {"type": "step", "action": [_wire_num(x) for x in msg.action]}
     elif isinstance(msg, StepAck):
-        body = {
-            "type": "step_ack",
-            "observation": [_wire_num(x) for x in msg.observation],
-            "counts": [int(c) for c in msg.counts],
-            "done": bool(msg.done),
-        }
+        body = {"type": "step_ack", "counts": [int(c) for c in msg.counts]}
     elif isinstance(msg, Hello):
         body = {
             "type": "hello",
@@ -218,11 +215,15 @@ def decode(line: bytes | str) -> BridgeMessage:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise BridgeDecodeError(f"invalid JSON: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # over-long integers, deep nesting
+        raise BridgeDecodeError(f"invalid JSON: {type(exc).__name__}") from exc
     if not isinstance(obj, dict):
         raise BridgeDecodeError("message must be a JSON object")
     mtype = obj.get("type")
     if mtype is None:
         raise BridgeDecodeError("missing field: type")
+    if not isinstance(mtype, str):
+        raise BridgeDecodeError("type must be a string")
     if mtype not in _FIELDS:
         raise BridgeDecodeError(f"unknown type: {mtype!r}")
     expected = set(_FIELDS[mtype])
@@ -237,18 +238,11 @@ def decode(line: bytes | str) -> BridgeMessage:
     if mtype == "reset":
         return Reset(seed=_unsigned(obj["seed"]))
     if mtype == "reset_ack":
-        return ResetAck(observation=_real_list(obj["observation"]))
+        return ResetAck()
     if mtype == "step":
         return Step(action=_real_list(obj["action"]))
     if mtype == "step_ack":
-        done = obj["done"]
-        if not isinstance(done, bool):
-            raise BridgeDecodeError(f"done must be a boolean, got {done!r}")
-        return StepAck(
-            observation=_real_list(obj["observation"]),
-            counts=_count_list(obj["counts"]),
-            done=done,
-        )
+        return StepAck(counts=_count_list(obj["counts"]))
     if mtype == "hello":
         version = obj["protocol_version"]
         if isinstance(version, bool) or not isinstance(version, int):
@@ -276,52 +270,33 @@ def _send(wfile, msg: BridgeMessage) -> None:
 def serve_dut(dut: DutModel, rfile, wfile) -> None:
     """Serve one session: hello, then answer reset/step until the stream closes.
 
-    Decode failures and design-model faults are answered with error
-    messages and the session continues; only transport closure ends it.
+    Episodes run through an ``Environment`` without multipliers, so the
+    episode rules are the in-process ones. Decode failures, protocol
+    violations and design-model faults are answered with error messages
+    and the session continues; only transport closure ends it.
     """
-    space = dut.action_space()
-    _send(wfile, Hello(PROTOCOL_VERSION, space, dut.event_names()))
-    rng = None  # the open episode's stimulus stream: set by reset, spent by its step
+    env = Environment(dut)
+    _send(wfile, Hello(PROTOCOL_VERSION, env.space, dut.event_names()))
     try:
         for line in rfile:
             try:
                 msg = decode(line)
+                if isinstance(msg, Reset):
+                    env.reset(msg.seed)
+                    reply = ResetAck()
+                elif isinstance(msg, Step):
+                    reply = StepAck(env.step(Action(msg.action)).counts)
+                else:
+                    reply = Error("protocol", f"unexpected message type {type(msg).__name__}")
             except BridgeDecodeError as exc:
-                _send(wfile, Error("decode", str(exc)))
-                continue
-            if isinstance(msg, Reset):
-                try:
-                    obs = dut.reset(msg.seed)
-                except Exception as exc:  # noqa: BLE001 - reported to the peer
-                    _send(wfile, Error("dut_fault", f"{type(exc).__name__}: {exc}"))
-                    continue
-                rng = stimulus_rng(msg.seed)
-                _send(wfile, ResetAck(tuple(float(x) for x in obs)))
-            elif isinstance(msg, Step):
-                if rng is None:
-                    _send(wfile, Error("protocol", "step needs a fresh reset"))
-                    continue
-                action = Action(msg.action)
-                violations = validate(space, action)
-                if violations:
-                    _send(wfile, Error("invalid_action", violations[0].message))
-                    continue
-                try:
-                    obs, counts = dut.step(action, rng)
-                except Exception as exc:  # noqa: BLE001 - reported to the peer
-                    _send(wfile, Error("dut_fault", f"{type(exc).__name__}: {exc}"))
-                    continue
-                rng = None
-                _send(
-                    wfile,
-                    StepAck(
-                        observation=tuple(float(x) for x in obs),
-                        counts=tuple(int(c) for c in counts),
-                        done=True,
-                    ),
-                )
-            else:
-                _send(wfile, Error("protocol", f"unexpected message type {type(msg).__name__}"))
+                reply = Error("decode", str(exc))
+            except EpisodeProtocolError as exc:
+                reply = Error("protocol", str(exc))
+            except InvalidActionError as exc:
+                reply = Error("invalid_action", exc.violations[0].message)
+            except Exception as exc:  # noqa: BLE001 - reported to the peer
+                reply = Error("dut_fault", f"{type(exc).__name__}: {exc}")
+            _send(wfile, reply)
     except (BrokenPipeError, ConnectionResetError):
         return
 
@@ -354,14 +329,12 @@ class DutProxy(DutModel):
             )
         return reply
 
-    def reset(self, seed: int):
-        ack = self._request(Reset(int(seed)), ResetAck)
-        return ack.observation
+    def reset(self, seed: int) -> None:
+        self._request(Reset(int(seed)), ResetAck)
 
-    def step(self, action: Action, rng=None):
+    def step(self, action: Action, rng=None) -> tuple[int, ...]:
         # rng is unused: stimulus randomness lives on the serving side.
-        ack = self._request(Step(tuple(action.values)), StepAck)
-        return ack.observation, ack.counts
+        return self._request(Step(tuple(action.values)), StepAck).counts
 
     def event_names(self):
         return self._hello.events

@@ -30,10 +30,10 @@ from __future__ import annotations
 
 import inspect
 import json
-import math
 from dataclasses import dataclass, field, fields
 
 from . import axi, rle
+from .actionspace import is_finite_real
 from .agents import CemAgent, check_cem_params
 from .errors import ConfigError
 
@@ -91,10 +91,6 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _is_real(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-
-
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
@@ -145,7 +141,10 @@ def build_config(raw: dict, overrides: dict | None = None) -> RunConfig:
     if seed is None:
         seed = 0
         defaulted.append("seed")
-    _require(_is_int(seed) and seed >= 0, "config key 'seed' must be a non-negative integer")
+    _require(
+        _is_int(seed) and 0 <= seed < 1 << 64,
+        "config key 'seed' must be an integer in [0, 2**64)",
+    )
 
     multipliers = merged.get("multipliers")
     if multipliers is None:
@@ -153,7 +152,7 @@ def build_config(raw: dict, overrides: dict | None = None) -> RunConfig:
         defaulted.append("multipliers")
     _require(isinstance(multipliers, dict), "config key 'multipliers' must be an object")
     for name, value in multipliers.items():
-        _require(_is_real(value), f"multiplier for {name!r} must be a finite number")
+        _require(is_finite_real(value), f"multiplier for {name!r} must be a finite number")
     if not is_bridge:
         known = set(DUT_EVENT_NAMES[dut])
         bad = set(multipliers) - known
@@ -219,4 +218,6 @@ def parse_config(path, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc.msg} (line {exc.lineno})") from None
+    except (ValueError, RecursionError) as exc:  # over-long integers, deep nesting
+        raise ConfigError(f"config file is not valid JSON: {type(exc).__name__}") from None
     return build_config(raw, overrides)

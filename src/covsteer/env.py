@@ -1,11 +1,12 @@
 """Episode protocol: reset, step, and the design-model contract.
 
-An episode is one ``reset(seed)`` followed by one ``step(action)``: the
-agent picks knob values once, the design model expands them into stimulus
-and simulates it, and the episode ends. A step validates the action, hands
-it to the design model together with the episode's stimulus random
-stream, and returns the observation, the per-event counts, and the
-multiplier-weighted reward. A second step needs a new reset.
+An episode is one ``reset(seed)`` followed by one ``step(action)``, as in
+a bandit: the agent picks knob values once, the design model expands them
+into stimulus and simulates it, and the episode ends. A step validates the
+action, hands it to the design model together with the episode's stimulus
+random stream, and returns the per-event counts and the
+multiplier-weighted reward. A second step needs a new reset, and so does a
+step whose design model raised: its stream is already partly spent.
 
 Seeding is split so any episode can be replayed in isolation:
 
@@ -29,9 +30,6 @@ from .actionspace import Action, ActionSpace, validate
 from .coverage import CoverageCounts, CumulativeCoverage, EventSpec, compute_reward
 from .errors import EpisodeProtocolError, InvalidActionError
 
-# Monitored design registers sampled at the end of a step.
-Observation = tuple[float, ...]
-
 _EPISODE_TAG = 1
 _AGENT_TAG = 2
 
@@ -54,7 +52,6 @@ def agent_rng(campaign_seed: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class StepResult:
-    observation: Observation
     reward: float
     counts: CoverageCounts
 
@@ -77,11 +74,11 @@ class DutModel(ABC):
     """
 
     @abstractmethod
-    def reset(self, seed: int) -> Observation:
-        """Put the design in its initial state and report the initial observation."""
+    def reset(self, seed: int) -> None:
+        """Put the design in its initial state."""
 
     @abstractmethod
-    def step(self, action: Action, rng: np.random.Generator) -> tuple[Observation, CoverageCounts]:
+    def step(self, action: Action, rng: np.random.Generator) -> CoverageCounts:
         """Expand the action into stimulus, simulate it, and report event counts."""
 
     @abstractmethod
@@ -111,28 +108,26 @@ class Environment:
         # The open episode's stimulus stream: set by reset, spent by its step.
         self._rng: np.random.Generator | None = None
 
-    def reset(self, seed: int) -> Observation:
-        """Start a new episode; a reset before the step discards the open one."""
-        obs = self.dut.reset(int(seed))
+    def reset(self, seed: int) -> None:
+        """Start a new episode; a reset discards the open one, even when it fails."""
+        self._rng = None
+        self.dut.reset(int(seed))
         self._rng = stimulus_rng(seed)
-        return tuple(float(x) for x in obs)
 
     def step(self, action: Action) -> StepResult:
-        """Run the episode's one step; a rejected action leaves the episode open."""
+        """Run the episode's one step.
+
+        A rejected action leaves the episode open; once the design model is
+        called, the episode is over, whether it returns or raises.
+        """
         if self._rng is None:
             raise EpisodeProtocolError("step needs a fresh reset")
         violations = validate(self.space, action)
         if violations:
             raise InvalidActionError(violations)
-        obs, counts = self.dut.step(action, self._rng)
-        self._rng = None
-        counts = tuple(int(c) for c in counts)
-        reward = compute_reward(counts, self.events)
-        return StepResult(
-            observation=tuple(float(x) for x in obs),
-            reward=reward,
-            counts=counts,
-        )
+        rng, self._rng = self._rng, None
+        counts = tuple(int(c) for c in self.dut.step(action, rng))
+        return StepResult(reward=compute_reward(counts, self.events), counts=counts)
 
 
 def run_campaign(

@@ -18,7 +18,11 @@ class InvalidActionError(CovsteerError):
 
 
 class EpisodeProtocolError(CovsteerError):
-    """A step was called without a fresh reset (before the first, or twice in one episode)."""
+    """A step was called without a fresh reset.
+
+    That is: before the first reset, twice in one episode, or after a step
+    whose design model raised.
+    """
 
 
 class ScoreboardError(CovsteerError):

@@ -3,7 +3,8 @@
 The compressor consumes a stream of non-negative words. Non-zero words
 are appended to a 16-entry word vector; runs of zeros are counted in a
 ``counter`` register and written as fixed-width count fields into a 64-bit
-zero-count vector. Four registers are monitored:
+zero-count vector. Four registers hold the compressor's internal state
+(they are not reported; an episode reports event counts only):
 
 * word counter     -- occupancy of the word vector,
 * zero counter     -- bits consumed in the zero-count vector,
@@ -47,7 +48,7 @@ import numpy as np
 
 from .actionspace import Action, ActionSpace, KnobSpec
 from .coverage import CoverageCounts
-from .env import DutModel, Observation
+from .env import DutModel
 from .errors import BlockFormatError, ScoreboardError
 
 EVENT_NAMES = ("e0_word_full", "e1_zc_full", "e2_counter_mid", "e3_partial_count")
@@ -69,14 +70,10 @@ ACTION_SPACE = ActionSpace(
 @dataclass(frozen=True)
 class RleConfig:
     count_width: int
-    word_capacity: int = WORD_CAPACITY
-    zc_capacity_bits: int = ZC_CAPACITY_BITS
 
     def __post_init__(self):
         if not 1 <= self.count_width <= 8:
             raise ValueError(f"count_width must be in 1..8, got {self.count_width}")
-        if self.word_capacity < 1 or self.zc_capacity_bits < 8:
-            raise ValueError("capacities must be positive")
 
 
 @dataclass
@@ -136,7 +133,7 @@ def _emit_count(state: RleState, config: RleConfig) -> tuple[int, int]:
     """Write the counter as one count field; returns (e1, e3) increments."""
     value = state.counter
     cw = config.count_width
-    cap = config.zc_capacity_bits
+    cap = ZC_CAPACITY_BITS
     e1 = e3 = 0
     state.layout.append("C")
     remaining = cap - state.zc_bits_used
@@ -182,7 +179,7 @@ def rle_step(state: RleState, config: RleConfig, word: int) -> tuple[int, int, i
             state.counter = 0
         state.word_vec.append(word)
         state.layout.append("W")
-        if len(state.word_vec) == config.word_capacity:
+        if len(state.word_vec) == WORD_CAPACITY:
             e0 = 1
             state.word_blocks.append(tuple(state.word_vec))
             state.word_vec.clear()
@@ -201,13 +198,11 @@ def _output_from_state(state: RleState) -> RleOutput:
     )
 
 
-def rle_run(
-    config: RleConfig, sequence
-) -> tuple[CoverageCounts, RleOutput, RleState]:
+def rle_run(config: RleConfig, sequence) -> tuple[CoverageCounts, RleOutput]:
     """Fold the compressor over a word sequence.
 
     There is no end-of-input flush: a partial word vector, partial
-    zero-count vector, and a non-zero counter all stay in the final state.
+    zero-count vector, and a non-zero counter all stay in the output's tail.
     """
     state = RleState()
     c0 = c1 = c2 = c3 = 0
@@ -217,7 +212,7 @@ def rle_run(
         c1 += e1
         c2 += e2
         c3 += e3
-    return (c0, c1, c2, c3), _output_from_state(state), state
+    return (c0, c1, c2, c3), _output_from_state(state)
 
 
 def rle_golden(config: RleConfig, sequence) -> RleOutput:
@@ -229,7 +224,7 @@ def rle_golden(config: RleConfig, sequence) -> RleOutput:
     """
     cw = config.count_width
     saturation = (1 << cw) - 1
-    cap = config.zc_capacity_bits
+    cap = ZC_CAPACITY_BITS
 
     fields: list[int] = []
     words: list[int] = []
@@ -252,10 +247,10 @@ def rle_golden(config: RleConfig, sequence) -> RleOutput:
     tail_counter = pending_rem
 
     word_blocks = tuple(
-        tuple(words[i : i + config.word_capacity])
-        for i in range(0, len(words) - config.word_capacity + 1, config.word_capacity)
+        tuple(words[i : i + WORD_CAPACITY])
+        for i in range(0, len(words) - WORD_CAPACITY + 1, WORD_CAPACITY)
     )
-    tail_words = tuple(words[len(word_blocks) * config.word_capacity :])
+    tail_words = tuple(words[len(word_blocks) * WORD_CAPACITY :])
 
     zc_blocks: list[int] = []
     buf = 0
@@ -291,7 +286,7 @@ def rle_decompress(output: RleOutput, config: RleConfig) -> tuple[int, ...]:
     BlockFormatError when the emitted data is internally inconsistent.
     """
     cw = config.count_width
-    cap = config.zc_capacity_bits
+    cap = ZC_CAPACITY_BITS
     words = [w for block in output.word_blocks for w in block]
     words.extend(output.tail_words)
 
@@ -355,30 +350,19 @@ class RleDut(DutModel):
     raises ScoreboardError on any output mismatch.
     """
 
-    def __init__(self, scoreboard: bool = True):
-        self.scoreboard = scoreboard
+    def reset(self, seed: int) -> None:
+        """Nothing to clear: every step starts a fresh compressor."""
 
-    def reset(self, seed: int) -> Observation:
-        return (0.0, 0.0, 0.0, 0.0)
-
-    def step(self, action: Action, rng: np.random.Generator):
+    def step(self, action: Action, rng: np.random.Generator) -> CoverageCounts:
         stim = decode_action(action, rng)
         config = RleConfig(count_width=stim.count_width)
-        counts, output, state = rle_run(config, stim.sequence)
-        if self.scoreboard:
-            reference = rle_golden(config, stim.sequence)
-            if reference != output:
-                raise ScoreboardError(
-                    f"compressor output diverged from golden model for "
-                    f"count_width={stim.count_width}, length={len(stim.sequence)}"
-                )
-        obs = (
-            float(len(state.word_vec)),
-            float(state.zc_bits_used),
-            float(state.counter),
-            float(state.next_count),
-        )
-        return obs, counts
+        counts, output = rle_run(config, stim.sequence)
+        if rle_golden(config, stim.sequence) != output:
+            raise ScoreboardError(
+                f"compressor output diverged from golden model for "
+                f"count_width={stim.count_width}, length={len(stim.sequence)}"
+            )
+        return counts
 
     def event_names(self):
         return EVENT_NAMES

@@ -127,13 +127,13 @@ def test_criterion_3_divisor_property(check):
             n = int(rng.integers(0, 1001))
             p = float(rng.random())
             seq = np.where(rng.random(n) < p, 0, rng.integers(1, 256, size=n)).tolist()
-            counts, _, _ = rle_run(RleConfig(cw), seq)
+            counts, _ = rle_run(RleConfig(cw), seq)
             if counts[3] != 0:
                 violations += 1
     missing = 0
     for cw in NON_DIVISORS:
         length = 2 * 64 * ((1 << cw) - 1) // cw
-        counts, _, _ = rle_run(RleConfig(cw), [0] * length)
+        counts, _ = rle_run(RleConfig(cw), [0] * length)
         if counts[3] < 1:
             missing += 1
     check(
@@ -206,7 +206,7 @@ def test_criterion_7_scoreboard_cleanliness(check):
     for _ in range(10_000):
         stim = decode_action(sample_uniform(RLE_SPACE, rng), rng)
         config = RleConfig(stim.count_width)
-        _, out, _ = rle_run(config, stim.sequence)
+        _, out = rle_run(config, stim.sequence)
         if rle_golden(config, stim.sequence) != out:
             rle_mismatches += 1
         if rle_decompress(out, config) != stim.sequence:

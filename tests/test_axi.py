@@ -22,10 +22,10 @@ CFG = AxiConfig()
 
 
 def run_episode(action, seed, config=CFG):
-    dut = AxiDut(config)
-    dut.reset(seed)
-    obs, counts = dut.step(Action(action), np.random.default_rng(seed))
-    return obs, counts, dut.last_trace
+    """One episode's simulation from empty FIFOs: the counts and trace AxiDut.step checks."""
+    fifos = [SlaveFifo(config.fifo_depth) for _ in range(len(EVENT_NAMES))]
+    addr_range = decode_action(Action(action), config)
+    return simulate_step(fifos, config, addr_range, np.random.default_rng(seed))
 
 
 class TestDecode:
@@ -75,17 +75,17 @@ class TestSimulation:
         # All requests hit slave 4: influx 2/cycle against a drain of 1 per
         # 3 cycles; from cycle 3 the occupancy pattern repeats (3, 4, 4), so
         # exactly 65 of the 100 cycles end full regardless of the rng.
-        _, counts, _ = run_episode((4, 4), seed=0)
+        counts, _ = run_episode((4, 4), seed=0)
         assert counts[4] == 65
         assert all(c == 0 for i, c in enumerate(counts) if i != 4)
 
     def test_full_range_rarely_fills(self):
-        totals = sorted(sum(run_episode((0, 9), seed=s)[1]) for s in range(100))
+        totals = sorted(sum(run_episode((0, 9), seed=s)[0]) for s in range(100))
         assert totals[50] <= 5
 
     def test_zero_cycles(self):
         cfg = AxiConfig(cycles_per_step=0)
-        _, counts, trace = run_episode((4, 4), seed=1, config=cfg)
+        counts, trace = run_episode((4, 4), seed=1, config=cfg)
         assert counts == (0,) * 10
         assert trace == ()
 
@@ -94,14 +94,14 @@ class TestSimulation:
         for _ in range(50):
             lo = int(rng.integers(0, 10))
             hi = int(rng.integers(0, 10))
-            _, counts, _ = run_episode((lo, hi), seed=int(rng.integers(1 << 30)))
+            counts, _ = run_episode((lo, hi), seed=int(rng.integers(1 << 30)))
             a, b = min(lo, hi), max(lo, hi)
             for slave, c in enumerate(counts):
                 if c > 0:
                     assert a <= slave <= b
 
     def test_conservation_per_slave(self):
-        _, _, trace = run_episode((2, 6), seed=5)
+        _, trace = run_episode((2, 6), seed=5)
         accepted = [0] * 10
         drained = [0] * 10
         for rec in trace:
@@ -115,13 +115,13 @@ class TestSimulation:
             assert accepted[slave] - drained[slave] == final[slave]
 
     def test_occupancy_bounds_every_cycle(self):
-        _, _, trace = run_episode((3, 5), seed=9)
+        _, trace = run_episode((3, 5), seed=9)
         for rec in trace:
             assert all(0 <= occ <= CFG.fifo_depth for occ in rec.occupancy)
 
     def test_narrow_range_dominates_full_range(self):
-        narrow = sorted(run_episode((4, 4), seed=s)[1][4] for s in range(100))
-        wide = sorted(run_episode((0, 9), seed=s)[1][4] for s in range(100))
+        narrow = sorted(run_episode((4, 4), seed=s)[0][4] for s in range(100))
+        wide = sorted(run_episode((0, 9), seed=s)[0][4] for s in range(100))
         assert narrow[50] > wide[50]
 
     def test_deterministic_given_seed(self):
@@ -129,14 +129,17 @@ class TestSimulation:
         b = run_episode((1, 8), seed=13)
         assert a == b
 
-    def test_observation_is_final_occupancy(self):
-        obs, _, trace = run_episode((4, 4), seed=3)
-        assert obs == tuple(float(x) for x in trace[-1].occupancy)
+    def test_dut_step_reports_the_simulated_counts_every_episode(self):
+        dut = AxiDut()
+        for _ in range(2):  # no state carries over between episodes
+            dut.reset(3)
+            counts = dut.step(Action((4, 5)), np.random.default_rng(3))
+            assert counts == run_episode((4, 5), seed=3)[0]
 
 
 class TestGoldenCheck:
     def clean_trace(self, action=(3, 5), seed=11):
-        _, _, trace = run_episode(action, seed=seed)
+        _, trace = run_episode(action, seed=seed)
         return trace
 
     def test_clean_traces_replay_clean(self):
@@ -227,6 +230,6 @@ class TestAxiDut:
 
     def test_overridable_parameters(self):
         cfg = AxiConfig(fifo_depth=2, drain_period=5, cycles_per_step=20, region_size=0x100)
-        _, counts, trace = run_episode((0, 0), seed=2, config=cfg)
+        counts, trace = run_episode((0, 0), seed=2, config=cfg)
         assert len(trace) == 20
         assert all(occ <= 2 for rec in trace for occ in rec.occupancy)

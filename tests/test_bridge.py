@@ -1,3 +1,4 @@
+import json
 import socket
 import threading
 
@@ -33,6 +34,28 @@ from covsteer.errors import (
 )
 from covsteer.rle import RleDut
 
+from conftest import StreamThenFault, json_values
+
+ACTION = (0.4, 6.0, 300.0)
+
+# Lines that once escaped decode as TypeError, OverflowError, ValueError or
+# RecursionError, and the v1 acknowledgements with their dropped fields.
+HOSTILE_LINES = [
+    b'{"type":[]}\n',
+    b'{"type":"step","action":[' + b"9" * 400 + b"]}\n",
+    b'{"type":"step","action":[' + b"9" * 5000 + b"]}\n",
+    b'{"type":"step","action":' + b"[" * 10**5 + b"]" * 10**5 + b"}\n",
+    b'{"type":"hello","protocol_version":2,"events":[],"action_space":'
+    b'{"knobs":[{"name":["a"],"kind":"continuous","lo":0,"hi":1}]}}\n',
+    b'{"type":"step","action":[NaN]}\n',
+    b'{"type":"reset_ack","observation":[0,0,0,0]}\n',
+    b'{"type":"step_ack","observation":[],"counts":[1],"done":true}\n',
+]
+HOSTILE_IDS = [
+    "type_list", "400_digits", "5000_digits", "nested_1e5", "knob_name_list", "nan",
+    "v1_reset_ack", "v1_step_ack",
+]
+
 
 class TestEncode:
     def test_step_framing(self):
@@ -41,9 +64,10 @@ class TestEncode:
 
     def test_reset_framing(self):
         assert encode(Reset(seed=0)) == b'{"type":"reset","seed":0}\n'
+        assert encode(ResetAck()) == b'{"type":"reset_ack"}\n'
 
     def test_single_trailing_newline_only(self):
-        line = encode(StepAck(observation=(1.5,), counts=(3,), done=True))
+        line = encode(StepAck(counts=(3,)))
         assert line.endswith(b"\n")
         assert b"\n" not in line[:-1]
 
@@ -66,8 +90,8 @@ class TestDecode:
             decode(b'{"type":"reset","seed":1,"bonus":2}\n')
 
     def test_valid_step_ack(self):
-        msg = decode(b'{"type":"step_ack","observation":[0.5,2],"counts":[1,0],"done":true}\n')
-        assert msg == StepAck(observation=(0.5, 2.0), counts=(1, 0), done=True)
+        msg = decode(b'{"type":"step_ack","counts":[1,0]}\n')
+        assert msg == StepAck(counts=(1, 0))
 
     def test_invalid_json(self):
         with pytest.raises(BridgeDecodeError, match="invalid JSON"):
@@ -75,15 +99,16 @@ class TestDecode:
 
     def test_negative_count_rejected(self):
         with pytest.raises(BridgeDecodeError):
-            decode(b'{"type":"step_ack","observation":[],"counts":[-1],"done":true}\n')
+            decode(b'{"type":"step_ack","counts":[-1]}\n')
 
     def test_boolean_not_a_number(self):
         with pytest.raises(BridgeDecodeError):
             decode(b'{"type":"step","action":[true]}\n')
 
-    def test_done_must_be_boolean(self):
+    @pytest.mark.parametrize("line", HOSTILE_LINES, ids=HOSTILE_IDS)
+    def test_hostile_lines_rejected(self, line):
         with pytest.raises(BridgeDecodeError):
-            decode(b'{"type":"step_ack","observation":[],"counts":[],"done":1}\n')
+            decode(line)
 
 
 finite_reals = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
@@ -96,15 +121,11 @@ def bridge_messages(draw):
     if variant == "reset":
         return Reset(seed=draw(st.integers(0, 2**63 - 1)))
     if variant == "reset_ack":
-        return ResetAck(observation=draw(real_vectors))
+        return ResetAck()
     if variant == "step":
         return Step(action=draw(real_vectors))
     if variant == "step_ack":
-        return StepAck(
-            observation=draw(real_vectors),
-            counts=tuple(draw(st.lists(st.integers(0, 10**9), max_size=6))),
-            done=draw(st.booleans()),
-        )
+        return StepAck(counts=tuple(draw(st.lists(st.integers(0, 10**9), max_size=6))))
     if variant == "hello":
         knobs = [KnobSpec.continuous("a", -1.0, 2.5), KnobSpec.discrete("b", [1, 4, 9])]
         return Hello(
@@ -120,11 +141,42 @@ def test_encode_decode_roundtrip(msg):
     assert decode(encode(msg)) == msg
 
 
+_KNOB_PAYLOADS = st.fixed_dictionaries(
+    {"name": json_values, "kind": st.just("continuous"), "lo": json_values, "hi": json_values}
+) | st.fixed_dictionaries(
+    {"name": json_values, "kind": st.just("discrete"), "values": json_values}
+)
+_MESSAGE_SHAPES = st.fixed_dictionaries(
+    {"type": st.sampled_from(["reset", "reset_ack", "step", "step_ack", "hello", "error"])
+     | json_values},
+    optional={
+        "seed": json_values,
+        "action": st.lists(json_values, max_size=4),
+        "counts": st.lists(json_values, max_size=4),
+        "protocol_version": json_values,
+        "action_space": st.fixed_dictionaries({"knobs": st.lists(_KNOB_PAYLOADS, max_size=3)})
+        | json_values,
+        "events": json_values,
+        "code": json_values,
+        "detail": json_values,
+    },
+)
+
+
+@given(st.binary() | st.one_of(json_values, _MESSAGE_SHAPES).map(json.dumps))
+def test_decode_raises_only_decode_errors(line):
+    try:
+        decode(line)
+    except BridgeDecodeError:
+        pass
+
+
 class Session:
     """Raw client side of one served session over a socketpair."""
 
     def __init__(self, dut_factory=RleDut):
         self.client, server = socket.socketpair()
+        self.client.settimeout(10)  # a dead serving side fails the test instead of hanging it
         self.rfile = self.client.makefile("rb")
         self.wfile = self.client.makefile("wb")
 
@@ -169,18 +221,13 @@ class TestServeSession:
         assert session.hello.action_space == RleDut().action_space()
 
     def test_bridged_step_matches_in_process(self, session):
-        seed, action = 123, (0.4, 6.0, 300.0)
-        ack = session.request(Reset(seed))
-        assert isinstance(ack, ResetAck)
-        step_ack = session.request(Step(action))
-        assert isinstance(step_ack, StepAck) and step_ack.done
+        seed = 123
+        assert session.request(Reset(seed)) == ResetAck()
+        step_ack = session.request(Step(ACTION))
 
         dut = RleDut()
-        local_obs_0 = dut.reset(seed)
-        obs, counts = dut.step(Action(action), stimulus_rng(seed))
-        assert ack.observation == tuple(local_obs_0)
-        assert step_ack.observation == tuple(obs)
-        assert step_ack.counts == tuple(counts)
+        dut.reset(seed)
+        assert step_ack == StepAck(dut.step(Action(ACTION), stimulus_rng(seed)))
 
     def test_step_before_reset_is_protocol_error(self, session):
         reply = session.request(Step((0.4, 6.0, 300.0)))
@@ -205,7 +252,7 @@ class TestServeSession:
         assert isinstance(reply, Error) and reply.code == "invalid_action"
 
     def test_unexpected_server_message_rejected(self, session):
-        reply = session.request(ResetAck(observation=()))
+        reply = session.request(ResetAck())
         assert isinstance(reply, Error) and reply.code == "protocol"
 
     def test_dut_fault_reported_and_session_survives(self):
@@ -221,6 +268,28 @@ class TestServeSession:
             assert isinstance(s.request(Reset(2)), ResetAck)
         finally:
             s.close()
+
+    def test_retry_after_dut_fault_is_protocol_error(self):
+        s = Session(dut_factory=StreamThenFault)
+        try:
+            s.request(Reset(4))
+            assert s.request(Step(ACTION)).code == "dut_fault"
+            # the fault spent part of the episode's stream: only a new reset replays it
+            reply = s.request(Step(ACTION))
+            assert isinstance(reply, Error) and reply.code == "protocol"
+            s.request(Reset(4))
+            expected = RleDut().step(Action(ACTION), stimulus_rng(4))
+            assert s.request(Step(ACTION)) == StepAck(expected)
+        finally:
+            s.close()
+
+    @pytest.mark.parametrize("line", HOSTILE_LINES, ids=HOSTILE_IDS)
+    def test_hostile_line_then_normal_episode(self, session, line):
+        session.send_raw(line)
+        reply = decode(session.rfile.readline())
+        assert isinstance(reply, Error) and reply.code == "decode"
+        assert session.request(Reset(5)) == ResetAck()
+        assert isinstance(session.request(Step(ACTION)), StepAck)
 
 
 def proxy_session(dut_factory=RleDut):
@@ -272,7 +341,8 @@ class TestProxy:
             with server:
                 wfile = server.makefile("wb")
                 rfile = server.makefile("rb")
-                wfile.write(encode(Hello(1, RleDut().action_space(), RleDut().event_names())))
+                hello = Hello(PROTOCOL_VERSION, RleDut().action_space(), RleDut().event_names())
+                wfile.write(encode(hello))
                 wfile.flush()
                 rfile.readline()  # swallow the reset, then drop the connection
 
@@ -287,14 +357,13 @@ class TestProxy:
     def test_version_gate(self):
         client, server = socket.socketpair()
 
-        def bad_server():
+        def v1_server():
             with server:
                 wfile = server.makefile("wb")
-                line = encode(Hello(1, RleDut().action_space(), ("x",)))
-                wfile.write(line.replace(b'"protocol_version":1', b'"protocol_version":2'))
+                wfile.write(encode(Hello(1, RleDut().action_space(), ("x",))))
                 wfile.flush()
 
-        thread = threading.Thread(target=bad_server, daemon=True)
+        thread = threading.Thread(target=v1_server, daemon=True)
         thread.start()
         with pytest.raises(BridgeProtocolError, match="protocol_version"):
             connect_dut(client.makefile("rb"), client.makefile("wb"), sock=client)

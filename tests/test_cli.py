@@ -103,7 +103,7 @@ class TestCmdRun:
             seed = episode_seed(cfg.seed, episode)
             dut.reset(seed)
             action = Action(tuple(col[row] for col in log.knob_values))
-            _, counts = dut.step(action, stimulus_rng(seed))
+            counts = dut.step(action, stimulus_rng(seed))
             assert counts == tuple(col[row] for col in log.counts)
 
     def test_axi_run(self, tmp_path):
@@ -247,15 +247,12 @@ class TestServeStdio:
         try:
             proxy = connect_dut(proc.stdout, proc.stdin)
             seed, action = 42, Action((0.4, 6.0, 300.0))
-            obs0 = proxy.reset(seed)
-            obs, counts = proxy.step(action, None)
+            proxy.reset(seed)
+            counts = proxy.step(action, None)
 
             dut = RleDut()
-            local0 = dut.reset(seed)
-            local_obs, local_counts = dut.step(action, stimulus_rng(seed))
-            assert obs0 == tuple(local0)
-            assert obs == tuple(local_obs)
-            assert counts == tuple(local_counts)
+            dut.reset(seed)
+            assert counts == dut.step(action, stimulus_rng(seed))
         finally:
             proc.stdin.close()
             proc.stdout.close()
@@ -280,7 +277,7 @@ class TestServeTcpCli:
             try:
                 assert proxy.event_names()[4] == "fifo_full_slave_4"
                 proxy.reset(1)
-                _, counts = proxy.step(Action((4.0, 4.0)), None)
+                counts = proxy.step(Action((4.0, 4.0)), None)
                 assert counts[4] == 65
             finally:
                 proxy.close()
@@ -294,7 +291,15 @@ class TestBridgeAbort:
         """Minimal server that answers a few episodes, then drops the link."""
         import socket as socket_mod
 
-        from covsteer.bridge import Hello, Reset, ResetAck, Step, StepAck, decode, encode
+        from covsteer.bridge import (
+            PROTOCOL_VERSION,
+            Hello,
+            Reset,
+            ResetAck,
+            StepAck,
+            decode,
+            encode,
+        )
         from covsteer.env import stimulus_rng
 
         server = socket_mod.socket()
@@ -307,21 +312,19 @@ class TestBridgeAbort:
             with conn:
                 rfile, wfile = conn.makefile("rb"), conn.makefile("wb")
                 dut = RleDut()
-                wfile.write(encode(Hello(1, dut.action_space(), dut.event_names())))
+                wfile.write(
+                    encode(Hello(PROTOCOL_VERSION, dut.action_space(), dut.event_names()))
+                )
                 wfile.flush()
                 rng = None
                 answered = 0
                 while answered < episodes_before_death:
                     msg = decode(rfile.readline())
                     if isinstance(msg, Reset):
-                        obs = dut.reset(msg.seed)
                         rng = stimulus_rng(msg.seed)
-                        wfile.write(encode(ResetAck(tuple(obs))))
+                        wfile.write(encode(ResetAck()))
                     else:
-                        obs, counts = dut.step(Action(msg.action), rng)
-                        wfile.write(
-                            encode(StepAck(tuple(obs), tuple(counts), True))
-                        )
+                        wfile.write(encode(StepAck(dut.step(Action(msg.action), rng))))
                         answered += 1
                     wfile.flush()
             server.close()

@@ -1,12 +1,20 @@
 import json
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covsteer.agents import RandomAgent
-from covsteer.config import build_config, parse_config
+from covsteer.axi import AxiConfig
+from covsteer.config import _CEM_DEFAULTS, build_config, parse_config
 from covsteer.env import Environment, run_campaign
 from covsteer.errors import ConfigError
-from covsteer.rle import RleDut
+from covsteer.rle import EVENT_NAMES, RleDut
+
+from conftest import json_values
+
+HUGE_INT = 10**400  # an integer beyond the float range
 
 
 def write(tmp_path, obj, name="cfg.json"):
@@ -97,7 +105,9 @@ class TestParseConfig:
         assert cfg.dut_params == {"fifo_depth": 8}
         with pytest.raises(ConfigError, match="dut_params"):
             parse_config(write(tmp_path, {"dut": "rle", "dut_params": {"fifo_depth": 8}}))
-        for bad in ({"fifo_depth": 0}, {"drain_period": 2.5}, {"n_slaves": 4}):
+        # a region of 10**30 bytes passes the field checks but not the int64 address draw
+        for bad in ({"fifo_depth": 0}, {"drain_period": 2.5}, {"n_slaves": 4},
+                    {"region_size": 10**30}, {"region_size": (1 << 63) // 10 + 1}):
             with pytest.raises(ConfigError, match="dut_params"):
                 parse_config(write(tmp_path, {"dut": "axi", "dut_params": bad}))
 
@@ -125,13 +135,18 @@ class TestParseConfig:
             {"elite_frac": float("nan")},
             {"smoothing": float("nan")},
             {"prob_floor": float("inf")},
+            {"elite_frac": HUGE_INT},
+            {"smoothing": -HUGE_INT},
+            {"prob_floor": HUGE_INT},
         ],
     )
     def test_agent_params_out_of_range(self, tmp_path, params):
         with pytest.raises(ConfigError, match="agent_params"):
             parse_config(write(tmp_path, {"dut": "rle", "agent_params": params}))
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), float("-inf"), pytest.param(HUGE_INT, id="10**400")]
+    )
     def test_non_finite_multiplier_rejected(self, tmp_path, value):
         with pytest.raises(ConfigError, match="e0_word_full"):
             parse_config(write(tmp_path, {"dut": "rle", "multipliers": {"e0_word_full": value}}))
@@ -146,9 +161,28 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="not valid JSON"):
             parse_config(path)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"dut": "rle", "seed": ' + "9" * 5000 + "}",  # beyond int's string limit
+            '{"dut": "rle", "multipliers": ' + "[" * 10**5 + "]" * 10**5 + "}",
+        ],
+        ids=["5000_digits", "nested_1e5"],
+    )
+    def test_unparseable_json_rejected(self, tmp_path, text):
+        path = tmp_path / "hostile.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            parse_config(path)
+
     def test_negative_seed_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="seed"):
             parse_config(write(tmp_path, {"dut": "rle", "seed": -1}))
+
+    @pytest.mark.parametrize("seed", [1 << 64, 10**5000], ids=["2**64", "5000_digits"])
+    def test_seed_beyond_64_bits_rejected(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            build_config({"dut": "rle", "seed": seed})
 
 
 class TestOverrides:
@@ -175,3 +209,35 @@ def test_defaults_applied_and_recorded():
     assert cfg.agent == "random"
     for key in ("agent", "episodes", "seed", "multipliers", "dut_params", "out_dir"):
         assert key in cfg.defaulted
+
+
+_REALS = st.integers() | st.integers().map(lambda n: n * 10**400) | st.floats()
+_PARAM_VALUES = st.dictionaries(
+    st.sampled_from(
+        sorted(_CEM_DEFAULTS) + [f.name for f in fields(AxiConfig)] + list(EVENT_NAMES)
+    )
+    | st.text(max_size=6),
+    _REALS | json_values,
+    max_size=4,
+)
+_CONFIGS = st.fixed_dictionaries(
+    {"dut": st.sampled_from(["rle", "axi", "bridge:localhost:4000"]) | json_values},
+    optional={
+        "agent": st.sampled_from(["random", "cem"]) | json_values,
+        "episodes": st.integers(1, 10) | json_values,
+        "seed": st.integers(0, 10) | json_values,
+        "multipliers": _PARAM_VALUES | json_values,
+        "agent_params": _PARAM_VALUES | json_values,
+        "dut_params": _PARAM_VALUES | json_values,
+        "out_dir": st.just("runs/x") | json_values,
+    },
+)
+
+
+@settings(max_examples=300)
+@given(_CONFIGS | json_values)
+def test_build_config_raises_only_config_errors(raw):
+    try:
+        build_config(raw)
+    except ConfigError:
+        pass

@@ -8,18 +8,16 @@ from covsteer.env import Environment, episode_seed, run_campaign
 from covsteer.errors import EpisodeProtocolError, InvalidActionError
 from covsteer.rle import RleDut
 
+from conftest import StreamThenFault
+
 
 def rle_env(multipliers=None):
     return Environment(RleDut(), multipliers or {})
 
 
 class TestReset:
-    def test_same_seed_same_observation(self):
-        env = rle_env()
-        assert env.reset(seed=9) == env.reset(seed=9)
-
-    def test_initial_observation_is_zero_vector(self):
-        assert rle_env().reset(seed=0) == (0.0, 0.0, 0.0, 0.0)
+    def test_reset_returns_nothing(self):
+        assert rle_env().reset(seed=0) is None
 
     def test_reset_mid_episode_restarts(self):
         env = rle_env()
@@ -78,6 +76,32 @@ class TestStep:
         with pytest.raises(InvalidActionError):
             env.step(Action((1.5, 6, 300)))
         env.step(Action((0.4, 6, 300)))
+        with pytest.raises(EpisodeProtocolError):
+            env.step(Action((0.4, 6, 300)))
+
+    def test_faulted_step_ends_the_episode(self):
+        env = Environment(StreamThenFault())
+        env.reset(seed=4)
+        with pytest.raises(RuntimeError, match="transient fault"):
+            env.step(Action((0.4, 6, 300)))
+        # the stream is partly spent: a retry on it would not replay the seed
+        with pytest.raises(EpisodeProtocolError):
+            env.step(Action((0.4, 6, 300)))
+        env.reset(seed=4)
+        fresh = rle_env()
+        fresh.reset(seed=4)
+        assert env.step(Action((0.4, 6, 300))) == fresh.step(Action((0.4, 6, 300)))
+
+    def test_failed_reset_discards_the_open_episode(self):
+        class ResetFault(RleDut):
+            def reset(self, seed):
+                if seed == 2:
+                    raise RuntimeError("reset fault")
+
+        env = Environment(ResetFault())
+        env.reset(seed=1)
+        with pytest.raises(RuntimeError, match="reset fault"):
+            env.reset(seed=2)
         with pytest.raises(EpisodeProtocolError):
             env.step(Action((0.4, 6, 300)))
 

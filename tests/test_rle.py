@@ -101,7 +101,7 @@ class TestDecodeAction:
 
 class TestStepSemantics:
     def test_three_zeros_then_word(self):
-        counts, out, state = rle_run(RleConfig(3), [0, 0, 0, 5])
+        counts, out = rle_run(RleConfig(3), [0, 0, 0, 5])
         assert out.layout == "CW"
         assert out.tail_words == (5,)
         assert out.tail_zc_bits == 3  # one 3-bit field holding the value 3
@@ -111,32 +111,32 @@ class TestStepSemantics:
     def test_straddle_at_eleventh_saturation(self):
         # count_width 6: 693 zeros saturate the counter 11 times; fields
         # 1..10 use 60 bits, field 11 splits 4/2 across the 64-bit boundary.
-        counts, out, _ = rle_run(RleConfig(6), [0] * 693)
+        counts, out = rle_run(RleConfig(6), [0] * 693)
         e0, e1, e2, e3 = counts
         assert (e1, e3) == (1, 1)
         assert len(out.zc_blocks) == 1
         assert out.tail_zc_used == 2
 
     def test_empty_sequence(self):
-        counts, out, _ = rle_run(RleConfig(5), [])
+        counts, out = rle_run(RleConfig(5), [])
         assert counts == (0, 0, 0, 0)
         assert out.word_blocks == () and out.zc_blocks == ()
         assert out.layout == ""
 
     def test_no_zeros_no_count_fields(self):
-        counts, out, _ = rle_run(RleConfig(4), [1, 2])
+        counts, out = rle_run(RleConfig(4), [1, 2])
         assert out.tail_words == (1, 2)
         assert out.layout == "WW"
         assert out.tail_zc_used == 0
 
     def test_word_block_flush_at_16(self):
-        counts, out, _ = rle_run(RleConfig(4), list(range(1, 18)))
+        counts, out = rle_run(RleConfig(4), list(range(1, 18)))
         assert counts[0] == 1
         assert out.word_blocks == (tuple(range(1, 17)),)
         assert out.tail_words == (17,)
 
     def test_count_width_one_saturates_every_zero(self):
-        counts, out, _ = rle_run(RleConfig(1), [0] * 64)
+        counts, out = rle_run(RleConfig(1), [0] * 64)
         # each zero saturates immediately: 64 one-bit fields fill one block
         assert counts == (0, 1, 0, 0)
         assert out.zc_blocks == ((1 << 64) - 1,)
@@ -155,7 +155,7 @@ class TestStepSemantics:
         for _ in range(400):
             cw = int(rng.integers(1, 9))
             seq = random_sequence(rng)
-            counts, _, _ = rle_run(RleConfig(cw), seq)
+            counts, _ = rle_run(RleConfig(cw), seq)
             assert counts == expected_event_counts(seq, cw), (cw, seq)
 
 
@@ -165,13 +165,13 @@ class TestDivisorProperty:
         rng = np.random.default_rng(cw)
         for _ in range(1000):
             seq = random_sequence(rng)
-            counts, _, _ = rle_run(RleConfig(cw), seq)
+            counts, _ = rle_run(RleConfig(cw), seq)
             assert counts[3] == 0
 
     @pytest.mark.parametrize("cw", NON_DIVISORS)
     def test_non_divisor_widths_straddle_on_long_zero_runs(self, cw):
         length = 2 * 64 * ((1 << cw) - 1) // cw
-        counts, _, _ = rle_run(RleConfig(cw), [0] * length)
+        counts, _ = rle_run(RleConfig(cw), [0] * length)
         assert counts[3] >= 1
 
     def test_campaign_partition_by_count_width(self):
@@ -194,7 +194,7 @@ class TestGoldenAndRoundtrip:
             cw = int(rng.integers(1, 9))
             seq = random_sequence(rng)
             cfg = RleConfig(cw)
-            _, out, _ = rle_run(cfg, seq)
+            _, out = rle_run(cfg, seq)
             assert rle_golden(cfg, seq) == out
             assert rle_decompress(out, cfg) == tuple(seq)
 
@@ -205,27 +205,27 @@ class TestGoldenAndRoundtrip:
     @settings(max_examples=200)
     def test_property_golden_matches_and_roundtrips(self, cw, seq):
         cfg = RleConfig(cw)
-        _, out, _ = rle_run(cfg, seq)
+        _, out = rle_run(cfg, seq)
         assert rle_golden(cfg, seq) == out
         assert rle_decompress(out, cfg) == tuple(seq)
 
     def test_all_nonzero_roundtrip_is_identity(self):
         cfg = RleConfig(6)
         seq = list(range(1, 41))
-        _, out, _ = rle_run(cfg, seq)
+        _, out = rle_run(cfg, seq)
         assert rle_decompress(out, cfg) == tuple(seq)
 
     def test_straddle_case_roundtrips(self):
         cfg = RleConfig(6)
         seq = [0] * 693 + [9]
-        _, out, _ = rle_run(cfg, seq)
+        _, out = rle_run(cfg, seq)
         assert rle_decompress(out, cfg) == tuple(seq)
 
     def test_e1_monotone_in_all_zero_length(self):
         cfg = RleConfig(5)
         previous = 0
         for n in range(0, 4000, 250):
-            counts, _, _ = rle_run(cfg, [0] * n)
+            counts, _ = rle_run(cfg, [0] * n)
             assert counts[1] >= previous
             previous = counts[1]
 
@@ -233,7 +233,7 @@ class TestGoldenAndRoundtrip:
 class TestDecompressValidation:
     def make_output(self, cw=6, seq=(0, 0, 0, 7, 7)):
         cfg = RleConfig(cw)
-        _, out, _ = rle_run(cfg, list(seq))
+        _, out = rle_run(cfg, list(seq))
         return cfg, out
 
     def test_missing_field_token_detected(self):
@@ -256,7 +256,7 @@ class TestDecompressValidation:
 
     def test_truncated_straddle_detected(self):
         cfg = RleConfig(6)
-        _, out, _ = rle_run(cfg, [0] * 693)
+        _, out = rle_run(cfg, [0] * 693)
         # drop the carried high bits of the straddled field
         broken = out.__class__(**{**out.__dict__, "tail_zc_bits": 0, "tail_zc_used": 0})
         with pytest.raises(BlockFormatError):
@@ -286,14 +286,6 @@ class TestRleDut:
         )
         with pytest.raises(ScoreboardError):
             dut.step(Action((0.4, 6, 300)), np.random.default_rng(0))
-
-    def test_observation_reflects_final_registers(self):
-        dut = RleDut()
-        dut.reset(0)
-        rng = np.random.default_rng(3)
-        obs, counts = dut.step(Action((0.5, 6, 300)), rng)
-        assert len(obs) == 4
-        assert 0 <= obs[0] < 16 and 0 <= obs[1] < 64
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
