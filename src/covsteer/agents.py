@@ -62,9 +62,9 @@ class RandomAgent(Agent):
 def elite_indices(rewards, elite_frac: float) -> list[int]:
     """Buffer positions of the ceil(elite_frac * n) highest rewards.
 
-    Selection depends only on reward order, so rescaling all rewards by a
-    positive constant never changes it. Ties at the boundary go to the
-    earlier buffer position (stable sort).
+    Selection depends only on reward order, so a positive rescaling that
+    keeps the rewards' order never changes it. Ties at the boundary go to
+    the earlier buffer position (stable sort).
     """
     n = len(rewards)
     if n == 0:

@@ -397,8 +397,11 @@ def serve_tcp(
 
     with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as server:
         server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        server.bind((host, port))
-        server.listen()
+        try:
+            server.bind((host, port))
+            server.listen()
+        except (OSError, OverflowError) as exc:
+            raise TransportError(f"cannot listen on {host}:{port}: {exc}") from exc
         if on_bound is not None:
             on_bound(server.getsockname()[1])
         served = 0

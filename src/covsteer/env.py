@@ -73,9 +73,8 @@ class DutModel(ABC):
     and the random stream's state.
     """
 
-    @abstractmethod
     def reset(self, seed: int) -> None:
-        """Put the design in its initial state."""
+        """Put the design in its initial state; a design with no state inherits this no-op."""
 
     @abstractmethod
     def step(self, action: Action, rng: np.random.Generator) -> CoverageCounts:

@@ -347,11 +347,9 @@ class RleDut(DutModel):
     """Compressor wrapped in the design-model contract, with a built-in scoreboard.
 
     Every step re-encodes the stimulus with the golden reference and
-    raises ScoreboardError on any output mismatch.
+    raises ScoreboardError on any output mismatch. Every step also starts a
+    fresh compressor, so there is nothing to reset.
     """
-
-    def reset(self, seed: int) -> None:
-        """Nothing to clear: every step starts a fresh compressor."""
 
     def step(self, action: Action, rng: np.random.Generator) -> CoverageCounts:
         stim = decode_action(action, rng)

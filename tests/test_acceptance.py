@@ -14,7 +14,7 @@ import pytest
 from covsteer.actionspace import Action, sample_uniform
 from covsteer.agents import CemAgent, RandomAgent
 from covsteer.axi import ACTION_SPACE as AXI_SPACE
-from covsteer.axi import N_SLAVES, AxiConfig, AxiDut, golden_check, simulate_step, SlaveFifo
+from covsteer.axi import AxiConfig, AxiDut, golden_check, simulate_step
 from covsteer.bridge import serve_tcp
 from covsteer.cli import cmd_run
 from covsteer.config import build_config
@@ -217,9 +217,8 @@ def test_criterion_7_scoreboard_cleanliness(check):
     for _ in range(10_000):
         action = sample_uniform(AXI_SPACE, rng)
         lo, hi = sorted(int(v) for v in action.values)
-        fifos = [SlaveFifo(axi_config.fifo_depth) for _ in range(N_SLAVES)]
         addr_range = (lo * axi_config.region_size, (hi + 1) * axi_config.region_size)
-        _, trace = simulate_step(fifos, axi_config, addr_range, rng)
+        _, trace = simulate_step(axi_config, addr_range, rng)
         axi_violations += len(golden_check(trace, axi_config))
     elapsed = time.perf_counter() - t0
     check(

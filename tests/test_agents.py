@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from covsteer.actionspace import Action, ActionSpace, KnobSpec, validate
@@ -87,7 +87,17 @@ class TestEliteSelection:
         st.floats(0.1, 50.0),
     )
     def test_positive_scaling_invariance(self, rewards, frac, scale):
+        # Rounding can merge two close rewards into a tie, which changes the
+        # order; selection depends only on order, so only order-keeping
+        # rescalings must keep it.
         scaled = [r * scale for r in rewards]
+        assume(
+            all(
+                (a < b) == (sa < sb) and (a == b) == (sa == sb)
+                for a, sa in zip(rewards, scaled)
+                for b, sb in zip(rewards, scaled)
+            )
+        )
         assert elite_indices(rewards, frac) == elite_indices(scaled, frac)
 
     def test_permuting_equal_rewards_keeps_reward_multiset(self):

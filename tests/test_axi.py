@@ -10,7 +10,6 @@ from covsteer.axi import (
     CycleRecord,
     DequeueEvent,
     EnqueueEvent,
-    SlaveFifo,
     decode_action,
     decode_address,
     golden_check,
@@ -22,10 +21,9 @@ CFG = AxiConfig()
 
 
 def run_episode(action, seed, config=CFG):
-    """One episode's simulation from empty FIFOs: the counts and trace AxiDut.step checks."""
-    fifos = [SlaveFifo(config.fifo_depth) for _ in range(len(EVENT_NAMES))]
+    """One episode's simulation: the counts and trace AxiDut.step checks."""
     addr_range = decode_action(Action(action), config)
-    return simulate_step(fifos, config, addr_range, np.random.default_rng(seed))
+    return simulate_step(config, addr_range, np.random.default_rng(seed))
 
 
 class TestDecode:
@@ -48,26 +46,6 @@ class TestDecode:
             decode_address(0xA000, CFG)
         with pytest.raises(AddressDecodeError):
             decode_address(-1, CFG)
-
-
-class TestSlaveFifo:
-    def test_flags_track_occupancy(self):
-        f = SlaveFifo(2)
-        assert f.not_full and not f.not_empty
-        f.enqueue("a")
-        assert f.not_full and f.not_empty
-        f.enqueue("b")
-        assert not f.not_full
-        assert f.dequeue() == "a"
-        assert f.not_full
-
-    def test_guards(self):
-        f = SlaveFifo(1)
-        with pytest.raises(IndexError):
-            f.dequeue()
-        f.enqueue("a")
-        with pytest.raises(OverflowError):
-            f.enqueue("b")
 
 
 class TestSimulation:
@@ -191,6 +169,14 @@ class TestGoldenCheck:
         kinds = {v.kind for v in golden_check(trace, CFG)}
         assert "routing" in kinds
 
+    def test_unmapped_address_flagged(self):
+        for addr in (-1, 0xA000):
+            enq = EnqueueEvent(master=0, req_id=0, addr=addr, slave=9, accepted=False)
+            trace = (CycleRecord(0, (enq,), (), (0,) * 10),)
+            violations = golden_check(trace, CFG)
+            assert [v.kind for v in violations] == ["routing"]
+            assert "unmapped" in violations[0].detail
+
     def test_occupancy_mismatch_flagged(self):
         enq = EnqueueEvent(master=0, req_id=0, addr=0x4000, slave=4, accepted=True)
         trace = (CycleRecord(0, (enq,), (), (0,) * 10),)
@@ -210,8 +196,8 @@ class TestAxiDut:
 
         real = axi_mod.simulate_step
 
-        def corrupted(fifos, config, addr_range, rng):
-            counts, trace = real(fifos, config, addr_range, rng)
+        def corrupted(config, addr_range, rng):
+            counts, trace = real(config, addr_range, rng)
             rec = trace[0]
             bad = CycleRecord(rec.cycle, rec.enqueues, rec.dequeues, (9,) * 10)
             return counts, (bad,) + trace[1:]
@@ -221,6 +207,22 @@ class TestAxiDut:
         dut.reset(0)
         with pytest.raises(ScoreboardError):
             dut.step(Action((4, 4)), np.random.default_rng(0))
+
+    def test_scoreboard_catches_a_faulty_address_decoder(self, monkeypatch):
+        # The model and the scoreboard must not share the decoder: a model
+        # that routes every request one slave up is caught on every step.
+        import covsteer.axi as axi_mod
+
+        real = axi_mod.decode_address
+        monkeypatch.setattr(
+            axi_mod, "decode_address", lambda addr, config: (real(addr, config) + 1) % 10
+        )
+        dut = AxiDut()
+        rng = np.random.default_rng(23)
+        for _ in range(50):
+            action = Action(tuple(int(v) for v in rng.integers(0, 10, size=2)))
+            with pytest.raises(ScoreboardError, match="routing"):
+                dut.step(action, np.random.default_rng(int(rng.integers(1 << 30))))
 
     def test_config_is_pinned_to_paper_instance(self):
         with pytest.raises(TypeError):

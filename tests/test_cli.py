@@ -285,6 +285,18 @@ class TestServeTcpCli:
             proc.terminate()
             proc.wait(timeout=10)
 
+    @pytest.mark.parametrize("port", ["99999", "-5", "in_use"])
+    def test_unlistenable_port_is_an_error(self, port, capsys):
+        import socket as socket_mod
+
+        with socket_mod.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            if port == "in_use":
+                port = str(taken.getsockname()[1])
+            assert main(["serve", "--dut", "axi", "--port", port]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot listen on 127.0.0.1:{port}: ")
+
 
 class TestBridgeAbort:
     def serve_then_die(self, episodes_before_death=3):

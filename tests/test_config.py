@@ -105,9 +105,11 @@ class TestParseConfig:
         assert cfg.dut_params == {"fifo_depth": 8}
         with pytest.raises(ConfigError, match="dut_params"):
             parse_config(write(tmp_path, {"dut": "rle", "dut_params": {"fifo_depth": 8}}))
-        # a region of 10**30 bytes passes the field checks but not the int64 address draw
+        # a region of 10**30 bytes passes the field checks but not the int64 address draw;
+        # 10**12 cycles would ask numpy for a 14.6 TiB address array in the first step
         for bad in ({"fifo_depth": 0}, {"drain_period": 2.5}, {"n_slaves": 4},
-                    {"region_size": 10**30}, {"region_size": (1 << 63) // 10 + 1}):
+                    {"region_size": 10**30}, {"region_size": (1 << 63) // 10 + 1},
+                    {"cycles_per_step": 10**12}, {"cycles_per_step": 100_001}):
             with pytest.raises(ConfigError, match="dut_params"):
                 parse_config(write(tmp_path, {"dut": "axi", "dut_params": bad}))
 
