@@ -15,9 +15,12 @@ no state between episodes. Every cycle:
    ``fifo_full_slave_<i>`` event.
 
 The full enqueue/dequeue trace is recorded and replayed against an
-independent queue model after every step (order preserved per FIFO, no
-enqueue at full, no dequeue at empty, routing matches the region bounds,
-occupancies match).
+independent queue model after every step: order is preserved per FIFO, no
+request enqueues at full or dequeues at empty, and routing matches the
+region bounds. The replay derives each cycle's occupancy from its own
+queues, recounts every slave's full cycles from it, and checks those counts
+against the ones the step returned, so the events the reward is computed
+from are checked too.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, fields
 from numbers import Integral
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,7 +39,7 @@ from .errors import AddressDecodeError, ScoreboardError
 
 N_MASTERS = 2
 N_SLAVES = 10
-# A step's trace takes about 1 KB per cycle, so this caps it near 0.1 GB.
+# A step's trace takes about 0.7 KB per cycle, so this caps it near 70 MB.
 MAX_CYCLES_PER_STEP = 100_000
 
 EVENT_NAMES = tuple(f"fifo_full_slave_{i}" for i in range(N_SLAVES))
@@ -73,8 +77,8 @@ class AxiConfig:
             raise ValueError(f"region_size must be at most {(1 << 63) // N_SLAVES}")
 
 
-@dataclass(frozen=True)
-class EnqueueEvent:
+# The trace records are plain tuples: a step builds about three per cycle.
+class EnqueueEvent(NamedTuple):
     master: int
     req_id: int
     addr: int
@@ -82,18 +86,15 @@ class EnqueueEvent:
     accepted: bool
 
 
-@dataclass(frozen=True)
-class DequeueEvent:
+class DequeueEvent(NamedTuple):
     slave: int
     req_id: int
 
 
-@dataclass(frozen=True)
-class CycleRecord:
+class CycleRecord(NamedTuple):
     cycle: int
     enqueues: tuple[EnqueueEvent, ...]
     dequeues: tuple[DequeueEvent, ...]
-    occupancy: tuple[int, ...]
 
 
 Trace = tuple[CycleRecord, ...]
@@ -131,92 +132,115 @@ def simulate_step(
     Returns the per-slave full-cycle counts and the recorded trace.
     """
     a_min, a_max = addr_range
+    n_cycles = config.cycles_per_step
     depth = config.fifo_depth
+    drain_period = config.drain_period
+    decode = decode_address
     fifos = [deque() for _ in range(N_SLAVES)]
     counts = [0] * N_SLAVES
+    # A FIFO's full cycles are counted when it stops being full: it ends
+    # every cycle from the one it filled in to the one before it drains.
+    full_since = [0] * N_SLAVES
     records: list[CycleRecord] = []
-    addrs = rng.integers(a_min, a_max, size=(config.cycles_per_step, N_MASTERS)).tolist()
+    addrs = rng.integers(a_min, a_max, size=(n_cycles, N_MASTERS)).tolist()
     req_id = 0
     for cycle, cycle_addrs in enumerate(addrs):
         enqueues = []
         for master, addr in enumerate(cycle_addrs):
-            slave = decode_address(addr, config)
-            accepted = len(fifos[slave]) < depth
+            slave = decode(addr, config)
+            fifo = fifos[slave]
+            accepted = len(fifo) < depth
             if accepted:
-                fifos[slave].append(req_id)
+                fifo.append(req_id)
+                if len(fifo) == depth:
+                    full_since[slave] = cycle
             enqueues.append(EnqueueEvent(master, req_id, addr, slave, accepted))
             req_id += 1
         dequeues = []
-        if cycle % config.drain_period == 0:
+        if cycle % drain_period == 0:
             for slave, fifo in enumerate(fifos):
                 if fifo:
+                    if len(fifo) == depth:
+                        counts[slave] += cycle - full_since[slave]
                     dequeues.append(DequeueEvent(slave, fifo.popleft()))
-        occupancy = tuple(map(len, fifos))
-        for slave, occ in enumerate(occupancy):
-            if occ == depth:
-                counts[slave] += 1
-        records.append(
-            CycleRecord(cycle, tuple(enqueues), tuple(dequeues), occupancy)
-        )
+        records.append(CycleRecord(cycle, tuple(enqueues), tuple(dequeues)))
+    for slave, fifo in enumerate(fifos):
+        if len(fifo) == depth:
+            counts[slave] += n_cycles - full_since[slave]
     return tuple(counts), tuple(records)
 
 
-def golden_check(trace: Trace, config: AxiConfig) -> list[TraceViolation]:
-    """Replay a trace against an independent queue model.
+def golden_check(
+    trace: Trace, counts: tuple[int, ...], config: AxiConfig
+) -> list[TraceViolation]:
+    """Replay a trace against an independent queue model and recount its events.
 
-    Routing is checked against the region bounds, not the model's decoder.
+    Routing is checked against the region bounds, not the model's decoder;
+    a record naming a slave that does not exist is a routing violation and
+    is not replayed. Each cycle's occupancy comes from the replay queues,
+    and the full cycles counted from it must equal ``counts``; a mismatch is
+    one ``full_counts`` violation stamped with the step's cycle count.
     Returns every violation found (empty list means the trace is clean).
     """
     bounds = [i * config.region_size for i in range(N_SLAVES + 1)]
+    depth = config.fifo_depth
     queues: list[deque] = [deque() for _ in range(N_SLAVES)]
+    full_cycles = [0] * N_SLAVES
     violations: list[TraceViolation] = []
-    for rec in trace:
-        for enq in rec.enqueues:
-            expected = bisect_right(bounds, enq.addr) - 1
+    for cycle, enqueues, dequeues in trace:
+        for _, req_id, addr, slave, accepted in enqueues:
+            expected = bisect_right(bounds, addr) - 1
             if not 0 <= expected < N_SLAVES:
-                violations.append(
-                    TraceViolation(rec.cycle, "routing", f"address {enq.addr:#x} unmapped")
-                )
+                violations.append(TraceViolation(cycle, "routing", f"address {addr:#x} unmapped"))
                 continue
-            if enq.slave != expected:
+            if slave != expected:
                 violations.append(
                     TraceViolation(
-                        rec.cycle,
+                        cycle,
                         "routing",
-                        f"request {enq.req_id} routed to slave {enq.slave}, region is {expected}",
+                        f"request {req_id} routed to slave {slave}, region is {expected}",
                     )
                 )
-            if enq.accepted:
-                if len(queues[enq.slave]) >= config.fifo_depth:
+                if not 0 <= slave < N_SLAVES:
+                    continue
+            if accepted:
+                queue = queues[slave]
+                if len(queue) >= depth:
                     violations.append(
-                        TraceViolation(rec.cycle, "enqueue_at_full", f"request {enq.req_id}")
+                        TraceViolation(cycle, "enqueue_at_full", f"request {req_id}")
                     )
                 else:
-                    queues[enq.slave].append(enq.req_id)
-        for deq in rec.dequeues:
-            if not queues[deq.slave]:
+                    queue.append(req_id)
+        for slave, req_id in dequeues:
+            if not 0 <= slave < N_SLAVES:
                 violations.append(
-                    TraceViolation(rec.cycle, "dequeue_at_empty", f"slave {deq.slave}")
+                    TraceViolation(cycle, "routing", f"request {req_id} dequeued from slave {slave}")
                 )
                 continue
-            head = queues[deq.slave].popleft()
-            if head != deq.req_id:
+            queue = queues[slave]
+            if not queue:
+                violations.append(TraceViolation(cycle, "dequeue_at_empty", f"slave {slave}"))
+                continue
+            head = queue.popleft()
+            if head != req_id:
                 violations.append(
                     TraceViolation(
-                        rec.cycle,
+                        cycle,
                         "fifo_order",
-                        f"slave {deq.slave} released {deq.req_id}, oldest was {head}",
+                        f"slave {slave} released {req_id}, oldest was {head}",
                     )
                 )
-        replayed = tuple(len(q) for q in queues)
-        if replayed != rec.occupancy:
-            violations.append(
-                TraceViolation(
-                    rec.cycle,
-                    "occupancy",
-                    f"recorded {rec.occupancy}, replay says {replayed}",
-                )
+        for slave, queue in enumerate(queues):
+            if len(queue) == depth:
+                full_cycles[slave] += 1
+    if tuple(counts) != tuple(full_cycles):
+        violations.append(
+            TraceViolation(
+                len(trace),
+                "full_counts",
+                f"step counted {tuple(counts)}, replay counts {tuple(full_cycles)}",
             )
+        )
     return violations
 
 
@@ -232,7 +256,7 @@ class AxiDut(DutModel):
     def step(self, action: Action, rng: np.random.Generator) -> tuple[int, ...]:
         addr_range = decode_action(action, self.config)
         counts, trace = simulate_step(self.config, addr_range, rng)
-        violations = golden_check(trace, self.config)
+        violations = golden_check(trace, counts, self.config)
         if violations:
             first = violations[0]
             raise ScoreboardError(

@@ -6,10 +6,11 @@
     covsteer serve --dut rle|axi (--stdio | --port P) [--host H]
 
 ``run`` writes episodes.csv, summary.json and histograms.csv into the
-output directory and exits 0 on success; a partial episodes.csv is kept
-when a campaign aborts. ``report`` reads completed run directories, prints
-a comparison table and writes the same data as JSON. ``serve`` exposes a
-bundled design to bridge clients over stdio or TCP.
+output directory and exits 0 on success; when a campaign aborts, the
+partial episodes.csv is kept next to a summary.json holding its column
+schema. ``report`` reads run directories, prints a comparison table and
+writes the same data as JSON. ``serve`` exposes a bundled design to bridge
+clients over stdio or TCP.
 """
 
 from __future__ import annotations
@@ -30,7 +31,9 @@ from .reporting import (
     build_report,
     knob_histograms,
     render_report_text,
+    summary_schema,
     write_histograms_csv,
+    write_json,
     write_summary,
 )
 from .rle import RleDut
@@ -65,10 +68,19 @@ def cmd_run(config: RunConfig, out_dir: str | Path | None = None) -> Path:
         agent = make_agent(config, env.space)
         actions = []
         rewards = []
+        schema = summary_schema(
+            config_dict=config.to_json_dict(),
+            defaulted=config.defaulted,
+            knob_names=env.space.names,
+            event_names=[e.name for e in env.events],
+        )
 
         with EpisodeCsvWriter(
-            out / "episodes.csv", env.space.names, [e.name for e in env.events]
+            out / "episodes.csv", schema["knob_names"], schema["event_names"]
         ) as writer:
+            # The schema goes next to the log before its first row, so a
+            # partial log that an aborted run keeps can still be reported.
+            write_json(out / "summary.json", schema)
 
             def record(rec):
                 actions.append(rec.action)
@@ -82,10 +94,7 @@ def cmd_run(config: RunConfig, out_dir: str | Path | None = None) -> Path:
         write_histograms_csv(out / "histograms.csv", hists)
         write_summary(
             out / "summary.json",
-            config_dict=config.to_json_dict(),
-            defaulted=config.defaulted,
-            knob_names=env.space.names,
-            event_names=[e.name for e in env.events],
+            schema,
             cumulative=cumulative,
             # The report re-sums the logged rewards the same way, so both agree.
             total_reward=sum(rewards),
@@ -134,7 +143,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", default=None, help="override the output directory")
 
     p_report = sub.add_parser("report", help="compare episode logs")
-    p_report.add_argument("logs", nargs="+", help="run directories of completed runs")
+    p_report.add_argument("logs", nargs="+", help="run directories")
     p_report.add_argument("--out", default=None, help="where to write report.json")
 
     p_serve = sub.add_parser("serve", help="serve a bundled design over the bridge")

@@ -95,9 +95,7 @@ def read_episode_log(path) -> EpisodeLog:
         raise ReportError(f"episode log not found: {p}")
     summary = p.parent / "summary.json"
     if not summary.exists():
-        raise ReportError(
-            f"no summary.json next to {p}; pass the run directory of a completed run"
-        )
+        raise ReportError(f"no summary.json next to {p}; pass the run directory")
     try:
         meta = json.loads(summary.read_text(encoding="utf-8"))
         knob_names = tuple(meta["knob_names"])
@@ -174,22 +172,34 @@ def write_histograms_csv(path, hists: dict) -> None:
                 )
 
 
-def write_summary(path, *, config_dict, defaulted, knob_names, event_names,
-                  cumulative, total_reward, hists, agent_snapshot) -> dict:
-    summary = {
+def summary_schema(*, config_dict, defaulted, knob_names, event_names) -> dict:
+    """The part of summary.json that names episodes.csv's columns, known before any episode."""
+    return {
         "config": config_dict,
         "applied_defaults": list(defaulted),
         "knob_names": list(knob_names),
         "event_names": list(event_names),
+    }
+
+
+def write_json(path, obj) -> None:
+    """Write ``obj`` the way every run artifact is written: sorted keys, indented."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def write_summary(path, schema, *, cumulative, total_reward, hists, agent_snapshot) -> dict:
+    """Write a finished run's summary.json: its schema plus the run's totals."""
+    summary = {
+        **schema,
         "episodes": cumulative.episodes,
-        "event_totals": {n: t for n, t in zip(event_names, cumulative.totals)},
+        "event_totals": {n: t for n, t in zip(schema["event_names"], cumulative.totals)},
         "total_reward": total_reward,
         "knob_histograms": hists,
         "agent_snapshot": agent_snapshot,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, summary)
     return summary
 
 

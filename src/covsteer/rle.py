@@ -35,7 +35,9 @@ Tracked events:
 * ``e3_partial_count`` -- a count field straddled the vector boundary.
 
 ``rle_golden`` recomputes the emitted output run-by-run with independent
-code structure; the model's ``step`` compares against it every episode.
+code structure, and the event counts arithmetically from the zero runs and
+the count fields' bit positions; the model's ``step`` compares both against
+it every episode.
 ``rle_decompress`` inverts the emitted output back to the input sequence.
 """
 
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import groupby
+from operator import not_
 
 import numpy as np
 
@@ -215,27 +218,36 @@ def rle_run(config: RleConfig, sequence) -> tuple[CoverageCounts, RleOutput]:
     return (c0, c1, c2, c3), _output_from_state(state)
 
 
-def rle_golden(config: RleConfig, sequence) -> RleOutput:
+def rle_golden(config: RleConfig, sequence) -> tuple[CoverageCounts, RleOutput]:
     """Reference compressor: run-oriented arithmetic instead of a state machine.
 
     Splits the input into maximal zero runs and words, derives every count
     field per run in one shot, and packs fields with a streaming shifter.
-    Produces output identical to ``rle_run``.
+    The event counts come from arithmetic over the run lengths and the
+    fields' absolute bit positions. Produces counts and output identical to
+    ``rle_run``.
     """
     cw = config.count_width
     saturation = (1 << cw) - 1
+    # The counter passes 2**(cw - 2) once per saturation and once more in a
+    # remainder that reaches it; width 1 has no midpoint.
+    mid = 1 << (cw - 2) if cw >= 2 else None
     cap = ZC_CAPACITY_BITS
 
     fields: list[int] = []
     words: list[int] = []
     layout: list[str] = []
+    e2 = 0
     pending_rem = 0
-    for is_zero, group in groupby(sequence, key=lambda w: w == 0):
+    # not_ tells zero words from the rest without a Python-level call per word.
+    for is_zero, group in groupby(sequence, key=not_):
         if is_zero:
-            run = sum(1 for _ in group)
+            run = len(list(group))
             full, pending_rem = divmod(run, saturation)
             fields.extend([saturation] * full)
             layout.append("C" * full)
+            if mid is not None:
+                e2 += full + (pending_rem >= mid)
         else:
             for w in group:
                 if pending_rem:
@@ -266,7 +278,16 @@ def rle_golden(config: RleConfig, sequence) -> RleOutput:
         else:
             used = new_used
 
-    return RleOutput(
+    # Fields fill the zero-count vectors back to back, so a vector fills at
+    # every 64-bit boundary and a field straddles each boundary inside it.
+    field_bits = len(fields) * cw
+    counts = (
+        len(words) // WORD_CAPACITY,
+        field_bits // cap,
+        e2,
+        sum(1 for boundary in range(cap, field_bits, cap) if boundary % cw),
+    )
+    return counts, RleOutput(
         word_blocks=word_blocks,
         zc_blocks=tuple(zc_blocks),
         layout="".join(layout),
@@ -347,17 +368,23 @@ class RleDut(DutModel):
     """Compressor wrapped in the design-model contract, with a built-in scoreboard.
 
     Every step re-encodes the stimulus with the golden reference and
-    raises ScoreboardError on any output mismatch. Every step also starts a
-    fresh compressor, so there is nothing to reset.
+    raises ScoreboardError on any output or event-count mismatch. Every
+    step also starts a fresh compressor, so there is nothing to reset.
     """
 
     def step(self, action: Action, rng: np.random.Generator) -> CoverageCounts:
         stim = decode_action(action, rng)
         config = RleConfig(count_width=stim.count_width)
         counts, output = rle_run(config, stim.sequence)
-        if rle_golden(config, stim.sequence) != output:
+        golden_counts, golden_output = rle_golden(config, stim.sequence)
+        if golden_output != output:
             raise ScoreboardError(
                 f"compressor output diverged from golden model for "
+                f"count_width={stim.count_width}, length={len(stim.sequence)}"
+            )
+        if golden_counts != counts:
+            raise ScoreboardError(
+                f"event counts {counts} diverged from golden {golden_counts} for "
                 f"count_width={stim.count_width}, length={len(stim.sequence)}"
             )
         return counts

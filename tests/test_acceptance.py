@@ -206,8 +206,8 @@ def test_criterion_7_scoreboard_cleanliness(check):
     for _ in range(10_000):
         stim = decode_action(sample_uniform(RLE_SPACE, rng), rng)
         config = RleConfig(stim.count_width)
-        _, out = rle_run(config, stim.sequence)
-        if rle_golden(config, stim.sequence) != out:
+        counts, out = rle_run(config, stim.sequence)
+        if rle_golden(config, stim.sequence) != (counts, out):
             rle_mismatches += 1
         if rle_decompress(out, config) != stim.sequence:
             roundtrip_failures += 1
@@ -218,8 +218,8 @@ def test_criterion_7_scoreboard_cleanliness(check):
         action = sample_uniform(AXI_SPACE, rng)
         lo, hi = sorted(int(v) for v in action.values)
         addr_range = (lo * axi_config.region_size, (hi + 1) * axi_config.region_size)
-        _, trace = simulate_step(axi_config, addr_range, rng)
-        axi_violations += len(golden_check(trace, axi_config))
+        counts, trace = simulate_step(axi_config, addr_range, rng)
+        axi_violations += len(golden_check(trace, counts, axi_config))
     elapsed = time.perf_counter() - t0
     check(
         "criterion-7 scoreboards",

@@ -359,6 +359,9 @@ class TestBridgeAbort:
         thread.join(timeout=5)
         rows = (out_dir / "episodes.csv").read_text().splitlines()
         assert len(rows) == 1 + 3  # header + the episodes that completed
+        report = cmd_report([out_dir], tmp_path / "r.json")
+        assert report["runs"][0]["episodes"] == 3
+        assert report["event_names"] == list(RleDut().event_names())
 
     def test_main_exits_nonzero_on_bridge_failure(self, tmp_path):
         port, thread = self.serve_then_die(episodes_before_death=2)

@@ -24,47 +24,6 @@ DIVISORS = (1, 2, 4, 8)
 NON_DIVISORS = (3, 5, 6, 7)
 
 
-def expected_event_counts(sequence, count_width):
-    """Arithmetic oracle for all four event counts, computed from zero runs.
-
-    Independent of both the state machine and the golden packer: events
-    are derived from run lengths and absolute field bit positions.
-    """
-    cw = count_width
-    sat = (1 << cw) - 1
-    mid = (1 << (cw - 2)) if cw >= 2 else None
-
-    runs = []  # (length, has_following_word)
-    words = 0
-    current = 0
-    for w in sequence:
-        if w == 0:
-            current += 1
-        else:
-            if current:
-                runs.append((current, True))
-                current = 0
-            words += 1
-    if current:
-        runs.append((current, False))
-
-    e0 = words // 16
-    e2 = 0
-    n_fields = 0
-    for length, followed in runs:
-        full, rem = divmod(length, sat)
-        n_fields += full + (1 if rem and followed else 0)
-        if mid is not None:
-            e2 += full + (1 if rem >= mid else 0)
-    e1 = n_fields * cw // 64
-    e3 = sum(
-        1
-        for k in range(n_fields)
-        if (k * cw) // 64 != ((k + 1) * cw - 1) // 64
-    )
-    return e0, e1, e2, e3
-
-
 def random_sequence(rng, max_len=300):
     n = int(rng.integers(0, max_len))
     p = float(rng.random())
@@ -156,7 +115,7 @@ class TestStepSemantics:
             cw = int(rng.integers(1, 9))
             seq = random_sequence(rng)
             counts, _ = rle_run(RleConfig(cw), seq)
-            assert counts == expected_event_counts(seq, cw), (cw, seq)
+            assert counts == rle_golden(RleConfig(cw), seq)[0], (cw, seq)
 
 
 class TestDivisorProperty:
@@ -194,8 +153,8 @@ class TestGoldenAndRoundtrip:
             cw = int(rng.integers(1, 9))
             seq = random_sequence(rng)
             cfg = RleConfig(cw)
-            _, out = rle_run(cfg, seq)
-            assert rle_golden(cfg, seq) == out
+            counts, out = rle_run(cfg, seq)
+            assert rle_golden(cfg, seq) == (counts, out)
             assert rle_decompress(out, cfg) == tuple(seq)
 
     @given(
@@ -205,8 +164,8 @@ class TestGoldenAndRoundtrip:
     @settings(max_examples=200)
     def test_property_golden_matches_and_roundtrips(self, cw, seq):
         cfg = RleConfig(cw)
-        _, out = rle_run(cfg, seq)
-        assert rle_golden(cfg, seq) == out
+        counts, out = rle_run(cfg, seq)
+        assert rle_golden(cfg, seq) == (counts, out)
         assert rle_decompress(out, cfg) == tuple(seq)
 
     def test_all_nonzero_roundtrip_is_identity(self):
@@ -286,6 +245,23 @@ class TestRleDut:
         )
         with pytest.raises(ScoreboardError):
             dut.step(Action((0.4, 6, 300)), np.random.default_rng(0))
+
+    def test_scoreboard_catches_miscounted_events(self, monkeypatch):
+        import covsteer.rle as rle_mod
+
+        real = rle_mod.rle_run
+
+        def miscounted(config, sequence):
+            (e0, e1, e2, e3), output = real(config, sequence)
+            return (e0, e1, e2 + 1, e3), output
+
+        monkeypatch.setattr(rle_mod, "rle_run", miscounted)
+        dut = RleDut()
+        rng = np.random.default_rng(31)
+        for _ in range(50):
+            action = sample_uniform(ACTION_SPACE, rng)
+            with pytest.raises(ScoreboardError, match="event counts"):
+                dut.step(action, np.random.default_rng(int(rng.integers(1 << 30))))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
