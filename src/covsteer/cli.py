@@ -8,9 +8,9 @@
 ``run`` writes episodes.csv, summary.json and histograms.csv into the
 output directory and exits 0 on success; when a campaign aborts, the
 partial episodes.csv is kept next to a summary.json holding its column
-schema. ``report`` reads run directories, prints a comparison table and
-writes the same data as JSON. ``serve`` exposes a bundled design to bridge
-clients over stdio or TCP.
+schema, and no histograms.csv. ``report`` reads run directories, prints a
+comparison table and writes the same data as JSON. ``serve`` exposes a
+bundled design to bridge clients over stdio or TCP.
 """
 
 from __future__ import annotations
@@ -79,8 +79,10 @@ def cmd_run(config: RunConfig, out_dir: str | Path | None = None) -> Path:
             out / "episodes.csv", schema["knob_names"], schema["event_names"]
         ) as writer:
             # The schema goes next to the log before its first row, so a
-            # partial log that an aborted run keeps can still be reported.
+            # partial log that an aborted run keeps can still be reported;
+            # an earlier run's histograms would not describe that log.
             write_json(out / "summary.json", schema)
+            (out / "histograms.csv").unlink(missing_ok=True)
 
             def record(rec):
                 actions.append(rec.action)

@@ -34,18 +34,19 @@ Tracked events:
   (undefined for count_width 1, where it never fires),
 * ``e3_partial_count`` -- a count field straddled the vector boundary.
 
-``rle_golden`` recomputes the emitted output run-by-run with independent
-code structure, and the event counts arithmetically from the zero runs and
-the count fields' bit positions; the model's ``step`` compares both against
-it every episode.
+``rle_run`` is the model: one loop iteration per input word. ``rle_golden``
+is the scoreboard, written without a state machine: numpy run lengths of
+the zero mask, fields by ``divmod`` with the saturation value, and a
+packed bit stream; it takes words in the int64 range. It derives the
+event counts arithmetically from the run lengths and the count fields' bit
+positions, and ``RleDut.step`` compares counts and output every episode.
 ``rle_decompress`` inverts the emitted output back to the input sequence.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import groupby
-from operator import not_
+from dataclasses import dataclass
+from math import gcd
 
 import numpy as np
 
@@ -77,26 +78,6 @@ class RleConfig:
     def __post_init__(self):
         if not 1 <= self.count_width <= 8:
             raise ValueError(f"count_width must be in 1..8, got {self.count_width}")
-
-
-@dataclass
-class RleState:
-    """Mutable compressor state, including everything emitted so far.
-
-    ``layout`` records the emission order of count fields ('C') and stored
-    words ('W'); block content alone does not pin down how zero runs
-    interleave with words, so the decompressor needs it.
-    """
-
-    word_vec: list[int] = field(default_factory=list)
-    zc_bits: int = 0
-    zc_bits_used: int = 0
-    counter: int = 0
-    next_count: int = 0
-    next_count_width: int = 0
-    word_blocks: list[tuple[int, ...]] = field(default_factory=list)
-    zc_blocks: list[int] = field(default_factory=list)
-    layout: list[str] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -132,168 +113,160 @@ def decode_action(action: Action, rng: np.random.Generator) -> RleStimulus:
     return RleStimulus(sequence=tuple(seq.tolist()), count_width=int(count_width))
 
 
-def _emit_count(state: RleState, config: RleConfig) -> tuple[int, int]:
-    """Write the counter as one count field; returns (e1, e3) increments."""
-    value = state.counter
+def rle_run(config: RleConfig, sequence) -> tuple[CoverageCounts, RleOutput]:
+    """Fold the compressor over a word sequence, one word per cycle.
+
+    ``layout`` records the emission order of count fields ('C') and stored
+    words ('W'); block content alone does not pin down how zero runs
+    interleave with words, so the decompressor needs it. There is no
+    end-of-input flush: a partial word vector, partial zero-count vector,
+    and a non-zero counter all stay in the output's tail.
+    """
     cw = config.count_width
     cap = ZC_CAPACITY_BITS
-    e1 = e3 = 0
-    state.layout.append("C")
-    remaining = cap - state.zc_bits_used
-    if remaining >= cw:
-        state.zc_bits |= value << state.zc_bits_used
-        state.zc_bits_used += cw
-    else:
-        # Low bits complete the current vector; high bits carry over.
-        state.zc_bits |= (value & ((1 << remaining) - 1)) << state.zc_bits_used
-        state.next_count = value >> remaining
-        state.next_count_width = cw - remaining
-        state.zc_bits_used = cap
-        e3 = 1
-    if state.zc_bits_used == cap:
-        e1 = 1
-        state.zc_blocks.append(state.zc_bits)
-        state.zc_bits = 0
-        state.zc_bits_used = 0
-        if state.next_count_width:
-            state.zc_bits = state.next_count
-            state.zc_bits_used = state.next_count_width
-            state.next_count = 0
-            state.next_count_width = 0
-    return e1, e3
-
-
-def rle_step(state: RleState, config: RleConfig, word: int) -> tuple[int, int, int, int]:
-    """Drive one word into the compressor; returns per-event increments."""
-    if word < 0:
-        raise ValueError("words must be non-negative")
-    cw = config.count_width
+    saturation = (1 << cw) - 1
+    # Width 1 has no midpoint; the counter is at least 1 when compared.
+    mid = 1 << (cw - 2) if cw >= 2 else 0
+    word_vec: list[int] = []
+    zc_bits = zc_used = counter = 0
+    word_blocks: list[tuple[int, ...]] = []
+    zc_blocks: list[int] = []
+    layout: list[str] = []
+    emit = layout.append
     e0 = e1 = e2 = e3 = 0
-    if word == 0:
-        state.counter += 1
-        if cw >= 2 and state.counter == 1 << (cw - 2):
-            e2 = 1
-        if state.counter == (1 << cw) - 1:
-            e1, e3 = _emit_count(state, config)
-            state.counter = 0
-    else:
-        if state.counter > 0:
-            e1, e3 = _emit_count(state, config)
-            state.counter = 0
-        state.word_vec.append(word)
-        state.layout.append("W")
-        if len(state.word_vec) == WORD_CAPACITY:
-            e0 = 1
-            state.word_blocks.append(tuple(state.word_vec))
-            state.word_vec.clear()
-    return e0, e1, e2, e3
-
-
-def _output_from_state(state: RleState) -> RleOutput:
-    return RleOutput(
-        word_blocks=tuple(state.word_blocks),
-        zc_blocks=tuple(state.zc_blocks),
-        layout="".join(state.layout),
-        tail_words=tuple(state.word_vec),
-        tail_zc_bits=state.zc_bits,
-        tail_zc_used=state.zc_bits_used,
-        tail_counter=state.counter,
-    )
-
-
-def rle_run(config: RleConfig, sequence) -> tuple[CoverageCounts, RleOutput]:
-    """Fold the compressor over a word sequence.
-
-    There is no end-of-input flush: a partial word vector, partial
-    zero-count vector, and a non-zero counter all stay in the output's tail.
-    """
-    state = RleState()
-    c0 = c1 = c2 = c3 = 0
     for word in sequence:
-        e0, e1, e2, e3 = rle_step(state, config, word)
-        c0 += e0
-        c1 += e1
-        c2 += e2
-        c3 += e3
-    return (c0, c1, c2, c3), _output_from_state(state)
+        if word == 0:
+            counter += 1
+            if counter == mid:
+                e2 += 1
+            if counter < saturation:
+                continue
+        elif word < 0:
+            raise ValueError("words must be non-negative")
+        # A saturated counter, or a word after a zero run, writes the
+        # counter as one count field, low bits first.
+        if counter:
+            emit("C")
+            free = cap - zc_used
+            if free > cw:
+                zc_bits |= counter << zc_used
+                zc_used += cw
+            else:
+                # The field fills the vector: flush it, and start the next
+                # one with the high bits that did not fit (the next count).
+                zc_blocks.append(zc_bits | (counter & ((1 << free) - 1)) << zc_used)
+                zc_bits = counter >> free
+                zc_used = cw - free
+                e1 += 1
+                if zc_used:
+                    e3 += 1
+            counter = 0
+        if word:
+            word_vec.append(word)
+            emit("W")
+            if len(word_vec) == WORD_CAPACITY:
+                e0 += 1
+                word_blocks.append(tuple(word_vec))
+                word_vec = []
+    return (e0, e1, e2, e3), RleOutput(
+        word_blocks=tuple(word_blocks),
+        zc_blocks=tuple(zc_blocks),
+        layout="".join(layout),
+        tail_words=tuple(word_vec),
+        tail_zc_bits=zc_bits,
+        tail_zc_used=zc_used,
+        tail_counter=counter,
+    )
 
 
 def rle_golden(config: RleConfig, sequence) -> tuple[CoverageCounts, RleOutput]:
-    """Reference compressor: run-oriented arithmetic instead of a state machine.
+    """Reference compressor: numpy run lengths instead of a state machine.
 
-    Splits the input into maximal zero runs and words, derives every count
-    field per run in one shot, and packs fields with a streaming shifter.
-    The event counts come from arithmetic over the run lengths and the
-    fields' absolute bit positions. Produces counts and output identical to
-    ``rle_run``.
+    Reads the sequence into an int64 array (words must fit in int64), finds
+    the maximal zero runs from the edges of the zero mask, and splits each
+    run into saturated fields and a remainder with ``divmod`` by the
+    saturation value. A saturated field is written at the zero that
+    saturates it, a remainder at the word ending its run (a trailing
+    remainder is the tail counter), so each input position emits at most
+    one field and then at most one word; the layout and the field order
+    follow from those positions. The fields' bit stream is packed into
+    64-bit blocks with ``np.packbits``. The event counts come from
+    arithmetic over the run lengths and the fields' absolute bit positions.
+    Produces counts and output identical to ``rle_run``.
     """
     cw = config.count_width
-    saturation = (1 << cw) - 1
-    # The counter passes 2**(cw - 2) once per saturation and once more in a
-    # remainder that reaches it; width 1 has no midpoint.
-    mid = 1 << (cw - 2) if cw >= 2 else None
     cap = ZC_CAPACITY_BITS
+    saturation = (1 << cw) - 1
+    seq = np.fromiter(sequence, dtype=np.int64)
+    n = len(seq)
+    # The zero mask, padded with a non-zero on each side so that every zero
+    # run has a rising and a falling edge.
+    padded = np.zeros(n + 2, dtype=bool)
+    np.equal(seq, 0, out=padded[1:-1])
+    edges = np.diff(padded).nonzero()[0]
+    starts, ends = edges[0::2], edges[1::2]
+    full, rem = np.divmod(ends - starts, saturation)
 
-    fields: list[int] = []
-    words: list[int] = []
-    layout: list[str] = []
-    e2 = 0
-    pending_rem = 0
-    # not_ tells zero words from the rest without a Python-level call per word.
-    for is_zero, group in groupby(sequence, key=not_):
-        if is_zero:
-            run = len(list(group))
-            full, pending_rem = divmod(run, saturation)
-            fields.extend([saturation] * full)
-            layout.append("C" * full)
-            if mid is not None:
-                e2 += full + (pending_rem >= mid)
-        else:
-            for w in group:
-                if pending_rem:
-                    fields.append(pending_rem)
-                    layout.append("C")
-                    pending_rem = 0
-                words.append(w)
-                layout.append("W")
-    tail_counter = pending_rem
+    # A run's saturated fields are written at every `saturation`-th zero,
+    # the last one just before its remainder; the remainder is written at
+    # the word that ends the run, or stays in the counter at the end.
+    last = full.cumsum()
+    n_full = int(last[-1]) if len(last) else 0
+    # count_width <= 8, so every field fits the uint8 that unpackbits reads.
+    field_at = np.zeros(n, dtype=np.uint8)
+    field_at[
+        (ends - rem - 1 - saturation * last).repeat(full)
+        + np.arange(saturation, saturation * n_full + 1, saturation)
+    ] = saturation
+    trailing = len(ends) > 0 and ends[-1] == n
+    tail_counter = int(rem[-1]) if trailing else 0
+    closed = slice(None, -1) if trailing else slice(None)
+    field_at[ends[closed]] = rem[closed]
 
-    word_blocks = tuple(
-        tuple(words[i : i + WORD_CAPACITY])
-        for i in range(0, len(words) - WORD_CAPACITY + 1, WORD_CAPACITY)
-    )
-    tail_words = tuple(words[len(word_blocks) * WORD_CAPACITY :])
+    # Each position writes at most one field, then at most one word, so a
+    # word's place in the layout is its index among the words plus the
+    # number of fields written at or before its position.
+    field_pos = field_at.nonzero()[0]
+    word_pos = (~padded[1:-1]).nonzero()[0]
+    fields = field_at[field_pos]
+    words = seq[word_pos]
+    tokens = np.full(len(field_pos) + len(word_pos), ord("C"), dtype=np.uint8)
+    word_index = field_pos.searchsorted(word_pos, "right") + np.arange(len(word_pos))
+    tokens[word_index] = ord("W")
 
-    zc_blocks: list[int] = []
-    buf = 0
-    used = 0
-    mask = (1 << cap) - 1
-    for v in fields:
-        buf |= (v << used) & mask
-        new_used = used + cw
-        if new_used >= cap:
-            zc_blocks.append(buf)
-            buf = v >> (cap - used)
-            used = new_used - cap
-        else:
-            used = new_used
+    n_blocks, n_tail = divmod(len(words), WORD_CAPACITY)
+    split = len(words) - n_tail
+    word_blocks = words[:split].reshape(n_blocks, WORD_CAPACITY).tolist()
 
-    # Fields fill the zero-count vectors back to back, so a vector fills at
-    # every 64-bit boundary and a field straddles each boundary inside it.
+    # Field k holds stream bits [k * cw, (k + 1) * cw), low bits first, and
+    # zero-count block b holds stream bits [64 b, 64 b + 64).
     field_bits = len(fields) * cw
+    n_zc, tail_used = divmod(field_bits, cap)
+    stream = np.zeros(-(-field_bits // cap) * cap, dtype=np.uint8)
+    stream[:field_bits] = np.unpackbits(
+        fields[:, None], axis=1, count=cw, bitorder="little"
+    ).ravel()
+    blocks = np.packbits(stream, bitorder="little").view("<u8").tolist()
+
+    # A vector fills at every 64-bit boundary of the stream, and a field
+    # straddles each boundary below its end that count_width does not
+    # divide, that is all but every (cw / gcd(cw, 64))-th one.
+    boundaries = max(field_bits - 1, 0) // cap
     counts = (
-        len(words) // WORD_CAPACITY,
-        field_bits // cap,
-        e2,
-        sum(1 for boundary in range(cap, field_bits, cap) if boundary % cw),
+        n_blocks,
+        n_zc,
+        # The counter passes 2**(cw - 2) once per saturation and once more
+        # in a remainder that reaches it; width 1 has no midpoint.
+        n_full + int(np.count_nonzero(rem >= 1 << (cw - 2))) if cw >= 2 else 0,
+        boundaries - boundaries // (cw // gcd(cw, cap)),
     )
     return counts, RleOutput(
-        word_blocks=word_blocks,
-        zc_blocks=tuple(zc_blocks),
-        layout="".join(layout),
-        tail_words=tail_words,
-        tail_zc_bits=buf,
-        tail_zc_used=used,
+        word_blocks=tuple(map(tuple, word_blocks)),
+        zc_blocks=tuple(blocks[:n_zc]),
+        layout=tokens.tobytes().decode("ascii"),
+        tail_words=tuple(words[split:].tolist()),
+        tail_zc_bits=blocks[n_zc] if tail_used else 0,
+        tail_zc_used=tail_used,
         tail_counter=tail_counter,
     )
 

@@ -363,6 +363,23 @@ class TestBridgeAbort:
         assert report["runs"][0]["episodes"] == 3
         assert report["event_names"] == list(RleDut().event_names())
 
+    def test_aborted_rerun_leaves_no_stale_histogram(self, tmp_path):
+        out_dir = tmp_path / "reused"
+        cmd_run(build_config(rle_config(episodes=20, agent="random")), out_dir)
+        assert (out_dir / "histograms.csv").exists()
+        port, thread = self.serve_then_die(episodes_before_death=3)
+        cfg = build_config(
+            rle_config(episodes=10, agent="random", dut=f"bridge:127.0.0.1:{port}")
+        )
+        from covsteer.errors import TransportError
+
+        with pytest.raises(TransportError):
+            cmd_run(cfg, out_dir)
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert len((out_dir / "episodes.csv").read_text().splitlines()) == 1 + 3
+        assert not (out_dir / "histograms.csv").exists()
+
     def test_main_exits_nonzero_on_bridge_failure(self, tmp_path):
         port, thread = self.serve_then_die(episodes_before_death=2)
         cfg_path = write_config(

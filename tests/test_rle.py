@@ -12,12 +12,10 @@ from covsteer.rle import (
     EVENT_NAMES,
     RleConfig,
     RleDut,
-    RleState,
     decode_action,
     rle_decompress,
     rle_golden,
     rle_run,
-    rle_step,
 )
 
 DIVISORS = (1, 2, 4, 8)
@@ -101,13 +99,13 @@ class TestStepSemantics:
         assert out.zc_blocks == ((1 << 64) - 1,)
 
     def test_counter_never_reaches_saturation_value(self):
-        cfg = RleConfig(3)
-        state = RleState()
-        for _ in range(100):
-            rle_step(state, cfg, 0)
-            assert state.counter < (1 << 3) - 1
-            assert state.zc_bits_used <= 64
-            assert len(state.word_vec) <= 16
+        cw = 3
+        seq = [0] * 100 + list(range(1, 41))
+        for end in range(len(seq) + 1):
+            _, out = rle_run(RleConfig(cw), seq[:end])
+            assert out.tail_counter < (1 << cw) - 1
+            assert out.tail_zc_used < 64
+            assert len(out.tail_words) < 16
 
     def test_event_counts_match_arithmetic_oracle(self):
         rng = np.random.default_rng(7)
@@ -167,6 +165,48 @@ class TestGoldenAndRoundtrip:
         counts, out = rle_run(cfg, seq)
         assert rle_golden(cfg, seq) == (counts, out)
         assert rle_decompress(out, cfg) == tuple(seq)
+
+    @pytest.mark.parametrize("cw", range(1, 9))
+    @given(
+        runs=st.lists(st.tuples(st.integers(0, 600), st.integers(1, 255)), max_size=12),
+        trailing=st.integers(0, 600),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_property_zero_run_heavy_golden_matches_and_roundtrips(self, cw, runs, trailing):
+        seq = [w for zeros, word in runs for w in [0] * zeros + [word]] + [0] * trailing
+        cfg = RleConfig(cw)
+        counts, out = rle_run(cfg, seq)
+        assert rle_golden(cfg, seq) == (counts, out)
+        assert rle_decompress(out, cfg) == tuple(seq)
+
+    @pytest.mark.parametrize(
+        "cw, seq, tail_counter, tail_zc_used",
+        [
+            (5, [], 0, 0),
+            # a trailing run of exactly two saturations leaves the counter empty
+            (3, [5] + [0] * 14, 0, 6),
+            # sixteen 4-bit fields fill the vector exactly
+            (4, [0] * 15 * 16 + [9], 0, 0),
+            # width 1 has no midpoint and saturates on every zero
+            (1, [0] * 70 + [3, 0, 0], 0, 72 - 64),
+            # a straddled field, a word block and a trailing run
+            (7, [0] * 1300 + list(range(1, 20)) + [0] * 5, 5, 77 - 64),
+        ],
+    )
+    def test_pinned_golden_cases(self, cw, seq, tail_counter, tail_zc_used):
+        cfg = RleConfig(cw)
+        counts, out = rle_golden(cfg, seq)
+        assert (counts, out) == rle_run(cfg, seq)
+        assert (out.tail_counter, out.tail_zc_used) == (tail_counter, tail_zc_used)
+        assert rle_decompress(out, cfg) == tuple(seq)
+
+    def test_sequence_types_agree(self):
+        seq = [0] * 40 + [7, 0, 0, 200] * 10 + [0] * 9
+        cfg = RleConfig(6)
+        expected = rle_run(cfg, seq)
+        for as_type in (tuple, list, np.array):
+            assert rle_run(cfg, as_type(seq)) == expected
+            assert rle_golden(cfg, as_type(seq)) == expected
 
     def test_all_nonzero_roundtrip_is_identity(self):
         cfg = RleConfig(6)
@@ -262,6 +302,22 @@ class TestRleDut:
             action = sample_uniform(ACTION_SPACE, rng)
             with pytest.raises(ScoreboardError, match="event counts"):
                 dut.step(action, np.random.default_rng(int(rng.integers(1 << 30))))
+
+    def test_scoreboard_catches_a_lost_carry(self, monkeypatch):
+        # Mutant model: a straddled field's high bits never reach the next
+        # zero-count vector.
+        import inspect
+
+        import covsteer.rle as rle_mod
+
+        source = inspect.getsource(rle_mod.rle_run)
+        carry = "zc_bits = counter >> free"
+        assert source.count(carry) == 1
+        namespace = dict(vars(rle_mod))
+        exec(source.replace(carry, "zc_bits = 0"), namespace)
+        monkeypatch.setattr(rle_mod, "rle_run", namespace["rle_run"])
+        with pytest.raises(ScoreboardError, match="output diverged"):
+            RleDut().step(Action((1.0, 6, 1000)), np.random.default_rng(0))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
