@@ -33,6 +33,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+# Designs call env.stimulus_rng through the module, so a rebinding of it
+# (as the benchmark tracer does) reaches every episode.
+from . import env
 from .actionspace import Action, ActionSpace, KnobSpec
 from .env import DutModel
 from .errors import AddressDecodeError, ScoreboardError
@@ -253,9 +256,9 @@ class AxiDut(DutModel):
     def __init__(self, config: AxiConfig | None = None):
         self.config = config or AxiConfig()
 
-    def step(self, action: Action, rng: np.random.Generator) -> tuple[int, ...]:
+    def step(self, action: Action, seed: int) -> tuple[int, ...]:
         addr_range = decode_action(action, self.config)
-        counts, trace = simulate_step(self.config, addr_range, rng)
+        counts, trace = simulate_step(self.config, addr_range, env.stimulus_rng(seed))
         violations = golden_check(trace, counts, self.config)
         if violations:
             first = violations[0]

@@ -5,31 +5,30 @@ One session runs over any reliable, ordered, bidirectional byte stream
 object per line, newline-terminated, with a ``type`` field naming the
 variant:
 
-=========  =========================================  ==================
-type       fields                                     direction
-=========  =========================================  ==================
-hello      protocol_version, action_space, events     server, once first
-reset      seed                                       client
-reset_ack  (none)                                     server
-step       action                                     client
-step_ack   counts                                     server
-error      code, detail                               server
-=========  =========================================  ==================
+========  =========================================  ==================
+type      fields                                     direction
+========  =========================================  ==================
+hello     protocol_version, action_space, events     server, once first
+episode   seed, action                               client
+counts    counts                                     server
+error     code, detail                               server
+========  =========================================  ==================
 
-Requests and responses alternate strictly; every ``reset`` is answered by
-``reset_ack`` or ``error``, every ``step`` by ``step_ack`` or ``error``.
-An episode is one ``reset`` and one ``step``; a second ``step`` without a
-new ``reset`` is a ``protocol`` error, and so is a retry after a
-``dut_fault``. The serving side runs its episodes through
-``env.Environment``, so these rules are the in-process ones.
-Unknown types, missing fields, and unexpected extra fields are all
-rejected. Error codes: ``decode`` (unparseable line), ``protocol``
-(request out of order), ``invalid_action`` (action outside the served
+Requests and responses alternate strictly: every ``episode`` is answered
+by ``counts`` or ``error``. An episode is one request, a pure function of
+its seed and action, so a repeated or retried request replays it. The
+serving side runs each request through ``env.Environment`` as
+``reset(seed)`` then ``step(action)``. Unknown types, missing fields, and
+unexpected extra fields are all rejected, and so is a request line longer
+than ``MAX_LINE_BYTES``, which also ends the session. Error codes:
+``decode`` (unparseable or over-long line), ``protocol`` (a message only
+the serving side sends), ``invalid_action`` (action outside the served
 space), ``dut_fault`` (design model raised).
 
-Stimulus randomness lives on the serving side, seeded by ``reset``; the
-wire carries knob values only. That makes a bridged campaign byte-for-byte
-identical to an in-process one with the same seeds.
+Stimulus randomness lives on the serving side, built from the request's
+seed; the wire carries the seed and knob values only. That makes a
+bridged campaign byte-for-byte identical to an in-process one with the
+same seeds.
 """
 
 from __future__ import annotations
@@ -43,33 +42,25 @@ from .env import DutModel, Environment
 from .errors import (
     BridgeDecodeError,
     BridgeProtocolError,
-    EpisodeProtocolError,
     InvalidActionError,
     RemoteDutError,
     TransportError,
 )
 
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 DEFAULT_TIMEOUT = 30.0
+# The longest request line served, newline included.
+MAX_LINE_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
-class Reset:
+class Episode:
     seed: int
-
-
-@dataclass(frozen=True)
-class ResetAck:
-    pass
-
-
-@dataclass(frozen=True)
-class Step:
     action: tuple[float, ...]
 
 
 @dataclass(frozen=True)
-class StepAck:
+class Counts:
     counts: tuple[int, ...]
 
 
@@ -86,13 +77,11 @@ class Error:
     detail: str
 
 
-BridgeMessage = Reset | ResetAck | Step | StepAck | Hello | Error
+BridgeMessage = Episode | Counts | Hello | Error
 
 _FIELDS = {
-    "reset": ("seed",),
-    "reset_ack": (),
-    "step": ("action",),
-    "step_ack": ("counts",),
+    "episode": ("seed", "action"),
+    "counts": ("counts",),
     "hello": ("protocol_version", "action_space", "events"),
     "error": ("code", "detail"),
 }
@@ -182,14 +171,14 @@ def _unsigned(x) -> int:
 
 def encode(msg: BridgeMessage) -> bytes:
     """One message per line: compact JSON with the variant in ``type``."""
-    if isinstance(msg, Reset):
-        body = {"type": "reset", "seed": _unsigned(msg.seed)}
-    elif isinstance(msg, ResetAck):
-        body = {"type": "reset_ack"}
-    elif isinstance(msg, Step):
-        body = {"type": "step", "action": [_wire_num(x) for x in msg.action]}
-    elif isinstance(msg, StepAck):
-        body = {"type": "step_ack", "counts": [int(c) for c in msg.counts]}
+    if isinstance(msg, Episode):
+        body = {
+            "type": "episode",
+            "seed": _unsigned(msg.seed),
+            "action": [_wire_num(x) for x in msg.action],
+        }
+    elif isinstance(msg, Counts):
+        body = {"type": "counts", "counts": [int(c) for c in msg.counts]}
     elif isinstance(msg, Hello):
         body = {
             "type": "hello",
@@ -235,14 +224,10 @@ def decode(line: bytes | str) -> BridgeMessage:
     if extra:
         raise BridgeDecodeError(f"unknown field: {sorted(extra)[0]}")
 
-    if mtype == "reset":
-        return Reset(seed=_unsigned(obj["seed"]))
-    if mtype == "reset_ack":
-        return ResetAck()
-    if mtype == "step":
-        return Step(action=_real_list(obj["action"]))
-    if mtype == "step_ack":
-        return StepAck(counts=_count_list(obj["counts"]))
+    if mtype == "episode":
+        return Episode(seed=_unsigned(obj["seed"]), action=_real_list(obj["action"]))
+    if mtype == "counts":
+        return Counts(counts=_count_list(obj["counts"]))
     if mtype == "hello":
         version = obj["protocol_version"]
         if isinstance(version, bool) or not isinstance(version, int):
@@ -268,30 +253,31 @@ def _send(wfile, msg: BridgeMessage) -> None:
 
 
 def serve_dut(dut: DutModel, rfile, wfile) -> None:
-    """Serve one session: hello, then answer reset/step until the stream closes.
+    """Serve one session: hello, then answer episode requests until the stream closes.
 
-    Episodes run through an ``Environment`` without multipliers, so the
-    episode rules are the in-process ones. Decode failures, protocol
+    Each request runs through an ``Environment`` without multipliers, so
+    the action checks are the in-process ones. Decode failures, protocol
     violations and design-model faults are answered with error messages
-    and the session continues; only transport closure ends it.
+    and the session continues. It ends when the transport closes, or after
+    the ``decode`` error that answers a line longer than
+    ``MAX_LINE_BYTES``: the rest of that line is never read.
     """
     env = Environment(dut)
     _send(wfile, Hello(PROTOCOL_VERSION, env.space, dut.event_names()))
     try:
-        for line in rfile:
+        while line := rfile.readline(MAX_LINE_BYTES):
+            if len(line) == MAX_LINE_BYTES and not line.endswith(b"\n"):
+                _send(wfile, Error("decode", f"line longer than {MAX_LINE_BYTES} bytes"))
+                return
             try:
                 msg = decode(line)
-                if isinstance(msg, Reset):
+                if isinstance(msg, Episode):
                     env.reset(msg.seed)
-                    reply = ResetAck()
-                elif isinstance(msg, Step):
-                    reply = StepAck(env.step(Action(msg.action)).counts)
+                    reply = Counts(env.step(Action(msg.action)).counts)
                 else:
                     reply = Error("protocol", f"unexpected message type {type(msg).__name__}")
             except BridgeDecodeError as exc:
                 reply = Error("decode", str(exc))
-            except EpisodeProtocolError as exc:
-                reply = Error("protocol", str(exc))
             except InvalidActionError as exc:
                 reply = Error("invalid_action", exc.violations[0].message)
             except Exception as exc:  # noqa: BLE001 - reported to the peer
@@ -329,12 +315,8 @@ class DutProxy(DutModel):
             )
         return reply
 
-    def reset(self, seed: int) -> None:
-        self._request(Reset(int(seed)), ResetAck)
-
-    def step(self, action: Action, rng=None) -> tuple[int, ...]:
-        # rng is unused: stimulus randomness lives on the serving side.
-        return self._request(Step(tuple(action.values)), StepAck).counts
+    def step(self, action: Action, seed: int) -> tuple[int, ...]:
+        return self._request(Episode(int(seed), tuple(action.values)), Counts).counts
 
     def event_names(self):
         return self._hello.events

@@ -1,21 +1,22 @@
-"""Episode protocol: reset, step, and the design-model contract.
+"""Episodes, the design-model contract, and the campaign loop.
 
-An episode is one ``reset(seed)`` followed by one ``step(action)``, as in
-a bandit: the agent picks knob values once, the design model expands them
-into stimulus and simulates it, and the episode ends. A step validates the
-action, hands it to the design model together with the episode's stimulus
-random stream, and returns the per-event counts and the
-multiplier-weighted reward. A second step needs a new reset, and so does a
-step whose design model raised: its stream is already partly spent.
+An episode is a pure function of its seed and its action, as in a bandit:
+the agent picks knob values once, the design model expands them into
+stimulus from the seed's random stream and simulates it, and the episode
+ends. ``Environment.reset(seed)`` only records the seed; ``step(action)``
+validates the action, calls ``dut.step(action, seed)``, and returns the
+per-event counts and the multiplier-weighted reward. A repeated or retried
+step replays the same episode.
 
 Seeding is split so any episode can be replayed in isolation:
 
-* ``episode_seed(campaign_seed, i)`` derives episode i's reset seed;
-* ``stimulus_rng(reset_seed)`` builds the stream the design model consumes.
+* ``episode_seed(campaign_seed, i)`` derives episode i's seed;
+* ``stimulus_rng(seed)`` builds the stream the design model draws from,
+  inside its ``step``.
 
-A bridged design receives the same reset seed over the wire and rebuilds
-the identical stream on its side, which is what makes in-process and
-bridged campaigns byte-identical.
+A bridged design receives the same seed over the wire and builds the
+identical stream on its side, which is what makes in-process and bridged
+campaigns byte-identical.
 """
 
 from __future__ import annotations
@@ -69,16 +70,16 @@ class EpisodeRecord:
 class DutModel(ABC):
     """Behavioral contract any design model (local or bridged) satisfies.
 
-    ``step`` must be deterministic given the post-reset state, the action,
-    and the random stream's state.
+    ``step`` must be a pure function of the action and the seed: a design
+    that keeps state resets it at the top of ``step``.
     """
 
     def reset(self, seed: int) -> None:
-        """Put the design in its initial state; a design with no state inherits this no-op."""
+        """Never called by covsteer; kept only because ``bench/tracer.py`` binds it by name."""
 
     @abstractmethod
-    def step(self, action: Action, rng: np.random.Generator) -> CoverageCounts:
-        """Expand the action into stimulus, simulate it, and report event counts."""
+    def step(self, action: Action, seed: int) -> CoverageCounts:
+        """Expand the action into stimulus from ``stimulus_rng(seed)``, simulate, count events."""
 
     @abstractmethod
     def event_names(self) -> tuple[str, ...]:
@@ -90,7 +91,7 @@ class DutModel(ABC):
 
 
 class Environment:
-    """Binds a design model to an event/multiplier list and enforces the episode protocol."""
+    """Binds a design model to an event/multiplier list and runs its episodes."""
 
     def __init__(self, dut: DutModel, multipliers: Mapping[str, float] | None = None):
         self.dut = dut
@@ -104,28 +105,20 @@ class Environment:
             EventSpec(id=i, name=n, multiplier=float(mult.get(n, 0.0)))
             for i, n in enumerate(names)
         )
-        # The open episode's stimulus stream: set by reset, spent by its step.
-        self._rng: np.random.Generator | None = None
+        self._seed: int | None = None
 
     def reset(self, seed: int) -> None:
-        """Start a new episode; a reset discards the open one, even when it fails."""
-        self._rng = None
-        self.dut.reset(int(seed))
-        self._rng = stimulus_rng(seed)
+        """Record the seed of the episodes that ``step`` runs; the design model is not called."""
+        self._seed = int(seed)
 
     def step(self, action: Action) -> StepResult:
-        """Run the episode's one step.
-
-        A rejected action leaves the episode open; once the design model is
-        called, the episode is over, whether it returns or raises.
-        """
-        if self._rng is None:
-            raise EpisodeProtocolError("step needs a fresh reset")
+        """Run the episode of the last reset's seed with this action."""
+        if self._seed is None:
+            raise EpisodeProtocolError("step needs a reset first")
         violations = validate(self.space, action)
         if violations:
             raise InvalidActionError(violations)
-        rng, self._rng = self._rng, None
-        counts = tuple(int(c) for c in self.dut.step(action, rng))
+        counts = tuple(int(c) for c in self.dut.step(action, self._seed))
         return StepResult(reward=compute_reward(counts, self.events), counts=counts)
 
 

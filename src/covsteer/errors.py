@@ -18,11 +18,7 @@ class InvalidActionError(CovsteerError):
 
 
 class EpisodeProtocolError(CovsteerError):
-    """A step was called without a fresh reset.
-
-    That is: before the first reset, twice in one episode, or after a step
-    whose design model raised.
-    """
+    """An environment was stepped before its first reset gave it a seed."""
 
 
 class ScoreboardError(CovsteerError):

@@ -50,6 +50,9 @@ from math import gcd
 
 import numpy as np
 
+# Designs call env.stimulus_rng through the module, so a rebinding of it
+# (as the benchmark tracer does) reaches every episode.
+from . import env
 from .actionspace import Action, ActionSpace, KnobSpec
 from .coverage import CoverageCounts
 from .env import DutModel
@@ -95,7 +98,7 @@ class RleOutput:
 
 @dataclass(frozen=True)
 class RleStimulus:
-    sequence: tuple[int, ...]
+    sequence: np.ndarray  # int64 words
     count_width: int
 
 
@@ -109,8 +112,7 @@ def decode_action(action: Action, rng: np.random.Generator) -> RleStimulus:
     n = int(seq_length)
     zero_mask = rng.random(n) < zero_prob
     words = rng.integers(1, MAX_WORD + 1, size=n)
-    seq = np.where(zero_mask, 0, words)
-    return RleStimulus(sequence=tuple(seq.tolist()), count_width=int(count_width))
+    return RleStimulus(sequence=np.where(zero_mask, 0, words), count_width=int(count_width))
 
 
 def rle_run(config: RleConfig, sequence) -> tuple[CoverageCounts, RleOutput]:
@@ -197,7 +199,7 @@ def rle_golden(config: RleConfig, sequence) -> tuple[CoverageCounts, RleOutput]:
     cw = config.count_width
     cap = ZC_CAPACITY_BITS
     saturation = (1 << cw) - 1
-    seq = np.fromiter(sequence, dtype=np.int64)
+    seq = np.asarray(sequence, dtype=np.int64)
     n = len(seq)
     # The zero mask, padded with a non-zero on each side so that every zero
     # run has a rising and a falling edge.
@@ -345,10 +347,10 @@ class RleDut(DutModel):
     step also starts a fresh compressor, so there is nothing to reset.
     """
 
-    def step(self, action: Action, rng: np.random.Generator) -> CoverageCounts:
-        stim = decode_action(action, rng)
+    def step(self, action: Action, seed: int) -> CoverageCounts:
+        stim = decode_action(action, env.stimulus_rng(seed))
         config = RleConfig(count_width=stim.count_width)
-        counts, output = rle_run(config, stim.sequence)
+        counts, output = rle_run(config, stim.sequence.tolist())
         golden_counts, golden_output = rle_golden(config, stim.sequence)
         if golden_output != output:
             raise ScoreboardError(

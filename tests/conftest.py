@@ -2,6 +2,7 @@ import hypothesis
 from hypothesis import strategies as st
 
 from covsteer.actionspace import ActionSpace, KnobSpec
+from covsteer.env import stimulus_rng
 from covsteer.rle import RleDut
 
 hypothesis.settings.register_profile("suite", deadline=None, max_examples=100)
@@ -51,9 +52,9 @@ class StreamThenFault(RleDut):
     def __init__(self):
         self.faults_left = 1
 
-    def step(self, action, rng):
+    def step(self, action, seed):
         if self.faults_left:
             self.faults_left -= 1
-            rng.random(100)
+            stimulus_rng(seed).random(100)
             raise RuntimeError("transient fault")
-        return super().step(action, rng)
+        return super().step(action, seed)

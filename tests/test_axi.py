@@ -126,8 +126,7 @@ class TestSimulation:
     def test_dut_step_reports_the_simulated_counts_every_episode(self):
         dut = AxiDut()
         for _ in range(2):  # no state carries over between episodes
-            dut.reset(3)
-            counts = dut.step(Action((4, 5)), np.random.default_rng(3))
+            counts = dut.step(Action((4, 5)), 3)
             assert counts == run_episode((4, 5), seed=3)[0]
 
 
@@ -256,9 +255,8 @@ class TestAxiDut:
 
         monkeypatch.setattr(axi_mod, "simulate_step", corrupted)
         dut = AxiDut()
-        dut.reset(0)
         with pytest.raises(ScoreboardError, match="fifo_order"):
-            dut.step(Action((4, 4)), np.random.default_rng(0))
+            dut.step(Action((4, 4)), 0)
 
     def test_scoreboard_catches_miscounted_full_cycles(self, monkeypatch):
         import covsteer.axi as axi_mod
@@ -275,7 +273,7 @@ class TestAxiDut:
         for _ in range(50):
             action = Action(tuple(int(v) for v in rng.integers(0, 10, size=2)))
             with pytest.raises(ScoreboardError, match="full_counts"):
-                dut.step(action, np.random.default_rng(int(rng.integers(1 << 30))))
+                dut.step(action, int(rng.integers(1 << 30)))
 
     def test_scoreboard_catches_a_faulty_address_decoder(self, monkeypatch):
         # The model and the scoreboard must not share the decoder: a model
@@ -291,7 +289,7 @@ class TestAxiDut:
         for _ in range(50):
             action = Action(tuple(int(v) for v in rng.integers(0, 10, size=2)))
             with pytest.raises(ScoreboardError, match="routing"):
-                dut.step(action, np.random.default_rng(int(rng.integers(1 << 30))))
+                dut.step(action, int(rng.integers(1 << 30)))
 
     def test_config_is_pinned_to_paper_instance(self):
         with pytest.raises(TypeError):

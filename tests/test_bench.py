@@ -3,11 +3,12 @@
 It rebinds module and class attributes to time each layer and checks its
 artifacts against recorded digests, so a refactor that renames a hook or
 changes an artifact byte breaks it. This runs one traced campaign of each
-in-process workload the way the benchmark does and checks both.
+workload the way the benchmark does and checks both.
 """
 
 import hashlib
 import json
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -15,8 +16,8 @@ from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 ARTIFACTS = ("episodes.csv", "summary.json", "histograms.csv")
+ENDPOINT = re.compile(rb'"bridge:127\.0\.0\.1:\d+"')
 PER_EPISODE_SPANS = (
-    "dut.reset",
     "dut.step",
     "env.step",
     "agents.propose",
@@ -38,9 +39,12 @@ def check_traced_campaign(tmp_path, workload, episodes, spans_per_episode):
     assert proc.returncode == 0, proc.stderr.decode()
 
     recorded = json.loads((BENCH / "digests.json").read_text())[workload]["seeds"]["0"]
-    digests = {
-        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in ARTIFACTS
-    }
+    digests = {}
+    for name in ARTIFACTS:
+        data = (tmp_path / name).read_bytes()
+        if name == "summary.json":  # a bridged run names the server's port
+            data = ENDPOINT.sub(b'"bridge:127.0.0.1:PORT"', data)
+        digests[name] = hashlib.sha256(data).hexdigest()
     assert digests == recorded
 
     result = json.loads((tmp_path / "result.json").read_text())
@@ -48,10 +52,18 @@ def check_traced_campaign(tmp_path, workload, episodes, spans_per_episode):
     assert {name: spans[name] for name in spans_per_episode} == dict.fromkeys(
         spans_per_episode, episodes
     )
+    return result
 
 
 def test_traced_rle_cem_campaign_matches_recorded_digests(tmp_path):
     check_traced_campaign(tmp_path, "rle_cem", 1000, PER_EPISODE_SPANS)
+
+
+def test_traced_bridged_campaign_sends_one_request_per_episode(tmp_path):
+    result = check_traced_campaign(tmp_path, "rle_cem_bridged", 1000, PER_EPISODE_SPANS)
+    sent = sum(span[0] in ("dut.reset", "dut.step") for span in result["spans"])
+    served = sum(span[0] == "request" for span in result["server"]["spans"])
+    assert sent == served == 1000
 
 
 def test_traced_axi_random_campaign_matches_recorded_digests(tmp_path):

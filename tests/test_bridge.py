@@ -10,14 +10,12 @@ from hypothesis import strategies as st
 from covsteer.actionspace import Action, ActionSpace, KnobSpec
 from covsteer.agents import RandomAgent
 from covsteer.bridge import (
+    MAX_LINE_BYTES,
     PROTOCOL_VERSION,
-    DutProxy,
+    Counts,
+    Episode,
     Error,
     Hello,
-    Reset,
-    ResetAck,
-    Step,
-    StepAck,
     connect_dut,
     connect_tcp,
     decode,
@@ -25,7 +23,7 @@ from covsteer.bridge import (
     serve_dut,
     serve_tcp,
 )
-from covsteer.env import Environment, run_campaign, stimulus_rng
+from covsteer.env import Environment, episode_seed, run_campaign
 from covsteer.errors import (
     BridgeDecodeError,
     BridgeProtocolError,
@@ -39,41 +37,51 @@ from conftest import StreamThenFault, json_values
 ACTION = (0.4, 6.0, 300.0)
 
 # Lines that once escaped decode as TypeError, OverflowError, ValueError or
-# RecursionError, and the v1 acknowledgements with their dropped fields.
+# RecursionError, the v1 acknowledgements with their dropped fields, and the
+# v2 messages that split an episode into a reset and a seedless step.
 HOSTILE_LINES = [
     b'{"type":[]}\n',
-    b'{"type":"step","action":[' + b"9" * 400 + b"]}\n",
-    b'{"type":"step","action":[' + b"9" * 5000 + b"]}\n",
-    b'{"type":"step","action":' + b"[" * 10**5 + b"]" * 10**5 + b"}\n",
+    b'{"type":"episode","seed":0,"action":[' + b"9" * 400 + b"]}\n",
+    b'{"type":"episode","seed":0,"action":[' + b"9" * 5000 + b"]}\n",
+    b'{"type":"episode","seed":0,"action":' + b"[" * 10**5 + b"]" * 10**5 + b"}\n",
     b'{"type":"hello","protocol_version":2,"events":[],"action_space":'
     b'{"knobs":[{"name":["a"],"kind":"continuous","lo":0,"hi":1}]}}\n',
-    b'{"type":"step","action":[NaN]}\n',
+    b'{"type":"episode","seed":0,"action":[NaN]}\n',
     b'{"type":"reset_ack","observation":[0,0,0,0]}\n',
     b'{"type":"step_ack","observation":[],"counts":[1],"done":true}\n',
+    b'{"type":"reset","seed":5}\n',
+    b'{"type":"reset_ack"}\n',
+    b'{"type":"step","action":[0.4,6,300]}\n',
 ]
 HOSTILE_IDS = [
     "type_list", "400_digits", "5000_digits", "nested_1e5", "knob_name_list", "nan",
-    "v1_reset_ack", "v1_step_ack",
+    "v1_reset_ack", "v1_step_ack", "v2_reset", "v2_reset_ack", "v2_seedless_step",
 ]
 
 
 class TestEncode:
     def test_step_framing(self):
-        line = encode(Step(action=(0.4, 6.0, 300.0)))
-        assert line == b'{"type":"step","action":[0.4,6,300]}\n'
+        # one request carries the episode's seed and its action
+        line = encode(Episode(seed=0, action=(0.4, 6.0, 300.0)))
+        assert line == b'{"type":"episode","seed":0,"action":[0.4,6,300]}\n'
+        assert encode(Counts(counts=(3, 0))) == b'{"type":"counts","counts":[3,0]}\n'
 
     def test_reset_framing(self):
-        assert encode(Reset(seed=0)) == b'{"type":"reset","seed":0}\n'
-        assert encode(ResetAck()) == b'{"type":"reset_ack"}\n'
+        # v3 has no reset message: the seed it carried is framed in the
+        # episode request, as an exact JSON integer over the 64-bit range
+        for seed in (0, 2**64 - 1):
+            line = encode(Episode(seed=seed, action=(0.4,)))
+            assert line == b'{"type":"episode","seed":%d,"action":[0.4]}\n' % seed
+            assert decode(line) == Episode(seed, (0.4,))
 
     def test_single_trailing_newline_only(self):
-        line = encode(StepAck(counts=(3,)))
+        line = encode(Counts(counts=(3,)))
         assert line.endswith(b"\n")
         assert b"\n" not in line[:-1]
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            encode(Step(action=(float("nan"),)))
+            encode(Episode(seed=0, action=(float("nan"),)))
 
 
 class TestDecode:
@@ -83,15 +91,15 @@ class TestDecode:
 
     def test_missing_field(self):
         with pytest.raises(BridgeDecodeError, match="missing field"):
-            decode(b'{"type":"step"}\n')
+            decode(b'{"type":"episode","seed":1}\n')
 
     def test_extra_field_rejected(self):
         with pytest.raises(BridgeDecodeError, match="unknown field"):
-            decode(b'{"type":"reset","seed":1,"bonus":2}\n')
+            decode(b'{"type":"episode","seed":1,"action":[],"bonus":2}\n')
 
     def test_valid_step_ack(self):
-        msg = decode(b'{"type":"step_ack","counts":[1,0]}\n')
-        assert msg == StepAck(counts=(1, 0))
+        msg = decode(b'{"type":"counts","counts":[1,0]}\n')
+        assert msg == Counts(counts=(1, 0))
 
     def test_invalid_json(self):
         with pytest.raises(BridgeDecodeError, match="invalid JSON"):
@@ -99,11 +107,11 @@ class TestDecode:
 
     def test_negative_count_rejected(self):
         with pytest.raises(BridgeDecodeError):
-            decode(b'{"type":"step_ack","counts":[-1]}\n')
+            decode(b'{"type":"counts","counts":[-1]}\n')
 
     def test_boolean_not_a_number(self):
         with pytest.raises(BridgeDecodeError):
-            decode(b'{"type":"step","action":[true]}\n')
+            decode(b'{"type":"episode","seed":1,"action":[true]}\n')
 
     @pytest.mark.parametrize("line", HOSTILE_LINES, ids=HOSTILE_IDS)
     def test_hostile_lines_rejected(self, line):
@@ -117,15 +125,11 @@ real_vectors = st.lists(finite_reals, max_size=6).map(tuple)
 
 @st.composite
 def bridge_messages(draw):
-    variant = draw(st.sampled_from(["reset", "reset_ack", "step", "step_ack", "hello", "error"]))
-    if variant == "reset":
-        return Reset(seed=draw(st.integers(0, 2**63 - 1)))
-    if variant == "reset_ack":
-        return ResetAck()
-    if variant == "step":
-        return Step(action=draw(real_vectors))
-    if variant == "step_ack":
-        return StepAck(counts=tuple(draw(st.lists(st.integers(0, 10**9), max_size=6))))
+    variant = draw(st.sampled_from(["episode", "counts", "hello", "error"]))
+    if variant == "episode":
+        return Episode(seed=draw(st.integers(0, 2**64 - 1)), action=draw(real_vectors))
+    if variant == "counts":
+        return Counts(counts=tuple(draw(st.lists(st.integers(0, 10**9), max_size=6))))
     if variant == "hello":
         knobs = [KnobSpec.continuous("a", -1.0, 2.5), KnobSpec.discrete("b", [1, 4, 9])]
         return Hello(
@@ -147,7 +151,7 @@ _KNOB_PAYLOADS = st.fixed_dictionaries(
     {"name": json_values, "kind": st.just("discrete"), "values": json_values}
 )
 _MESSAGE_SHAPES = st.fixed_dictionaries(
-    {"type": st.sampled_from(["reset", "reset_ack", "step", "step_ack", "hello", "error"])
+    {"type": st.sampled_from(["episode", "counts", "hello", "error"])
      | json_values},
     optional={
         "seed": json_values,
@@ -222,64 +226,68 @@ class TestServeSession:
 
     def test_bridged_step_matches_in_process(self, session):
         seed = 123
-        assert session.request(Reset(seed)) == ResetAck()
-        step_ack = session.request(Step(ACTION))
-
-        dut = RleDut()
-        dut.reset(seed)
-        assert step_ack == StepAck(dut.step(Action(ACTION), stimulus_rng(seed)))
-
-    def test_step_before_reset_is_protocol_error(self, session):
-        reply = session.request(Step((0.4, 6.0, 300.0)))
-        assert isinstance(reply, Error) and reply.code == "protocol"
-
-    def test_step_after_done_is_protocol_error(self, session):
-        session.request(Reset(1))
-        session.request(Step((0.4, 6.0, 300.0)))
-        reply = session.request(Step((0.4, 6.0, 300.0)))
-        assert isinstance(reply, Error) and reply.code == "protocol"
+        reply = session.request(Episode(seed, ACTION))
+        assert reply == Counts(RleDut().step(Action(ACTION), seed))
 
     def test_garbage_line_then_normal_continuation(self, session):
         session.send_raw(b"garbage not json\n")
         reply = decode(session.rfile.readline())
         assert isinstance(reply, Error) and reply.code == "decode"
-        ack = session.request(Reset(5))
-        assert isinstance(ack, ResetAck)
+        assert isinstance(session.request(Episode(5, ACTION)), Counts)
 
     def test_invalid_action_reported(self, session):
-        session.request(Reset(1))
-        reply = session.request(Step((9.0, 6.0, 300.0)))
+        reply = session.request(Episode(1, (9.0, 6.0, 300.0)))
         assert isinstance(reply, Error) and reply.code == "invalid_action"
 
     def test_unexpected_server_message_rejected(self, session):
-        reply = session.request(ResetAck())
+        reply = session.request(Counts((1, 0, 0, 0)))
         assert isinstance(reply, Error) and reply.code == "protocol"
+
+    def test_step_after_done_is_protocol_error(self, session):
+        # No episode stays open on the wire: after one is done, a message
+        # only the serving side sends (its own counts, echoed) is the
+        # protocol error, and the repeated request replays the episode.
+        done = session.request(Episode(1, ACTION))
+        assert isinstance(done, Counts)
+        reply = session.request(done)
+        assert isinstance(reply, Error) and reply.code == "protocol"
+        assert session.request(Episode(1, ACTION)) == done
 
     def test_dut_fault_reported_and_session_survives(self):
         class FaultyDut(RleDut):
-            def step(self, action, rng):
+            def step(self, action, seed):
                 raise RuntimeError("internal explosion")
 
         s = Session(dut_factory=FaultyDut)
         try:
-            s.request(Reset(1))
-            reply = s.request(Step((0.4, 6.0, 300.0)))
-            assert isinstance(reply, Error) and reply.code == "dut_fault"
-            assert isinstance(s.request(Reset(2)), ResetAck)
+            for seed in (1, 2):
+                reply = s.request(Episode(seed, ACTION))
+                assert isinstance(reply, Error) and reply.code == "dut_fault"
         finally:
             s.close()
 
     def test_retry_after_dut_fault_is_protocol_error(self):
+        # A dut_fault leaves no episode open on the wire: echoing the error
+        # back is the protocol error, and the retried request runs a fresh
+        # episode despite the stream the fault spent.
         s = Session(dut_factory=StreamThenFault)
         try:
-            s.request(Reset(4))
-            assert s.request(Step(ACTION)).code == "dut_fault"
-            # the fault spent part of the episode's stream: only a new reset replays it
-            reply = s.request(Step(ACTION))
+            fault = s.request(Episode(4, ACTION))
+            assert isinstance(fault, Error) and fault.code == "dut_fault"
+            reply = s.request(fault)
             assert isinstance(reply, Error) and reply.code == "protocol"
-            s.request(Reset(4))
-            expected = RleDut().step(Action(ACTION), stimulus_rng(4))
-            assert s.request(Step(ACTION)) == StepAck(expected)
+            assert s.request(Episode(4, ACTION)) == Counts(RleDut().step(Action(ACTION), 4))
+        finally:
+            s.close()
+
+    def test_retry_after_dut_fault_replays_the_episode(self):
+        s = Session(dut_factory=StreamThenFault)
+        try:
+            assert s.request(Episode(4, ACTION)).code == "dut_fault"
+            expected = Counts(RleDut().step(Action(ACTION), 4))
+            # the retry, and a repeat after it, reproduce a fresh episode
+            assert s.request(Episode(4, ACTION)) == expected
+            assert s.request(Episode(4, ACTION)) == expected
         finally:
             s.close()
 
@@ -288,8 +296,40 @@ class TestServeSession:
         session.send_raw(line)
         reply = decode(session.rfile.readline())
         assert isinstance(reply, Error) and reply.code == "decode"
-        assert session.request(Reset(5)) == ResetAck()
-        assert isinstance(session.request(Step(ACTION)), StepAck)
+        assert isinstance(session.request(Episode(5, ACTION)), Counts)
+
+    def test_longest_line_is_served(self, session):
+        request = encode(Episode(5, ACTION))
+        padded = request[:-1] + b" " * (MAX_LINE_BYTES - len(request)) + b"\n"
+        session.send_raw(padded)
+        assert decode(session.rfile.readline()) == session.request(Episode(5, ACTION))
+
+    def test_flooding_peer_gets_a_decode_error_and_the_session_ends(self, session):
+        # A peer that never ends its line: the serving side reads at most
+        # MAX_LINE_BYTES of it, answers once, and closes.
+        def flood():
+            chunk = b"9" * 65536
+            try:
+                for _ in range(4 * MAX_LINE_BYTES // len(chunk)):
+                    session.client.sendall(chunk)
+            except OSError:
+                pass  # the serving side closed mid-flood
+
+        flooder = threading.Thread(target=flood, daemon=True)
+        flooder.start()
+        reply = decode(session.rfile.readline())
+        assert isinstance(reply, Error) and reply.code == "decode"
+        assert "longer than" in reply.detail
+        # closing with the flood unread makes the close a reset
+        try:
+            rest = session.rfile.readline()
+        except ConnectionResetError:
+            rest = b""
+        assert rest == b""
+        session.thread.join(timeout=5)
+        assert not session.thread.is_alive()
+        flooder.join(timeout=5)
+        assert not flooder.is_alive()
 
 
 def proxy_session(dut_factory=RleDut):
@@ -324,12 +364,44 @@ class TestProxy:
             proxy.close()
             thread.join(timeout=5)
 
+    def test_bridged_campaign_sends_one_request_line_per_episode(self):
+        client, server = socket.socketpair()
+        received = []
+
+        class RecordingReader:
+            def __init__(self, rfile):
+                self.rfile = rfile
+
+            def readline(self, limit):
+                line = self.rfile.readline(limit)
+                received.append(line)
+                return line
+
+        def serve():
+            with server:
+                serve_dut(RleDut(), RecordingReader(server.makefile("rb")), server.makefile("wb"))
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        proxy = connect_dut(client.makefile("rb"), client.makefile("wb"), sock=client)
+        try:
+            env = Environment(proxy)
+            run_campaign(env, RandomAgent(env.space), 25, seed=3)
+        finally:
+            proxy.close()
+            thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert received[-1] == b""  # the session ended at the close
+        assert [decode(line).seed for line in received[:-1]] == [
+            episode_seed(3, ep) for ep in range(25)
+        ]
+
     def test_remote_error_raises(self):
         proxy, thread = proxy_session()
         try:
             with pytest.raises(RemoteDutError) as exc:
-                proxy.step(Action((0.4, 6.0, 300.0)), None)
-            assert exc.value.code == "protocol"
+                proxy.step(Action((9.0, 6.0, 300.0)), 0)
+            assert exc.value.code == "invalid_action"
         finally:
             proxy.close()
             thread.join(timeout=5)
@@ -344,31 +416,33 @@ class TestProxy:
                 hello = Hello(PROTOCOL_VERSION, RleDut().action_space(), RleDut().event_names())
                 wfile.write(encode(hello))
                 wfile.flush()
-                rfile.readline()  # swallow the reset, then drop the connection
+                rfile.readline()  # swallow the request, then drop the connection
 
         thread = threading.Thread(target=serve_then_die, daemon=True)
         thread.start()
         proxy = connect_dut(client.makefile("rb"), client.makefile("wb"), sock=client)
         with pytest.raises(TransportError):
-            proxy.reset(0)
+            proxy.step(Action(ACTION), 0)
         proxy.close()
         thread.join(timeout=5)
 
     def test_version_gate(self):
-        client, server = socket.socketpair()
+        # v1 sent observations; v2 split each episode into a reset and a step
+        for version in (1, 2):
+            client, server = socket.socketpair()
 
-        def v1_server():
-            with server:
-                wfile = server.makefile("wb")
-                wfile.write(encode(Hello(1, RleDut().action_space(), ("x",))))
-                wfile.flush()
+            def old_server():
+                with server:
+                    wfile = server.makefile("wb")
+                    wfile.write(encode(Hello(version, RleDut().action_space(), ("x",))))
+                    wfile.flush()
 
-        thread = threading.Thread(target=v1_server, daemon=True)
-        thread.start()
-        with pytest.raises(BridgeProtocolError, match="protocol_version"):
-            connect_dut(client.makefile("rb"), client.makefile("wb"), sock=client)
-        client.close()
-        thread.join(timeout=5)
+            thread = threading.Thread(target=old_server, daemon=True)
+            thread.start()
+            with pytest.raises(BridgeProtocolError, match="protocol_version"):
+                connect_dut(client.makefile("rb"), client.makefile("wb"), sock=client)
+            client.close()
+            thread.join(timeout=5)
 
     def test_closed_before_hello(self):
         client, server = socket.socketpair()

@@ -12,7 +12,7 @@ from covsteer.actionspace import Action
 from covsteer.bridge import connect_dut, serve_tcp
 from covsteer.cli import cmd_report, cmd_run, main
 from covsteer.config import build_config
-from covsteer.env import episode_seed, stimulus_rng
+from covsteer.env import episode_seed
 from covsteer.errors import ReportError
 from covsteer.reporting import read_episode_log
 from covsteer.rle import RleDut
@@ -101,9 +101,8 @@ class TestCmdRun:
         for row in range(len(log.episodes)):
             episode = log.episodes[row]
             seed = episode_seed(cfg.seed, episode)
-            dut.reset(seed)
             action = Action(tuple(col[row] for col in log.knob_values))
-            counts = dut.step(action, stimulus_rng(seed))
+            counts = dut.step(action, seed)
             assert counts == tuple(col[row] for col in log.counts)
 
     def test_axi_run(self, tmp_path):
@@ -247,12 +246,7 @@ class TestServeStdio:
         try:
             proxy = connect_dut(proc.stdout, proc.stdin)
             seed, action = 42, Action((0.4, 6.0, 300.0))
-            proxy.reset(seed)
-            counts = proxy.step(action, None)
-
-            dut = RleDut()
-            dut.reset(seed)
-            assert counts == dut.step(action, stimulus_rng(seed))
+            assert proxy.step(action, seed) == RleDut().step(action, seed)
         finally:
             proc.stdin.close()
             proc.stdout.close()
@@ -276,8 +270,7 @@ class TestServeTcpCli:
             proxy = connect_tcp("127.0.0.1", port, timeout=10)
             try:
                 assert proxy.event_names()[4] == "fifo_full_slave_4"
-                proxy.reset(1)
-                counts = proxy.step(Action((4.0, 4.0)), None)
+                counts = proxy.step(Action((4.0, 4.0)), 1)
                 assert counts[4] == 65
             finally:
                 proxy.close()
@@ -303,16 +296,7 @@ class TestBridgeAbort:
         """Minimal server that answers a few episodes, then drops the link."""
         import socket as socket_mod
 
-        from covsteer.bridge import (
-            PROTOCOL_VERSION,
-            Hello,
-            Reset,
-            ResetAck,
-            StepAck,
-            decode,
-            encode,
-        )
-        from covsteer.env import stimulus_rng
+        from covsteer.bridge import PROTOCOL_VERSION, Counts, Hello, decode, encode
 
         server = socket_mod.socket()
         server.bind(("127.0.0.1", 0))
@@ -328,16 +312,9 @@ class TestBridgeAbort:
                     encode(Hello(PROTOCOL_VERSION, dut.action_space(), dut.event_names()))
                 )
                 wfile.flush()
-                rng = None
-                answered = 0
-                while answered < episodes_before_death:
+                for _ in range(episodes_before_death):
                     msg = decode(rfile.readline())
-                    if isinstance(msg, Reset):
-                        rng = stimulus_rng(msg.seed)
-                        wfile.write(encode(ResetAck()))
-                    else:
-                        wfile.write(encode(StepAck(dut.step(Action(msg.action), rng))))
-                        answered += 1
+                    wfile.write(encode(Counts(dut.step(Action(msg.action), msg.seed))))
                     wfile.flush()
             server.close()
 

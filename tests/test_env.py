@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from covsteer.actionspace import Action
+from covsteer.actionspace import Action, ActionSpace, KnobSpec
 from covsteer.agents import RandomAgent
 from covsteer.coverage import compute_reward
-from covsteer.env import Environment, episode_seed, run_campaign
+from covsteer.env import DutModel, Environment, episode_seed, run_campaign
 from covsteer.errors import EpisodeProtocolError, InvalidActionError
 from covsteer.rle import RleDut
 
@@ -23,7 +23,7 @@ class TestReset:
         env = rle_env()
         env.reset(seed=1)
         env.reset(seed=2)
-        # the open episode was discarded: the step runs on seed 2's stream
+        # the step runs the episode of the last reset's seed
         fresh = rle_env()
         fresh.reset(seed=2)
         action = Action((0.4, 6, 300))
@@ -64,46 +64,54 @@ class TestStep:
             env.step(Action((0.4, 6, 300)))
 
     def test_step_after_done(self):
-        env = rle_env()
+        # an episode is a function of its seed and action: a second step replays it
+        env = rle_env({"e3_partial_count": 1.0})
         env.reset(seed=0)
-        env.step(Action((0.4, 6, 300)))
-        with pytest.raises(EpisodeProtocolError):
-            env.step(Action((0.4, 6, 300)))
+        first = env.step(Action((0.4, 6, 300)))
+        assert env.step(Action((0.4, 6, 300))) == first
 
     def test_invalid_action_leaves_episode_usable(self):
         env = rle_env()
         env.reset(seed=0)
         with pytest.raises(InvalidActionError):
             env.step(Action((1.5, 6, 300)))
-        env.step(Action((0.4, 6, 300)))
-        with pytest.raises(EpisodeProtocolError):
-            env.step(Action((0.4, 6, 300)))
+        fresh = rle_env()
+        fresh.reset(seed=0)
+        assert env.step(Action((0.4, 6, 300))) == fresh.step(Action((0.4, 6, 300)))
 
-    def test_faulted_step_ends_the_episode(self):
+    def test_retried_step_after_fault_replays_the_episode(self):
         env = Environment(StreamThenFault())
         env.reset(seed=4)
         with pytest.raises(RuntimeError, match="transient fault"):
             env.step(Action((0.4, 6, 300)))
-        # the stream is partly spent: a retry on it would not replay the seed
-        with pytest.raises(EpisodeProtocolError):
-            env.step(Action((0.4, 6, 300)))
-        env.reset(seed=4)
+        # the faulted step drew from its own stream; the retry builds a fresh one
         fresh = rle_env()
         fresh.reset(seed=4)
         assert env.step(Action((0.4, 6, 300))) == fresh.step(Action((0.4, 6, 300)))
 
-    def test_failed_reset_discards_the_open_episode(self):
-        class ResetFault(RleDut):
-            def reset(self, seed):
-                if seed == 2:
-                    raise RuntimeError("reset fault")
+    def test_design_that_never_draws_gets_no_stream_and_no_reset(self, monkeypatch):
+        import covsteer.env as env_mod
 
-        env = Environment(ResetFault())
-        env.reset(seed=1)
-        with pytest.raises(RuntimeError, match="reset fault"):
-            env.reset(seed=2)
-        with pytest.raises(EpisodeProtocolError):
-            env.step(Action((0.4, 6, 300)))
+        built = []
+        monkeypatch.setattr(env_mod, "stimulus_rng", built.append)
+
+        class Constant(DutModel):
+            def reset(self, seed):
+                raise AssertionError("the environment reset the design")
+
+            def step(self, action, seed):
+                return (1, seed)
+
+            def event_names(self):
+                return ("one", "seed")
+
+            def action_space(self):
+                return ActionSpace(knobs=(KnobSpec.continuous("x", 0.0, 1.0),))
+
+        env = Environment(Constant(), {"one": 2.0})
+        env.reset(seed=3)
+        assert env.step(Action((0.5,))).counts == (1, 3)
+        assert built == []
 
     def test_unknown_multiplier_rejected(self):
         with pytest.raises(ValueError):
