@@ -14,18 +14,20 @@ no state between episodes. Every cycle:
 3. each FIFO ending the cycle full counts one occurrence of its
    ``fifo_full_slave_<i>`` event.
 
-The full enqueue/dequeue trace is recorded and replayed against an
-independent queue model after every step: order is preserved per FIFO, no
-request enqueues at full or dequeues at empty, and routing matches the
-region bounds. The replay derives each cycle's occupancy from its own
-queues, recounts every slave's full cycles from it, and checks those counts
-against the ones the step returned, so the events the reward is computed
-from are checked too.
+A step draws and decodes all of its addresses at once, then runs the FIFOs
+request by request. Its ``Trace`` is columnar: request ``i`` is master
+``i % N_MASTERS`` in cycle ``i // N_MASTERS``, with its address, routed
+slave and acceptance in three per-request lists, and the dequeues are one
+list of ``(cycle, slave, req_id)`` tuples. After every step the trace is
+replayed against an independent queue model: order is preserved per FIFO,
+no request enqueues at full or dequeues at empty, and routing matches the
+region bounds. The replay recounts every slave's full cycles from its own
+queues and checks them against the counts the step returned, so the events
+the reward is computed from are checked too.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, fields
 from numbers import Integral
@@ -42,7 +44,9 @@ from .errors import AddressDecodeError, ScoreboardError
 
 N_MASTERS = 2
 N_SLAVES = 10
-# A step's trace takes about 0.7 KB per cycle, so this caps it near 70 MB.
+# A step takes at most about 0.35 KB per cycle, so this caps it near 35 MB.
+# (tracemalloc peak of one 100 000-cycle step at the default config: 35 MB
+# with requests spread over all ten slaves, 19 MB with all on one slave.)
 MAX_CYCLES_PER_STEP = 100_000
 
 EVENT_NAMES = tuple(f"fifo_full_slave_{i}" for i in range(N_SLAVES))
@@ -80,7 +84,7 @@ class AxiConfig:
             raise ValueError(f"region_size must be at most {(1 << 63) // N_SLAVES}")
 
 
-# The trace records are plain tuples: a step builds about three per cycle.
+# The per-cycle record view of a Trace; a step builds none of these.
 class EnqueueEvent(NamedTuple):
     master: int
     req_id: int
@@ -100,7 +104,41 @@ class CycleRecord(NamedTuple):
     dequeues: tuple[DequeueEvent, ...]
 
 
-Trace = tuple[CycleRecord, ...]
+@dataclass(frozen=True)
+class Trace:
+    """One step's requests and dequeues, stored as columns.
+
+    Request ``i`` is master ``i % N_MASTERS`` in cycle ``i // N_MASTERS``:
+    ``addrs[i]`` is its address, ``slaves[i]`` the slave the crossbar routed
+    it to and ``accepted[i]`` whether that slave's FIFO took it. Every cycle
+    holds exactly ``N_MASTERS`` requests. ``dequeues`` lists ``(cycle,
+    slave, req_id)`` in the order the FIFOs released them. ``len(trace)``
+    is the cycle count, and iterating yields one ``CycleRecord`` per cycle.
+    """
+
+    addrs: list[int]
+    slaves: list[int]
+    accepted: list[bool]
+    dequeues: list[tuple[int, int, int]]
+    cycles: int
+
+    def __len__(self) -> int:
+        return self.cycles
+
+    def __iter__(self):
+        dequeues = self.dequeues
+        d = 0
+        for cycle in range(self.cycles):
+            base = cycle * N_MASTERS
+            enqueues = tuple(
+                EnqueueEvent(i - base, i, self.addrs[i], self.slaves[i], self.accepted[i])
+                for i in range(base, base + N_MASTERS)
+            )
+            first = d
+            while d < len(dequeues) and dequeues[d][0] == cycle:
+                d += 1
+            released = tuple(DequeueEvent(slave, req_id) for _, slave, req_id in dequeues[first:d])
+            yield CycleRecord(cycle, enqueues, released)
 
 
 @dataclass(frozen=True)
@@ -118,11 +156,15 @@ def decode_action(action: Action, config: AxiConfig) -> tuple[int, int]:
     return lo * config.region_size, (hi + 1) * config.region_size
 
 
-def decode_address(addr: int, config: AxiConfig) -> int:
-    """Address decoder: region index of an in-map address."""
-    if not 0 <= addr < N_SLAVES * config.region_size:
-        raise AddressDecodeError(f"address {addr:#x} outside the slave map")
-    return addr // config.region_size
+def decode_addresses(addrs: np.ndarray, config: AxiConfig) -> np.ndarray:
+    """Address decoder: the region index of every address in an int64 array.
+
+    Raises ``AddressDecodeError`` naming the first address outside the map.
+    """
+    outside = (addrs < 0) | (addrs >= N_SLAVES * config.region_size)
+    if outside.any():
+        raise AddressDecodeError(f"address {int(addrs[outside.argmax()]):#x} outside the slave map")
+    return addrs // config.region_size
 
 
 def simulate_step(
@@ -137,40 +179,36 @@ def simulate_step(
     a_min, a_max = addr_range
     n_cycles = config.cycles_per_step
     depth = config.fifo_depth
-    drain_period = config.drain_period
-    decode = decode_address
+    draw = rng.integers(a_min, a_max, size=n_cycles * N_MASTERS)
+    slaves = decode_addresses(draw, config).tolist()
     fifos = [deque() for _ in range(N_SLAVES)]
     counts = [0] * N_SLAVES
     # A FIFO's full cycles are counted when it stops being full: it ends
     # every cycle from the one it filled in to the one before it drains.
     full_since = [0] * N_SLAVES
-    records: list[CycleRecord] = []
-    addrs = rng.integers(a_min, a_max, size=(n_cycles, N_MASTERS)).tolist()
-    req_id = 0
-    for cycle, cycle_addrs in enumerate(addrs):
-        enqueues = []
-        for master, addr in enumerate(cycle_addrs):
-            slave = decode(addr, config)
-            fifo = fifos[slave]
-            accepted = len(fifo) < depth
-            if accepted:
-                fifo.append(req_id)
-                if len(fifo) == depth:
-                    full_since[slave] = cycle
-            enqueues.append(EnqueueEvent(master, req_id, addr, slave, accepted))
-            req_id += 1
-        dequeues = []
-        if cycle % drain_period == 0:
+    accepted = [True] * len(slaves)
+    dequeues = []
+    # The last request of every drain_period-th cycle is followed by its drain.
+    drain_every = N_MASTERS * config.drain_period
+    for req_id, slave in enumerate(slaves):
+        fifo = fifos[slave]
+        if len(fifo) < depth:
+            fifo.append(req_id)
+            if len(fifo) == depth:
+                full_since[slave] = req_id // N_MASTERS
+        else:
+            accepted[req_id] = False
+        if req_id % drain_every == N_MASTERS - 1:
+            cycle = req_id // N_MASTERS
             for slave, fifo in enumerate(fifos):
                 if fifo:
                     if len(fifo) == depth:
                         counts[slave] += cycle - full_since[slave]
-                    dequeues.append(DequeueEvent(slave, fifo.popleft()))
-        records.append(CycleRecord(cycle, tuple(enqueues), tuple(dequeues)))
+                    dequeues.append((cycle, slave, fifo.popleft()))
     for slave, fifo in enumerate(fifos):
         if len(fifo) == depth:
             counts[slave] += n_cycles - full_since[slave]
-    return tuple(counts), tuple(records)
+    return tuple(counts), Trace(draw.tolist(), slaves, accepted, dequeues, n_cycles)
 
 
 def golden_check(
@@ -178,68 +216,93 @@ def golden_check(
 ) -> list[TraceViolation]:
     """Replay a trace against an independent queue model and recount its events.
 
-    Routing is checked against the region bounds, not the model's decoder;
-    a record naming a slave that does not exist is a routing violation and
-    is not replayed. Each cycle's occupancy comes from the replay queues,
-    and the full cycles counted from it must equal ``counts``; a mismatch is
-    one ``full_counts`` violation stamped with the step's cycle count.
-    Returns every violation found (empty list means the trace is clean).
+    Routing is checked against the region bounds through ``np.searchsorted``,
+    not the model's decoder; a request whose address is unmapped, or that
+    names a slave that does not exist, is a routing violation and is not
+    replayed. Each cycle's occupancy comes from the replay queues, and the
+    full cycles counted from it must equal ``counts``; a mismatch is one
+    ``full_counts`` violation stamped with the step's cycle count. Returns
+    every violation found in chronological order (empty means the trace is
+    clean). A trace whose columns do not fit its cycle count, or whose
+    dequeues are not in cycle order within the step, raises
+    ``ScoreboardError``.
     """
-    bounds = [i * config.region_size for i in range(N_SLAVES + 1)]
+    addrs, slaves, accepted, dequeues = trace.addrs, trace.slaves, trace.accepted, trace.dequeues
+    n_requests = trace.cycles * N_MASTERS
+    if not len(addrs) == len(slaves) == len(accepted) == n_requests:
+        raise ScoreboardError(
+            f"trace of {trace.cycles} cycles has {len(addrs)} addresses, "
+            f"{len(slaves)} slaves and {len(accepted)} acceptances"
+        )
+    bounds = np.arange(N_SLAVES + 1, dtype=np.int64) * config.region_size
+    regions = bounds.searchsorted(np.fromiter(addrs, np.int64, n_requests), "right") - 1
+    # Region -1 lies below the map and region N_SLAVES above it.
+    mapped = (regions >= 0) & (regions < N_SLAVES)
+    misrouted = (regions != np.fromiter(slaves, np.int64, n_requests)) | ~mapped
+    suspects = set(np.flatnonzero(misrouted).tolist())
     depth = config.fifo_depth
     queues: list[deque] = [deque() for _ in range(N_SLAVES)]
+    full: set[int] = set()
     full_cycles = [0] * N_SLAVES
     violations: list[TraceViolation] = []
-    for cycle, enqueues, dequeues in trace:
-        for _, req_id, addr, slave, accepted in enqueues:
-            expected = bisect_right(bounds, addr) - 1
-            if not 0 <= expected < N_SLAVES:
-                violations.append(TraceViolation(cycle, "routing", f"address {addr:#x} unmapped"))
-                continue
-            if slave != expected:
+    n_dequeues = len(dequeues)
+    d = 0
+    for req_id, (slave, taken) in enumerate(zip(slaves, accepted)):
+        if req_id in suspects:
+            region = int(regions[req_id])
+            if 0 <= region < N_SLAVES:
+                detail = f"request {req_id} routed to slave {slave}, region is {region}"
+            else:
+                detail = f"address {addrs[req_id]:#x} unmapped"
+            violations.append(TraceViolation(req_id // N_MASTERS, "routing", detail))
+            # A misrouted request still enters the FIFO it names, if there is one.
+            taken = taken and 0 <= region < N_SLAVES and 0 <= slave < N_SLAVES
+        if taken:
+            queue = queues[slave]
+            if len(queue) >= depth:
                 violations.append(
-                    TraceViolation(
-                        cycle,
-                        "routing",
-                        f"request {req_id} routed to slave {slave}, region is {expected}",
-                    )
+                    TraceViolation(req_id // N_MASTERS, "enqueue_at_full", f"request {req_id}")
                 )
-                if not 0 <= slave < N_SLAVES:
-                    continue
-            if accepted:
-                queue = queues[slave]
-                if len(queue) >= depth:
-                    violations.append(
-                        TraceViolation(cycle, "enqueue_at_full", f"request {req_id}")
-                    )
-                else:
-                    queue.append(req_id)
-        for slave, req_id in dequeues:
+            else:
+                queue.append(req_id)
+                if len(queue) == depth:
+                    full.add(slave)
+        if req_id % N_MASTERS < N_MASTERS - 1:
+            continue
+        # The cycle's last request is in: release its dequeues, then count full FIFOs.
+        cycle = req_id // N_MASTERS
+        while d < n_dequeues and dequeues[d][0] == cycle:
+            _, slave, released = dequeues[d]
+            d += 1
             if not 0 <= slave < N_SLAVES:
-                violations.append(
-                    TraceViolation(cycle, "routing", f"request {req_id} dequeued from slave {slave}")
-                )
+                detail = f"request {released} dequeued from slave {slave}"
+                violations.append(TraceViolation(cycle, "routing", detail))
                 continue
             queue = queues[slave]
             if not queue:
                 violations.append(TraceViolation(cycle, "dequeue_at_empty", f"slave {slave}"))
                 continue
+            full.discard(slave)
             head = queue.popleft()
-            if head != req_id:
+            if head != released:
                 violations.append(
                     TraceViolation(
                         cycle,
                         "fifo_order",
-                        f"slave {slave} released {req_id}, oldest was {head}",
+                        f"slave {slave} released {released}, oldest was {head}",
                     )
                 )
-        for slave, queue in enumerate(queues):
-            if len(queue) == depth:
-                full_cycles[slave] += 1
+        for slave in full:
+            full_cycles[slave] += 1
+    if d < n_dequeues:
+        raise ScoreboardError(
+            f"dequeue {dequeues[d]} is out of cycle order or outside the step's "
+            f"{trace.cycles} cycles"
+        )
     if tuple(counts) != tuple(full_cycles):
         violations.append(
             TraceViolation(
-                len(trace),
+                trace.cycles,
                 "full_counts",
                 f"step counted {tuple(counts)}, replay counts {tuple(full_cycles)}",
             )

@@ -23,7 +23,10 @@ unexpected extra fields are all rejected, and so is a request line longer
 than ``MAX_LINE_BYTES``, which also ends the session. Error codes:
 ``decode`` (unparseable or over-long line), ``protocol`` (a message only
 the serving side sends), ``invalid_action`` (action outside the served
-space), ``dut_fault`` (design model raised).
+space), ``dut_fault`` (design model raised), ``busy`` (sent in place of
+``hello`` by a TCP server already serving ``MAX_CONCURRENT_SESSIONS``
+sessions; the connection is then closed). A TCP session whose peer sends
+nothing for ``SESSION_IDLE_TIMEOUT_S`` seconds is closed.
 
 Stimulus randomness lives on the serving side, built from the request's
 seed; the wire carries the seed and knob values only. That makes a
@@ -41,6 +44,7 @@ from .actionspace import Action, ActionSpace, KnobSpec, is_finite_real
 from .env import DutModel, Environment
 from .errors import (
     BridgeDecodeError,
+    BridgeError,
     BridgeProtocolError,
     InvalidActionError,
     RemoteDutError,
@@ -51,6 +55,10 @@ PROTOCOL_VERSION = 3
 DEFAULT_TIMEOUT = 30.0
 # The longest request line served, newline included.
 MAX_LINE_BYTES = 1 << 20
+# serve_tcp's bounds: sessions served at once, and how long a session's
+# peer may stay silent before the server closes it.
+MAX_CONCURRENT_SESSIONS = 16
+SESSION_IDLE_TIMEOUT_S = 300.0
 
 
 @dataclass(frozen=True)
@@ -258,13 +266,13 @@ def serve_dut(dut: DutModel, rfile, wfile) -> None:
     Each request runs through an ``Environment`` without multipliers, so
     the action checks are the in-process ones. Decode failures, protocol
     violations and design-model faults are answered with error messages
-    and the session continues. It ends when the transport closes, or after
-    the ``decode`` error that answers a line longer than
+    and the session continues. It ends when the transport closes or times
+    out, or after the ``decode`` error that answers a line longer than
     ``MAX_LINE_BYTES``: the rest of that line is never read.
     """
     env = Environment(dut)
-    _send(wfile, Hello(PROTOCOL_VERSION, env.space, dut.event_names()))
     try:
+        _send(wfile, Hello(PROTOCOL_VERSION, env.space, dut.event_names()))
         while line := rfile.readline(MAX_LINE_BYTES):
             if len(line) == MAX_LINE_BYTES and not line.endswith(b"\n"):
                 _send(wfile, Error("decode", f"line longer than {MAX_LINE_BYTES} bytes"))
@@ -283,7 +291,7 @@ def serve_dut(dut: DutModel, rfile, wfile) -> None:
             except Exception as exc:  # noqa: BLE001 - reported to the peer
                 reply = Error("dut_fault", f"{type(exc).__name__}: {exc}")
             _send(wfile, reply)
-    except (BrokenPipeError, ConnectionResetError):
+    except (BrokenPipeError, ConnectionResetError, TimeoutError):
         return
 
 
@@ -342,6 +350,8 @@ def connect_dut(rfile, wfile, sock: socket.socket | None = None) -> DutProxy:
     if not line:
         raise TransportError("stream closed before hello")
     hello = decode(line)
+    if isinstance(hello, Error):
+        raise RemoteDutError(hello.code, hello.detail)
     if not isinstance(hello, Hello):
         raise BridgeProtocolError(f"expected hello, got {type(hello).__name__}")
     if hello.protocol_version != PROTOCOL_VERSION:
@@ -359,7 +369,11 @@ def connect_tcp(host: str, port: int, timeout: float = DEFAULT_TIMEOUT) -> DutPr
     except OSError as exc:
         raise TransportError(f"cannot connect to {host}:{port}: {exc}") from exc
     sock.settimeout(timeout)
-    return connect_dut(sock.makefile("rb"), sock.makefile("wb"), sock=sock)
+    try:
+        return connect_dut(sock.makefile("rb"), sock.makefile("wb"), sock=sock)
+    except BridgeError:
+        sock.close()
+        raise
 
 
 def serve_tcp(
@@ -373,7 +387,10 @@ def serve_tcp(
 
     ``on_bound`` receives the actual bound port (useful with port 0).
     ``max_sessions`` limits how many connections are served before
-    returning; None serves forever.
+    returning; None serves forever. At most ``MAX_CONCURRENT_SESSIONS`` are
+    served at once: a connection beyond them gets a ``busy`` error and is
+    closed, and does not count as served. Each connection is closed after
+    ``SESSION_IDLE_TIMEOUT_S`` seconds without a request.
     """
     import threading
 
@@ -386,14 +403,27 @@ def serve_tcp(
             raise TransportError(f"cannot listen on {host}:{port}: {exc}") from exc
         if on_bound is not None:
             on_bound(server.getsockname()[1])
+        slots = threading.BoundedSemaphore(MAX_CONCURRENT_SESSIONS)
         served = 0
         while max_sessions is None or served < max_sessions:
             conn, _ = server.accept()
+            conn.settimeout(SESSION_IDLE_TIMEOUT_S)
+            if not slots.acquire(blocking=False):
+                with conn:
+                    busy = f"already serving {MAX_CONCURRENT_SESSIONS} sessions"
+                    try:
+                        conn.sendall(encode(Error("busy", busy)))
+                    except OSError:
+                        pass
+                continue
             served += 1
 
             def session(c=conn):
-                with c:
-                    serve_dut(dut_factory(), c.makefile("rb"), c.makefile("wb"))
+                try:
+                    with c:
+                        serve_dut(dut_factory(), c.makefile("rb"), c.makefile("wb"))
+                finally:
+                    slots.release()
 
             if max_sessions == 1:
                 session()

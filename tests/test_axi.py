@@ -1,3 +1,6 @@
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,11 +12,9 @@ from covsteer.axi import (
     EVENT_NAMES,
     AxiConfig,
     AxiDut,
-    CycleRecord,
-    DequeueEvent,
-    EnqueueEvent,
+    Trace,
     decode_action,
-    decode_address,
+    decode_addresses,
     golden_check,
     simulate_step,
 )
@@ -29,16 +30,43 @@ def run_episode(action, seed, config=CFG):
 
 
 def replay_occupancy(trace):
-    """Each cycle's end-of-cycle FIFO occupancies, counted from the trace's events."""
+    """Each cycle's end-of-cycle FIFO occupancies, counted from the trace's columns."""
     occupancy = [0] * 10
     per_cycle = []
-    for rec in trace:
-        for enq in rec.enqueues:
-            occupancy[enq.slave] += enq.accepted
-        for deq in rec.dequeues:
-            occupancy[deq.slave] -= 1
+    dequeues = list(trace.dequeues)
+    for cycle in range(len(trace)):
+        for req_id in (2 * cycle, 2 * cycle + 1):
+            occupancy[trace.slaves[req_id]] += trace.accepted[req_id]
+        while dequeues and dequeues[0][0] == cycle:
+            occupancy[dequeues.pop(0)[1]] -= 1
         per_cycle.append(tuple(occupancy))
+    assert not dequeues
     return per_cycle
+
+
+def hand_trace(requests, dequeues=()):
+    """A Trace of (addr, slave, accepted) requests, two per cycle, and the given dequeues."""
+    assert len(requests) % 2 == 0
+    addrs, slaves, accepted = (list(column) for column in zip(*requests))
+    return Trace(addrs, slaves, accepted, list(dequeues), len(requests) // 2)
+
+
+# sha256 of repr((counts, tuple(trace))) for one step, recorded from the
+# per-cycle record model that the columnar trace replaced.
+PINNED_TRACES = [
+    ((4, 4), 0, {}, "b162654dfeec7e5fe8c46d59158fdd86b0470eb07cc2aecf41749b64af3a6b1e"),
+    ((0, 9), 7, {}, "5010632b5c3823381d5d039de159bf8856ed326fc9b84e8fac306be20ed38590"),
+    ((2, 5), 1, {"cycles_per_step": 0},
+     "b96c080c210df7af9c9bbbeb2ab3750dfd978399ebb345e649b5164857ac961e"),
+    ((3, 6), 11, {"fifo_depth": 1, "drain_period": 5},
+     "a86ce0aa9fad6bb137455c377526eeef06ad7ade839dd6537a7785bbfcf9f54d"),
+    ((3, 3), 3, {"drain_period": 1, "fifo_depth": 2},
+     "da48581a763b88a618e7d8e86f96c60dd141f2dd88de0e038a3a51fa157d17db"),
+    ((0, 9), 5, {"region_size": 1, "cycles_per_step": 300},
+     "7f5ffb1baf8ddb37044aa68d7e6051fe87ac668be130abd73c0db42397a4586f"),
+    ((9, 0), 13, {"region_size": (1 << 63) // 10},
+     "ed397279a590073afc39788412db520f6b437ca26c3b2fce6027f52b8c534b60"),
+]
 
 
 class TestDecode:
@@ -52,15 +80,24 @@ class TestDecode:
         assert decode_action(Action((0, 9)), CFG) == (0x0000, 0xA000)
 
     def test_address_decoding(self):
-        assert decode_address(0x4800, CFG) == 4
-        assert decode_address(0x0, CFG) == 0
-        assert decode_address(0x9FFF, CFG) == 9
+        addrs = np.array([0x4800, 0x0, 0x9FFF, 0x1000, 0x0FFF], dtype=np.int64)
+        assert decode_addresses(addrs, CFG).tolist() == [4, 0, 9, 1, 0]
+        assert decode_addresses(np.array([], dtype=np.int64), CFG).tolist() == []
 
     def test_out_of_map_address(self):
-        with pytest.raises(AddressDecodeError):
-            decode_address(0xA000, CFG)
-        with pytest.raises(AddressDecodeError):
-            decode_address(-1, CFG)
+        for bad, shown in ((0xA000, "0xa000"), (-1, "-0x1")):
+            addrs = np.array([0x4000, bad, 0x5000, 0xB000], dtype=np.int64)
+            with pytest.raises(AddressDecodeError, match=f"address {shown} outside"):
+                decode_addresses(addrs, CFG)
+
+    def test_largest_region_size(self):
+        cfg = AxiConfig(region_size=(1 << 63) // 10)
+        top = 10 * cfg.region_size - 1
+        assert decode_addresses(np.array([0, top], dtype=np.int64), cfg).tolist() == [0, 9]
+        dut = AxiDut(cfg)
+        for seed in range(5):
+            dut.step(Action((0, 9)), seed)
+            dut.step(Action((9, 9)), seed)
 
 
 class TestSimulation:
@@ -80,7 +117,9 @@ class TestSimulation:
         cfg = AxiConfig(cycles_per_step=0)
         counts, trace = run_episode((4, 4), seed=1, config=cfg)
         assert counts == (0,) * 10
-        assert trace == ()
+        assert len(trace) == 0
+        assert tuple(trace) == ()
+        assert trace == Trace([], [], [], [], 0)
 
     def test_counts_only_inside_chosen_range(self):
         rng = np.random.default_rng(17)
@@ -97,12 +136,11 @@ class TestSimulation:
         _, trace = run_episode((2, 6), seed=5)
         accepted = [[] for _ in range(10)]
         drained = [[] for _ in range(10)]
-        for rec in trace:
-            for enq in rec.enqueues:
-                if enq.accepted:
-                    accepted[enq.slave].append(enq.req_id)
-            for deq in rec.dequeues:
-                drained[deq.slave].append(deq.req_id)
+        for req_id, (slave, taken) in enumerate(zip(trace.slaves, trace.accepted)):
+            if taken:
+                accepted[slave].append(req_id)
+        for _, slave, req_id in trace.dequeues:
+            drained[slave].append(req_id)
         final = replay_occupancy(trace)[-1]
         for slave in range(10):
             assert drained[slave] == accepted[slave][: len(drained[slave])]
@@ -118,6 +156,13 @@ class TestSimulation:
         wide = sorted(run_episode((0, 9), seed=s)[0][4] for s in range(100))
         assert narrow[50] > wide[50]
 
+    @pytest.mark.parametrize("action,seed,params,digest", PINNED_TRACES)
+    def test_record_view_matches_pinned_trace(self, action, seed, params, digest):
+        cfg = AxiConfig(**params)
+        counts, trace = run_episode(action, seed, config=cfg)
+        assert hashlib.sha256(repr((counts, tuple(trace))).encode()).hexdigest() == digest
+        assert golden_check(trace, counts, cfg) == []
+
     def test_deterministic_given_seed(self):
         a = run_episode((1, 8), seed=13)
         b = run_episode((1, 8), seed=13)
@@ -132,8 +177,7 @@ class TestSimulation:
 
 class TestGoldenCheck:
     def clean_step(self, action=(3, 5), seed=11):
-        counts, trace = run_episode(action, seed=seed)
-        return counts, list(trace)
+        return run_episode(action, seed=seed)
 
     def test_clean_traces_replay_clean(self):
         for seed in range(30):
@@ -168,56 +212,53 @@ class TestGoldenCheck:
 
     def test_swapped_dequeues_break_fifo_order(self):
         counts, trace = self.clean_step(action=(4, 4))
-        # find two cycles with dequeues and swap their request ids
-        cycles = [i for i, r in enumerate(trace) if r.dequeues]
-        i, j = cycles[0], cycles[1]
-        di, dj = trace[i].dequeues[0], trace[j].dequeues[0]
-        trace[i] = trace[i]._replace(dequeues=(di._replace(req_id=dj.req_id),))
-        trace[j] = trace[j]._replace(dequeues=(dj._replace(req_id=di.req_id),))
-        kinds = {v.kind for v in golden_check(trace, counts, CFG)}
+        # swap the request ids of the first two dequeues, which are in different cycles
+        (ci, si, ri), (cj, sj, rj), *rest = trace.dequeues
+        assert ci != cj
+        swapped = replace(trace, dequeues=[(ci, si, rj), (cj, sj, ri), *rest])
+        kinds = {v.kind for v in golden_check(swapped, counts, CFG)}
         assert "fifo_order" in kinds
 
     def test_enqueue_at_full_flagged(self):
-        enqueues = tuple(
-            EnqueueEvent(master=0, req_id=i, addr=0x4000, slave=4, accepted=True)
-            for i in range(CFG.fifo_depth + 1)
-        )
-        trace = (CycleRecord(0, enqueues, ()),)
-        counts = (0, 0, 0, 0, 1, 0, 0, 0, 0, 0)
-        kinds = [v.kind for v in golden_check(trace, counts, CFG)]
-        assert kinds == ["enqueue_at_full"]
+        # depth + 1 accepted requests over three cycles: the FIFO fills in
+        # cycle 1 and request 4 arrives at full in cycle 2; request 5 is rejected.
+        assert CFG.fifo_depth == 4
+        trace = hand_trace([(0x4000, 4, True)] * 5 + [(0x4000, 4, False)])
+        counts = (0, 0, 0, 0, 2, 0, 0, 0, 0, 0)
+        violations = golden_check(trace, counts, CFG)
+        assert [v.kind for v in violations] == ["enqueue_at_full"]
+        assert (violations[0].cycle, violations[0].detail) == (2, "request 4")
 
     def test_dequeue_at_empty_flagged(self):
-        trace = (CycleRecord(0, (), (DequeueEvent(2, 0),)),)
+        trace = hand_trace([(0x5000, 5, True), (0x5004, 5, True)], dequeues=[(0, 2, 0)])
         violations = golden_check(trace, (0,) * 10, CFG)
         assert violations and violations[0].kind == "dequeue_at_empty"
         assert violations[0].cycle == 0
+        assert violations[0].detail == "slave 2"
 
     def test_misrouted_request_flagged(self):
-        enq = EnqueueEvent(master=0, req_id=0, addr=0x4000, slave=3, accepted=True)
-        trace = (CycleRecord(0, (enq,), ()),)
-        kinds = {v.kind for v in golden_check(trace, (0,) * 10, CFG)}
-        assert "routing" in kinds
+        trace = hand_trace([(0x8000, 8, False), (0x4000, 3, True)])
+        violations = golden_check(trace, (0,) * 10, CFG)
+        assert "routing" in {v.kind for v in violations}
+        assert violations[0].detail == "request 1 routed to slave 3, region is 4"
 
     def test_unmapped_address_flagged(self):
+        # The unmapped request is not replayed, so slave 9 releases request 1 in order.
         for addr in (-1, 0xA000):
-            enq = EnqueueEvent(master=0, req_id=0, addr=addr, slave=9, accepted=False)
-            trace = (CycleRecord(0, (enq,), ()),)
+            trace = hand_trace([(addr, 9, True), (0x9000, 9, True)], dequeues=[(0, 9, 1)])
             violations = golden_check(trace, (0,) * 10, CFG)
             assert [v.kind for v in violations] == ["routing"]
-            assert "unmapped" in violations[0].detail
+            assert violations[0].detail == f"address {addr:#x} unmapped"
 
     def test_enqueue_to_a_missing_slave_is_a_routing_violation(self):
-        enq = EnqueueEvent(master=0, req_id=0, addr=0x4000, slave=10, accepted=True)
-        trace = (CycleRecord(0, (enq,), ()),)
+        trace = hand_trace([(0x4000, 10, True), (0x4000, 4, True)])
         violations = golden_check(trace, (0,) * 10, CFG)
         assert [v.kind for v in violations] == ["routing"]
         assert "slave 10" in violations[0].detail
 
     def test_dequeue_from_a_missing_slave_is_a_routing_violation(self):
         # Slave 9 holds a request, which a dequeue from slave -1 must not release.
-        enq = EnqueueEvent(master=0, req_id=0, addr=0x9000, slave=9, accepted=True)
-        trace = (CycleRecord(0, (enq,), (DequeueEvent(-1, 0),)),)
+        trace = hand_trace([(0x9000, 9, True), (0x8000, 8, False)], dequeues=[(0, -1, 0)])
         violations = golden_check(trace, (0,) * 10, CFG)
         assert [v.kind for v in violations] == ["routing"]
         assert "slave -1" in violations[0].detail
@@ -232,6 +273,17 @@ class TestGoldenCheck:
             violations = golden_check(trace, wrong, CFG)
             assert [v.kind for v in violations] == ["full_counts"]
             assert violations[0].cycle == len(trace)
+
+    def test_malformed_trace_raises(self):
+        counts, trace = self.clean_step()
+        for bad in (
+            replace(trace, cycles=trace.cycles + 1),
+            replace(trace, accepted=trace.accepted[:-1]),
+            replace(trace, dequeues=trace.dequeues[::-1]),
+            replace(trace, dequeues=[*trace.dequeues, (trace.cycles, 4, 0)]),
+        ):
+            with pytest.raises(ScoreboardError):
+                golden_check(bad, counts, CFG)
 
 
 class TestAxiDut:
@@ -249,9 +301,9 @@ class TestAxiDut:
         def corrupted(config, addr_range, rng):
             counts, trace = real(config, addr_range, rng)
             # cycle 0 drains: release request 1 where request 0 is the oldest
-            rec = trace[0]
-            bad = rec._replace(dequeues=(rec.dequeues[0]._replace(req_id=1),))
-            return counts, (bad,) + trace[1:]
+            (cycle, slave, _), *rest = trace.dequeues
+            assert cycle == 0
+            return counts, replace(trace, dequeues=[(cycle, slave, 1), *rest])
 
         monkeypatch.setattr(axi_mod, "simulate_step", corrupted)
         dut = AxiDut()
@@ -280,9 +332,9 @@ class TestAxiDut:
         # that routes every request one slave up is caught on every step.
         import covsteer.axi as axi_mod
 
-        real = axi_mod.decode_address
+        real = axi_mod.decode_addresses
         monkeypatch.setattr(
-            axi_mod, "decode_address", lambda addr, config: (real(addr, config) + 1) % 10
+            axi_mod, "decode_addresses", lambda addrs, config: (real(addrs, config) + 1) % 10
         )
         dut = AxiDut()
         rng = np.random.default_rng(23)
@@ -290,6 +342,33 @@ class TestAxiDut:
             action = Action(tuple(int(v) for v in rng.integers(0, 10, size=2)))
             with pytest.raises(ScoreboardError, match="routing"):
                 dut.step(action, int(rng.integers(1 << 30)))
+
+    @pytest.mark.parametrize(
+        "line,mutation,action,kinds",
+        [
+            # accepts a request into a FIFO that is already full
+            ("if len(fifo) < depth:", "if len(fifo) <= depth:", (4, 4), "enqueue_at_full"),
+            # pops cycle 0's dequeues without recording them
+            (
+                "dequeues.append((cycle, slave, fifo.popleft()))",
+                "dequeues.append((cycle, slave, fifo.popleft())) if cycle else fifo.popleft()",
+                (0, 9),
+                "fifo_order|full_counts",
+            ),
+        ],
+    )
+    def test_scoreboard_catches_a_model_mutant(self, monkeypatch, line, mutation, action, kinds):
+        import inspect
+
+        import covsteer.axi as axi_mod
+
+        source = inspect.getsource(axi_mod.simulate_step)
+        assert source.count(line) == 1
+        namespace = dict(vars(axi_mod))
+        exec(source.replace(line, mutation), namespace)
+        monkeypatch.setattr(axi_mod, "simulate_step", namespace["simulate_step"])
+        with pytest.raises(ScoreboardError, match=kinds):
+            AxiDut().step(Action(action), 0)
 
     def test_config_is_pinned_to_paper_instance(self):
         with pytest.raises(TypeError):

@@ -1,6 +1,7 @@
 import json
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -453,7 +454,8 @@ class TestProxy:
 
 
 class TestTcp:
-    def test_connect_tcp_and_run(self):
+    @staticmethod
+    def start_server(max_sessions):
         bound = {}
         ready = threading.Event()
 
@@ -463,12 +465,16 @@ class TestTcp:
 
         server = threading.Thread(
             target=serve_tcp,
-            kwargs=dict(dut_factory=RleDut, port=0, max_sessions=1, on_bound=on_bound),
+            kwargs=dict(dut_factory=RleDut, port=0, max_sessions=max_sessions, on_bound=on_bound),
             daemon=True,
         )
         server.start()
         assert ready.wait(5)
-        proxy = connect_tcp("127.0.0.1", bound["port"], timeout=10)
+        return server, bound["port"]
+
+    def test_connect_tcp_and_run(self):
+        server, port = self.start_server(max_sessions=1)
+        proxy = connect_tcp("127.0.0.1", port, timeout=10)
         try:
             env = Environment(proxy, {"e3_partial_count": 1.0})
             cumulative = run_campaign(env, RandomAgent(env.space), 10, seed=1)
@@ -481,3 +487,52 @@ class TestTcp:
     def test_connect_refused(self):
         with pytest.raises(TransportError):
             connect_tcp("127.0.0.1", 1, timeout=0.5)
+
+    def test_session_beyond_the_cap_is_refused_busy(self, monkeypatch):
+        from covsteer import bridge
+
+        monkeypatch.setattr(bridge, "MAX_CONCURRENT_SESSIONS", 2)
+        server, port = self.start_server(max_sessions=3)
+        first = connect_tcp("127.0.0.1", port, timeout=10)
+        second = connect_tcp("127.0.0.1", port, timeout=10)
+        proxies = [first, second]
+        try:
+            with pytest.raises(RemoteDutError, match="busy"):
+                connect_tcp("127.0.0.1", port, timeout=10)
+            # Both admitted sessions still serve episodes.
+            local = RleDut().step(Action(ACTION), 3)
+            assert first.step(Action(ACTION), 3) == local
+            assert second.step(Action(ACTION), 3) == local
+            # Once a session ends its slot is free again; the refused
+            # connection did not count towards max_sessions.
+            first.close()
+            deadline = time.monotonic() + 5
+            while True:
+                try:
+                    proxies.append(connect_tcp("127.0.0.1", port, timeout=10))
+                    break
+                except RemoteDutError:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+            assert proxies[-1].step(Action(ACTION), 3) == local
+            server.join(timeout=5)
+            assert not server.is_alive()
+        finally:
+            for proxy in proxies:
+                proxy.close()
+
+    def test_silent_peer_is_disconnected(self, monkeypatch):
+        from covsteer import bridge
+
+        monkeypatch.setattr(bridge, "SESSION_IDLE_TIMEOUT_S", 0.2)
+        server, port = self.start_server(max_sessions=1)
+        proxy = connect_tcp("127.0.0.1", port, timeout=10)
+        try:
+            assert proxy.step(Action(ACTION), 3) == RleDut().step(Action(ACTION), 3)
+            # The server closes the silent session, which ends serve_tcp.
+            server.join(timeout=5)
+            assert not server.is_alive()
+            with pytest.raises(TransportError):
+                proxy.step(Action(ACTION), 3)
+        finally:
+            proxy.close()
