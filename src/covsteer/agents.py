@@ -2,7 +2,8 @@
 
 Two agents share one interface: ``propose(rng)`` emits an action,
 ``observe(action, reward)`` feeds the outcome back, ``snapshot()`` dumps
-the internal state for reports.
+the internal state for reports, and ``observes_until_update()`` says how
+far ahead proposals may be drawn before their rewards are observed.
 
 ``RandomAgent`` is the no-feedback baseline: uniform over the action
 space, observe is a no-op.
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from bisect import bisect_right
 from numbers import Integral
 
 import numpy as np
@@ -42,6 +44,16 @@ class Agent(ABC):
     def snapshot(self) -> dict:
         """JSON-ready description of the current policy state."""
 
+    def observes_until_update(self) -> int | None:
+        """How many more ``observe`` calls the policy lasts: it may change in the last of them.
+
+        That many proposals come from the current policy whether or not their
+        rewards were observed first, which is how far ``run_campaign`` may
+        propose ahead. None: the policy never changes. The default lets it
+        change at every observation.
+        """
+        return 1
+
 
 class RandomAgent(Agent):
     """Uniform sampling over the action space; learns nothing."""
@@ -57,6 +69,9 @@ class RandomAgent(Agent):
 
     def snapshot(self):
         return {"kind": "random", "knobs": list(self.space.names)}
+
+    def observes_until_update(self):
+        return None
 
 
 def elite_indices(rewards, elite_frac: float) -> list[int]:
@@ -103,6 +118,18 @@ def floor_normalize(probs, floor: float) -> np.ndarray:
             return p
         fixed |= below
     raise AssertionError("floor_normalize did not converge")
+
+
+def categorical_cdf(probs) -> list[float]:
+    """The cumulative distribution that ``Generator.choice(n, p=probs)`` searches.
+
+    ``bisect_right(cdf, rng.random())`` draws the same double from ``rng``
+    and picks the same index as ``rng.choice(len(probs), p=probs)``, without
+    choice's per-call argument checks.
+    """
+    cdf = np.cumsum(probs)
+    cdf /= cdf[-1]
+    return cdf.tolist()
 
 
 def check_cem_params(batch_size, elite_frac, smoothing, sigma_min_frac, prob_floor) -> None:
@@ -178,6 +205,7 @@ class CemAgent(Agent):
         self._sigma: dict[int, float] = {}
         self._sigma_min: dict[int, float] = {}
         self._probs: dict[int, np.ndarray] = {}
+        self._cdf: dict[int, list[float]] = {}
         self._value_index: dict[int, dict[float, int]] = {}
         for k, knob in enumerate(space.knobs):
             if knob.kind == CONTINUOUS:
@@ -191,11 +219,15 @@ class CemAgent(Agent):
                     raise ValueError(
                         f"prob_floor {prob_floor} infeasible for knob {knob.name} ({n} values)"
                     )
-                self._probs[k] = np.full(n, 1.0 / n)
+                self._set_probs(k, np.full(n, 1.0 / n))
                 self._value_index[k] = {v: i for i, v in enumerate(knob.values)}
 
         self._buffer: list[tuple[Action, float]] = []
         self._refits = 0
+
+    def _set_probs(self, k: int, probs: np.ndarray) -> None:
+        self._probs[k] = probs
+        self._cdf[k] = categorical_cdf(probs)
 
     @property
     def refits(self) -> int:
@@ -215,14 +247,16 @@ class CemAgent(Agent):
                         vals.append(float(x))
                         break
             else:
-                idx = int(rng.choice(len(knob.values), p=self._probs[k]))
-                vals.append(knob.values[idx])
+                vals.append(knob.values[bisect_right(self._cdf[k], rng.random())])
         return Action(tuple(vals))
 
     def observe(self, action, reward):
         self._buffer.append((action, float(reward)))
-        if len(self._buffer) >= self.batch_size:
+        if self.observes_until_update() == 0:
             self._refit()
+
+    def observes_until_update(self):
+        return self.batch_size - len(self._buffer)
 
     def _refit(self):
         batch = self._buffer
@@ -242,7 +276,7 @@ class CemAgent(Agent):
                     freq[index[float(v)]] += 1.0
                 freq /= len(elite)
                 q = a * freq + (1.0 - a) * self._probs[k]
-                self._probs[k] = floor_normalize(q, self.prob_floor)
+                self._set_probs(k, floor_normalize(q, self.prob_floor))
         self._buffer = []
         self._refits += 1
 

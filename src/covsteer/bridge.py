@@ -14,10 +14,12 @@ counts    counts                                     server
 error     code, detail                               server
 ========  =========================================  ==================
 
-Requests and responses alternate strictly: every ``episode`` is answered
-by ``counts`` or ``error``. An episode is one request, a pure function of
-its seed and action, so a repeated or retried request replays it. The
-serving side runs each request through ``env.Environment`` as
+Every ``episode`` is answered by ``counts`` or ``error``, and replies come
+in request order; a client may send up to ``WINDOW`` requests ahead of the
+replies it has read (``DutProxy`` does, for the episodes that
+``env.run_campaign`` hints to it). An episode is one request, a pure
+function of its seed and action, so a repeated or retried request replays
+it. The serving side runs each request through ``env.Environment`` as
 ``reset(seed)`` then ``step(action)``. Unknown types, missing fields, and
 unexpected extra fields are all rejected, and so is a request line longer
 than ``MAX_LINE_BYTES``, which also ends the session. Error codes:
@@ -38,9 +40,10 @@ from __future__ import annotations
 
 import json
 import socket
+from collections import deque
 from dataclasses import dataclass
 
-from .actionspace import Action, ActionSpace, KnobSpec, is_finite_real
+from .actionspace import CONTINUOUS, Action, ActionSpace, KnobSpec, is_finite_real
 from .env import DutModel, Environment
 from .errors import (
     BridgeDecodeError,
@@ -59,6 +62,12 @@ MAX_LINE_BYTES = 1 << 20
 # peer may stay silent before the server closes it.
 MAX_CONCURRENT_SESSIONS = 16
 SESSION_IDLE_TIMEOUT_S = 300.0
+# How far a DutProxy sends ahead: at most WINDOW requests unanswered, and
+# at most WINDOW_BYTES of their lines. A page is the least a pipe or socket
+# buffers, so the client never blocks writing a request while the serving
+# side blocks writing a reply the client has not read yet.
+WINDOW = 16
+WINDOW_BYTES = 4096
 
 
 @dataclass(frozen=True)
@@ -255,6 +264,20 @@ def decode(line: bytes | str) -> BridgeMessage:
     return Error(code=code, detail=detail)
 
 
+def longest_request(space: ActionSpace) -> int:
+    """Bytes in the longest ``episode`` line that a valid action of the space encodes to."""
+    length = len(encode(Episode(2**64 - 1, ())))
+    for k in space.knobs:
+        if k.kind == CONTINUOUS:
+            # A fraction prints in at most 24 characters (-2.2250738585072014e-308);
+            # an integral value as an int no longer than an endpoint's.
+            width = max(24, len(str(int(k.lo))), len(str(int(k.hi))))
+        else:
+            width = max(len(json.dumps(_wire_num(v))) for v in k.values)
+        length += width + 1  # its comma
+    return length
+
+
 def _send(wfile, msg: BridgeMessage) -> None:
     wfile.write(encode(msg))
     wfile.flush()
@@ -295,36 +318,66 @@ def serve_dut(dut: DutModel, rfile, wfile) -> None:
         return
 
 
+def _transport_error(exc: OSError) -> TransportError:
+    if isinstance(exc, TimeoutError):
+        return TransportError("timed out waiting for the serving side")
+    return TransportError(f"transport failed: {exc}")
+
+
 class DutProxy(DutModel):
-    """Client-side design model backed by one bridge session."""
+    """Client-side design model backed by one bridge session.
+
+    ``hint`` queues an episode's request ahead of its ``step``. ``step``
+    sends every queued request in one write, queueing its own first when
+    none is in flight, and then reads the oldest reply. ``lookahead`` keeps
+    the requests in flight within ``WINDOW`` and ``WINDOW_BYTES``; it is 0
+    when one request line of the served space may exceed ``WINDOW_BYTES``.
+    """
 
     def __init__(self, rfile, wfile, hello: Hello, sock: socket.socket | None = None):
         self._rfile = rfile
         self._wfile = wfile
         self._hello = hello
         self._sock = sock
+        self.lookahead = min(WINDOW, WINDOW_BYTES // longest_request(hello.action_space))
+        self._in_flight: deque[Episode] = deque()
 
-    def _request(self, msg: BridgeMessage, expected: type) -> BridgeMessage:
+    def _queue(self, request: Episode) -> None:
         try:
-            _send(self._wfile, msg)
+            self._wfile.write(encode(request))
+        except OSError as exc:  # a full buffer is written out, and that can fail
+            raise _transport_error(exc) from exc
+        self._in_flight.append(request)
+
+    def hint(self, action: Action, seed: int) -> None:
+        if len(self._in_flight) >= self.lookahead:
+            raise BridgeProtocolError(f"more than {self.lookahead} requests in flight")
+        self._queue(Episode(int(seed), tuple(action.values)))
+
+    def step(self, action: Action, seed: int) -> tuple[int, ...]:
+        request = Episode(int(seed), tuple(action.values))
+        if not self._in_flight:
+            self._queue(request)
+        if self._in_flight.popleft() != request:
+            raise BridgeProtocolError("step does not match the oldest request in flight")
+        try:
+            self._wfile.flush()
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # the serving side is gone; the replies it sent first are still read
+        except OSError as exc:
+            raise _transport_error(exc) from exc
+        try:
             line = self._rfile.readline()
-        except (TimeoutError, socket.timeout) as exc:
-            raise TransportError("timed out waiting for the serving side") from exc
-        except (BrokenPipeError, ConnectionResetError, OSError) as exc:
-            raise TransportError(f"transport failed: {exc}") from exc
+        except OSError as exc:
+            raise _transport_error(exc) from exc
         if not line:
             raise TransportError("serving side closed the connection")
         reply = decode(line)
         if isinstance(reply, Error):
             raise RemoteDutError(reply.code, reply.detail)
-        if not isinstance(reply, expected):
-            raise BridgeProtocolError(
-                f"expected {expected.__name__}, got {type(reply).__name__}"
-            )
-        return reply
-
-    def step(self, action: Action, seed: int) -> tuple[int, ...]:
-        return self._request(Episode(int(seed), tuple(action.values)), Counts).counts
+        if not isinstance(reply, Counts):
+            raise BridgeProtocolError(f"expected Counts, got {type(reply).__name__}")
+        return reply.counts
 
     def event_names(self):
         return self._hello.events
@@ -333,12 +386,17 @@ class DutProxy(DutModel):
         return self._hello.action_space
 
     def close(self) -> None:
-        for closer in (self._rfile, self._wfile, self._sock):
-            if closer is not None:
-                try:
-                    closer.close()
-                except OSError:
-                    pass
+        _close_quietly(self._rfile, self._wfile, self._sock)
+
+
+def _close_quietly(*files) -> None:
+    """Close each of ``files``; a buffered write that a gone peer refuses is dropped."""
+    for f in files:
+        if f is not None:
+            try:
+                f.close()
+            except OSError:
+                pass
 
 
 def connect_dut(rfile, wfile, sock: socket.socket | None = None) -> DutProxy:
@@ -369,6 +427,8 @@ def connect_tcp(host: str, port: int, timeout: float = DEFAULT_TIMEOUT) -> DutPr
     except OSError as exc:
         raise TransportError(f"cannot connect to {host}:{port}: {exc}") from exc
     sock.settimeout(timeout)
+    # Requests sent ahead must not wait in Nagle's buffer for earlier acks.
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     try:
         return connect_dut(sock.makefile("rb"), sock.makefile("wb"), sock=sock)
     except BridgeError:
@@ -408,6 +468,7 @@ def serve_tcp(
         while max_sessions is None or served < max_sessions:
             conn, _ = server.accept()
             conn.settimeout(SESSION_IDLE_TIMEOUT_S)
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             if not slots.acquire(blocking=False):
                 with conn:
                     busy = f"already serving {MAX_CONCURRENT_SESSIONS} sessions"
@@ -419,10 +480,13 @@ def serve_tcp(
             served += 1
 
             def session(c=conn):
+                rfile, wfile = c.makefile("rb"), c.makefile("wb")
                 try:
-                    with c:
-                        serve_dut(dut_factory(), c.makefile("rb"), c.makefile("wb"))
+                    serve_dut(dut_factory(), rfile, wfile)
                 finally:
+                    # A reply still buffered for a peer that left would
+                    # otherwise fail again when the writer is collected.
+                    _close_quietly(rfile, wfile, c)
                     slots.release()
 
             if max_sessions == 1:

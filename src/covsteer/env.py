@@ -8,6 +8,12 @@ validates the action, calls ``dut.step(action, seed)``, and returns the
 per-event counts and the multiplier-weighted reward. A repeated or retried
 step replays the same episode.
 
+A design with a ``lookahead`` (a bridged one) is told of episodes before
+their turn: ``run_campaign`` seeds, proposes and hints up to that many
+episodes ahead of the one it steps, so the design can start on them while
+the agent works. It never looks past the agent's next policy update, so
+every proposal is the one a one-at-a-time loop would draw.
+
 Seeding is split so any episode can be replayed in isolation:
 
 * ``episode_seed(campaign_seed, i)`` derives episode i's seed;
@@ -22,6 +28,7 @@ campaigns byte-identical.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -74,6 +81,12 @@ class DutModel(ABC):
     that keeps state resets it at the top of ``step``.
     """
 
+    # How many hinted episodes may wait for their step; 0 means none are hinted.
+    lookahead = 0
+
+    def hint(self, action: Action, seed: int) -> None:
+        """Announce that ``step(action, seed)`` follows, after the steps of earlier hints."""
+
     def reset(self, seed: int) -> None:
         """Never called by covsteer; kept only because ``bench/tracer.py`` binds it by name."""
 
@@ -111,13 +124,21 @@ class Environment:
         """Record the seed of the episodes that ``step`` runs; the design model is not called."""
         self._seed = int(seed)
 
+    def _check(self, action: Action) -> None:
+        violations = validate(self.space, action)
+        if violations:
+            raise InvalidActionError(violations)
+
+    def hint(self, action: Action, seed: int) -> None:
+        """Check an upcoming episode's action and announce it to the design model."""
+        self._check(action)
+        self.dut.hint(action, seed)
+
     def step(self, action: Action) -> StepResult:
         """Run the episode of the last reset's seed with this action."""
         if self._seed is None:
             raise EpisodeProtocolError("step needs a reset first")
-        violations = validate(self.space, action)
-        if violations:
-            raise InvalidActionError(violations)
+        self._check(action)
         counts = tuple(int(c) for c in self.dut.step(action, self._seed))
         return StepResult(reward=compute_reward(counts, self.events), counts=counts)
 
@@ -131,6 +152,12 @@ def run_campaign(
 ) -> CumulativeCoverage:
     """Run the reset/propose/step/observe loop for a fixed episode count.
 
+    With a design lookahead of W, episodes are seeded, proposed and hinted
+    up to W ahead of the one being stepped, but only as far as
+    ``agent.observes_until_update()`` reaches. An exception raised while
+    looking ahead is raised on its episode's own turn, so the episodes
+    before it are stepped and logged first, as in a one-at-a-time loop.
+
     The record callback fires after every episode, so a partially written
     log survives an abort. Raises whatever the environment or agent raises.
     """
@@ -138,12 +165,37 @@ def run_campaign(
         raise ValueError("episodes must be >= 1")
     rng = agent_rng(seed)
     cumulative = CumulativeCoverage.zero(len(env.events))
+    window = env.dut.lookahead
+    ahead: deque = deque()  # (seed, action, error) of hinted episodes, oldest first
     for ep in range(episodes):
-        env.reset(episode_seed(seed, ep))
-        action = agent.propose(rng)
+        if window:
+            horizon = min(episodes, ep + window)
+            until = agent.observes_until_update()
+            if until is not None:
+                horizon = min(horizon, ep + until)
+            for j in range(ep + len(ahead), horizon):
+                if ahead and ahead[-1][2] is not None:
+                    break
+                ahead.append(_propose_ahead(env, agent, rng, episode_seed(seed, j)))
+            ep_seed, action, error = ahead.popleft()
+            if error is not None:
+                raise error
+            env.reset(ep_seed)
+        else:
+            env.reset(episode_seed(seed, ep))
+            action = agent.propose(rng)
         result = env.step(action)
         agent.observe(action, result.reward)
         if on_record is not None:
             on_record(EpisodeRecord(ep, action, result.counts, result.reward))
         cumulative = cumulative.merge(result.counts)
     return cumulative
+
+
+def _propose_ahead(env: Environment, agent, rng, ep_seed: int) -> tuple:
+    try:
+        action = agent.propose(rng)
+        env.hint(action, ep_seed)
+    except Exception as exc:  # noqa: BLE001 - run_campaign raises it on the episode's turn
+        return ep_seed, None, exc
+    return ep_seed, action, None

@@ -1,10 +1,18 @@
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from covsteer.actionspace import Action, ActionSpace, KnobSpec, validate
-from covsteer.agents import CemAgent, RandomAgent, elite_indices, floor_normalize
+from covsteer.actionspace import CONTINUOUS, Action, ActionSpace, KnobSpec, validate
+from covsteer.agents import (
+    CemAgent,
+    RandomAgent,
+    categorical_cdf,
+    elite_indices,
+    floor_normalize,
+)
 
 from conftest import action_spaces
 
@@ -110,7 +118,7 @@ class TestEliteSelection:
 class TestCemPropose:
     def test_concentrated_categorical(self):
         agent = CemAgent(WIDTH8, prob_floor=0.01)
-        agent._probs[0] = floor_normalize([1, 0, 0, 0, 0, 0, 0, 0], 0.01)
+        agent._set_probs(0, floor_normalize([1, 0, 0, 0, 0, 0, 0, 0], 0.01))
         # Flooring leaves exactly 1 - 7*0.01 on the first value.
         assert agent._probs[0][0] == pytest.approx(1 - 7 * 0.01)
         rng = np.random.default_rng(2)
@@ -145,7 +153,67 @@ class TestCemPropose:
             assert -2.0 <= v <= 3.0
 
 
+def reference_propose(agent, rng):
+    """``CemAgent.propose`` drawing its categories through ``Generator.choice``."""
+    vals = []
+    for k, knob in enumerate(agent.space.knobs):
+        if knob.kind == CONTINUOUS:
+            while True:
+                x = rng.normal(agent._mu[k], agent._sigma[k])
+                if knob.lo <= x <= knob.hi:
+                    vals.append(float(x))
+                    break
+        else:
+            vals.append(knob.values[int(rng.choice(len(knob.values), p=agent._probs[k]))])
+    return Action(tuple(vals))
+
+
+class TestCategoricalDraw:
+    # Subnormal weights are left out: floor_normalize scales by the
+    # reciprocal of the free mass, which overflows to inf when that mass is
+    # subnormal. No refit reaches that, because its inputs sum to 1.
+    @given(
+        st.lists(st.floats(0, 1, allow_subnormal=False), min_size=1, max_size=12),
+        st.floats(0, 0.99),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_cdf_draw_matches_generator_choice(self, weights, floor_share, seed):
+        n = len(weights)
+        probs = floor_normalize(weights, floor_share / n)
+        cdf = categorical_cdf(probs)
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(50):
+            assert bisect_right(cdf, ours.random()) == ref.choice(n, p=probs)
+        # both consumed the same doubles
+        assert ours.random() == ref.random()
+
+    def test_propose_matches_choice_through_refits(self):
+        space = ActionSpace(knobs=(
+            KnobSpec.continuous("x", 0.0, 1.0),
+            KnobSpec.discrete("w", range(1, 9)),
+            KnobSpec.discrete("v", [3.0, -1.0, 7.5]),
+        ))
+        agent = CemAgent(space, batch_size=10)
+        ours, ref = np.random.default_rng(11), np.random.default_rng(11)
+        for _ in range(300):
+            action = agent.propose(ours)
+            assert action == reference_propose(agent, ref)
+            agent.observe(action, action.values[1] * action.values[2])
+        assert agent.refits == 30
+
+
 class TestCemObserve:
+    def test_observes_until_update_counts_down_to_each_refit(self):
+        agent = CemAgent(UNIT, batch_size=3)
+        rng = np.random.default_rng(0)
+        left = []
+        for _ in range(7):
+            left.append(agent.observes_until_update())
+            agent.observe(agent.propose(rng), 0.0)
+        assert left == [3, 2, 1, 3, 2, 1, 3]
+        assert agent.refits == 2
+        assert RandomAgent(UNIT).observes_until_update() is None
+
     def test_exact_refit_arithmetic(self):
         # B=2, elite fraction 1, smoothing 1: refit equals the plain sample
         # statistics of {2, 4} -> mean 3, population stddev 1.

@@ -1,18 +1,22 @@
 import json
+import os
 import socket
 import threading
 import time
+from collections import deque
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from covsteer.actionspace import Action, ActionSpace, KnobSpec
-from covsteer.agents import RandomAgent
+from covsteer.actionspace import Action, ActionSpace, KnobSpec, sample_uniform
+from covsteer.agents import CemAgent, RandomAgent
 from covsteer.bridge import (
     MAX_LINE_BYTES,
     PROTOCOL_VERSION,
+    WINDOW,
+    WINDOW_BYTES,
     Counts,
     Episode,
     Error,
@@ -21,19 +25,21 @@ from covsteer.bridge import (
     connect_tcp,
     decode,
     encode,
+    longest_request,
     serve_dut,
     serve_tcp,
 )
-from covsteer.env import Environment, episode_seed, run_campaign
+from covsteer.env import DutModel, Environment, episode_seed, run_campaign
 from covsteer.errors import (
     BridgeDecodeError,
     BridgeProtocolError,
+    InvalidActionError,
     RemoteDutError,
     TransportError,
 )
 from covsteer.rle import RleDut
 
-from conftest import StreamThenFault, json_values
+from conftest import StreamThenFault, action_spaces, json_values
 
 ACTION = (0.4, 6.0, 300.0)
 
@@ -292,6 +298,21 @@ class TestServeSession:
         finally:
             s.close()
 
+    def test_burst_is_answered_in_order(self, session):
+        # Requests written in one go, as a client sending ahead does: every
+        # line gets its reply in its own slot, errors included.
+        session.send_raw(
+            encode(Episode(1, ACTION))
+            + b"garbage not json\n"
+            + encode(Episode(2, (9.0, 6.0, 300.0)))
+            + encode(Counts((1, 0, 0, 0)))
+            + encode(Episode(3, ACTION))
+        )
+        replies = [decode(session.rfile.readline()) for _ in range(5)]
+        assert replies[0] == Counts(RleDut().step(Action(ACTION), 1))
+        assert [r.code for r in replies[1:4]] == ["decode", "invalid_action", "protocol"]
+        assert replies[4] == Counts(RleDut().step(Action(ACTION), 3))
+
     @pytest.mark.parametrize("line", HOSTILE_LINES, ids=HOSTILE_IDS)
     def test_hostile_line_then_normal_episode(self, session, line):
         session.send_raw(line)
@@ -453,6 +474,168 @@ class TestProxy:
         client.close()
 
 
+class ScriptedServer:
+    """In-memory serving side of a DutProxy, usable as both of its files.
+
+    It answers each request line as soon as it is written and counts the
+    replies the client has read, so it knows how many requests were
+    unanswered at any moment and how many replies had been read before
+    each request arrived.
+    """
+
+    def __init__(self, dut):
+        self.dut = dut
+        self.lines = deque([encode(Hello(PROTOCOL_VERSION, dut.action_space(), dut.event_names()))])
+        self.requests = []  # (Episode, replies read before it arrived)
+        self.read = -1  # the hello is not a reply
+        self.most_unanswered = 0
+
+    def write(self, data):
+        for line in data.splitlines(keepends=True):
+            msg = decode(line)
+            self.requests.append((msg, self.read))
+            self.lines.append(encode(Counts(self.dut.step(Action(msg.action), msg.seed))))
+            self.most_unanswered = max(self.most_unanswered, len(self.requests) - self.read)
+        return len(data)
+
+    def readline(self):
+        self.read += 1
+        return self.lines.popleft()
+
+    def flush(self):
+        pass
+
+    def close(self):
+        pass
+
+
+class WideDut(DutModel):
+    """A design with so many knobs that one request line outgrows WINDOW_BYTES."""
+
+    SPACE = ActionSpace(tuple(KnobSpec.continuous(f"k{i}", -1e6, 1e6) for i in range(200)))
+
+    def step(self, action, seed):
+        return (int(sum(action.values) > 0), seed % 7)
+
+    def event_names(self):
+        return ("positive", "seed_mod_7")
+
+    def action_space(self):
+        return self.SPACE
+
+
+def campaign_records(dut, make_agent, episodes=23, seed=4):
+    env = Environment(dut, {dut.event_names()[0]: 1.0})
+    records = []
+    run_campaign(env, make_agent(env.space), episodes, seed, on_record=records.append)
+    return records
+
+
+def cem(batch_size):
+    return lambda space: CemAgent(space, batch_size=batch_size)
+
+
+class TestPipelining:
+    @pytest.mark.parametrize("make_agent,batch", [
+        (RandomAgent, 23), (cem(1), 1), (cem(7), 7), (cem(50), 50),
+    ], ids=["random", "cem_batch_1", "cem_batch_7", "cem_batch_50"])
+    def test_window_and_batch_boundary(self, make_agent, batch):
+        server = ScriptedServer(RleDut())
+        proxy = connect_dut(server, server)
+        records = campaign_records(proxy, make_agent)
+        assert records == campaign_records(RleDut(), make_agent)
+        # The window fills up to the agent's next update, and no further.
+        assert server.most_unanswered == min(WINDOW, batch)
+        for ep, (msg, read_before) in enumerate(server.requests):
+            assert msg.seed == episode_seed(4, ep)
+            # Batch b's requests wait until every reply of batch b - 1 was read.
+            assert read_before >= ep - ep % batch
+
+    def test_one_request_in_flight_when_a_line_may_outgrow_the_window(self):
+        assert longest_request(WideDut.SPACE) > WINDOW_BYTES
+        server = ScriptedServer(WideDut())
+        proxy = connect_dut(server, server)
+        assert proxy.lookahead == 0
+        records = campaign_records(proxy, RandomAgent)
+        assert records == campaign_records(WideDut(), RandomAgent)
+        assert server.most_unanswered == 1
+
+    def test_invalid_action_is_never_sent_and_raises_on_its_turn(self):
+        class InvalidAtEpisode5(RandomAgent):
+            proposed = 0
+
+            def propose(self, rng):
+                action = super().propose(rng)
+                self.proposed += 1
+                return Action((9.0,) + action.values[1:]) if self.proposed == 6 else action
+
+        server = ScriptedServer(RleDut())
+        proxy = connect_dut(server, server)
+        records = []
+        with pytest.raises(InvalidActionError):
+            run_campaign(Environment(proxy), InvalidAtEpisode5(proxy.action_space()), 23, seed=4,
+                         on_record=records.append)
+        assert [r.episode for r in records] == list(range(5))
+        assert [msg.seed for msg, _ in server.requests] == [episode_seed(4, ep) for ep in range(5)]
+
+    def test_step_must_match_the_oldest_request_in_flight(self):
+        server = ScriptedServer(RleDut())
+        proxy = connect_dut(server, server)
+        proxy.hint(Action(ACTION), 1)
+        with pytest.raises(BridgeProtocolError, match="oldest"):
+            proxy.step(Action(ACTION), 2)
+
+    def test_hint_beyond_the_window_is_refused(self):
+        server = ScriptedServer(RleDut())
+        proxy = connect_dut(server, server)
+        assert proxy.lookahead == WINDOW
+        for seed in range(WINDOW):
+            proxy.hint(Action(ACTION), seed)
+        with pytest.raises(BridgeProtocolError, match="in flight"):
+            proxy.hint(Action(ACTION), WINDOW)
+        assert len(server.requests) == WINDOW
+        assert proxy.step(Action(ACTION), 0) == RleDut().step(Action(ACTION), 0)
+
+    def test_replies_sent_before_the_server_left_are_still_read(self):
+        # The serving side answers two requests and closes before the
+        # client's write, which fails; the two replies still count, and the
+        # request that never went out reads as a closed transport.
+        client, server = socket.socketpair()
+        dut = RleDut()
+        with server, server.makefile("wb") as wfile:
+            wfile.write(encode(Hello(PROTOCOL_VERSION, dut.action_space(), dut.event_names())))
+            for seed in (1, 2):
+                wfile.write(encode(Counts(dut.step(Action(ACTION), seed))))
+        proxy = connect_dut(client.makefile("rb"), client.makefile("wb"), sock=client)
+        try:
+            for seed in (1, 2, 3):
+                proxy.hint(Action(ACTION), seed)
+            for seed in (1, 2):
+                assert proxy.step(Action(ACTION), seed) == dut.step(Action(ACTION), seed)
+            with pytest.raises(TransportError):
+                proxy.step(Action(ACTION), 3)
+        finally:
+            proxy.close()
+
+
+@given(action_spaces(), st.integers(0, 2**64 - 1), st.integers(0, 2**32 - 1))
+def test_longest_request_bounds_every_valid_request(space, seed, draw_seed):
+    ends = [k.values[-1] if k.values else k.lo for k in space.knobs]
+    actions = [sample_uniform(space, np.random.default_rng(draw_seed)).values, tuple(ends)]
+    for values in actions:
+        assert len(encode(Episode(seed, values))) <= longest_request(space)
+
+
+def test_longest_request_bounds_wide_numbers():
+    space = ActionSpace((
+        KnobSpec.continuous("huge", -1e300, 1e300),
+        KnobSpec.continuous("tiny", -1.0, 1.0),
+        KnobSpec.discrete("set", [-1e200, 0.5]),
+    ))
+    widest = (-1e300, -2.2250738585072014e-308, -1e200)
+    assert len(encode(Episode(2**64 - 1, widest))) <= longest_request(space)
+
+
 class TestTcp:
     @staticmethod
     def start_server(max_sessions):
@@ -483,6 +666,29 @@ class TestTcp:
         finally:
             proxy.close()
             server.join(timeout=5)
+
+    def test_both_ends_disable_nagle(self, monkeypatch):
+        # Requests sent ahead must not wait behind unacknowledged ones.
+        from covsteer import bridge
+
+        served = []
+        serve_dut = bridge.serve_dut
+
+        def recording_serve_dut(dut, rfile, wfile):
+            with socket.socket(fileno=os.dup(rfile.fileno())) as conn:
+                served.append(conn.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
+            serve_dut(dut, rfile, wfile)
+
+        monkeypatch.setattr(bridge, "serve_dut", recording_serve_dut)
+        server, port = self.start_server(max_sessions=1)
+        proxy = connect_tcp("127.0.0.1", port, timeout=10)
+        try:
+            assert proxy._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        finally:
+            proxy.close()
+        server.join(timeout=5)
+        assert not server.is_alive()
+        assert served and served[0]
 
     def test_connect_refused(self):
         with pytest.raises(TransportError):

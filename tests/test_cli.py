@@ -1,3 +1,4 @@
+import itertools
 import json
 import subprocess
 import sys
@@ -369,7 +370,174 @@ class TestBridgeAbort:
         assert (out_dir / "episodes.csv").exists()
 
 
+def start_server(dut_factory=RleDut):
+    """Serve one TCP session in a thread; returns the thread and its port."""
+    bound = {}
+    ready = threading.Event()
+
+    def on_bound(port):
+        bound["port"] = port
+        ready.set()
+
+    server = threading.Thread(
+        target=serve_tcp,
+        kwargs=dict(dut_factory=dut_factory, port=0, max_sessions=1, on_bound=on_bound),
+        daemon=True,
+    )
+    server.start()
+    assert ready.wait(5)
+    return server, bound["port"]
+
+
+def run_until_abort(cfg, out_dir):
+    """Run a campaign that must abort; returns the error's type and the partial log."""
+    with pytest.raises(Exception) as exc_info:
+        cmd_run(cfg, out_dir)
+    return type(exc_info.value), (out_dir / "episodes.csv").read_bytes()
+
+
+class AgentFault(Exception):
+    pass
+
+
+class TestPipelinedAbort:
+    """A bridged campaign that sends episodes ahead aborts as a one-at-a-time one does.
+
+    The serial runs set ``bridge.WINDOW`` to 0, which leaves one request in
+    flight; each fault must leave the same partial episodes.csv and raise
+    the same error type either way.
+    """
+
+    @staticmethod
+    def serial(monkeypatch):
+        from covsteer import bridge
+
+        monkeypatch.setattr(bridge, "WINDOW", 0)
+
+    @pytest.mark.parametrize("k", [0, 20, 57])
+    def test_agent_fault_in_propose(self, tmp_path, monkeypatch, k):
+        from covsteer.agents import CemAgent
+
+        propose = CemAgent.propose
+
+        def fail_at_k():
+            calls = itertools.count()
+
+            def failing(self, rng):
+                if next(calls) == k:
+                    raise AgentFault(f"propose {k}")
+                return propose(self, rng)
+
+            monkeypatch.setattr(CemAgent, "propose", failing)
+
+        fail_at_k()
+        local = run_until_abort(build_config(rle_config(episodes=80)), tmp_path / "local")
+        outcomes = []
+        for mode in ("pipelined", "serial"):
+            if mode == "serial":
+                self.serial(monkeypatch)
+            fail_at_k()
+            server, port = start_server()
+            cfg = build_config(rle_config(episodes=80, dut=f"bridge:127.0.0.1:{port}"))
+            outcomes.append(run_until_abort(cfg, tmp_path / mode))
+            server.join(timeout=5)
+            assert not server.is_alive()
+        assert outcomes == [local, local]
+        assert local[0] is AgentFault
+        assert len(local[1].splitlines()) == 1 + k
+
+    def test_served_design_fault(self, tmp_path, monkeypatch):
+        class FaultAt20(RleDut):
+            steps = 0
+
+            def step(self, action, seed):
+                self.steps += 1
+                if self.steps == 21:
+                    raise RuntimeError("design fault at episode 20")
+                return super().step(action, seed)
+
+        outcomes = []
+        for mode in ("pipelined", "serial"):
+            if mode == "serial":
+                self.serial(monkeypatch)
+            server, port = start_server(FaultAt20)
+            cfg = build_config(rle_config(episodes=80, dut=f"bridge:127.0.0.1:{port}"))
+            outcomes.append(run_until_abort(cfg, tmp_path / mode))
+            server.join(timeout=5)
+            assert not server.is_alive()
+        from covsteer.errors import RemoteDutError
+
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] is RemoteDutError
+        local = cmd_run(build_config(rle_config(episodes=20)), tmp_path / "local")
+        assert outcomes[0][1] == (local / "episodes.csv").read_bytes()
+
+    def test_server_closes_after_k_episodes(self, tmp_path, monkeypatch):
+        outcomes = []
+        for mode in ("pipelined", "serial"):
+            if mode == "serial":
+                self.serial(monkeypatch)
+            port, thread = self.close_after(5)
+            cfg = build_config(rle_config(episodes=80, dut=f"bridge:127.0.0.1:{port}"))
+            outcomes.append(run_until_abort(cfg, tmp_path / mode))
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+        from covsteer.errors import TransportError
+
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] is TransportError
+        local = cmd_run(build_config(rle_config(episodes=5)), tmp_path / "local")
+        assert outcomes[0][1] == (local / "episodes.csv").read_bytes()
+
+    @staticmethod
+    def close_after(episodes):
+        """A server that answers a few episodes and closes with later requests unread.
+
+        Its replies leave at once (TCP_NODELAY, as ``serve_tcp`` sets): a
+        close with unread input resets the connection, which drops replies
+        still held back for an acknowledgement.
+        """
+        import socket as socket_mod
+
+        from covsteer.bridge import PROTOCOL_VERSION, Counts, Hello, decode, encode
+
+        listener = socket_mod.create_server(("127.0.0.1", 0))
+        port = listener.getsockname()[1]
+
+        def run():
+            with listener:
+                conn, _ = listener.accept()
+            with conn, conn.makefile("rb") as rfile, conn.makefile("wb") as wfile:
+                conn.setsockopt(socket_mod.IPPROTO_TCP, socket_mod.TCP_NODELAY, 1)
+                dut = RleDut()
+                wfile.write(encode(Hello(PROTOCOL_VERSION, dut.action_space(), dut.event_names())))
+                wfile.flush()
+                for _ in range(episodes):
+                    msg = decode(rfile.readline())
+                    wfile.write(encode(Counts(dut.step(Action(msg.action), msg.seed))))
+                    wfile.flush()
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        return port, thread
+
+
 class TestRunOverBridge:
+    @pytest.mark.parametrize("batch_size", [1, 7, 50])
+    def test_bridged_cem_log_byte_identical_to_local(self, tmp_path, batch_size):
+        raw = rle_config(episodes=23, agent_params={"batch_size": batch_size})
+        local_out = cmd_run(build_config(raw), tmp_path / "local")
+        server, port = start_server()
+        bridged_out = cmd_run(
+            build_config(dict(raw, dut=f"bridge:127.0.0.1:{port}")), tmp_path / "bridged"
+        )
+        server.join(timeout=5)
+        assert not server.is_alive()
+        assert (
+            (local_out / "episodes.csv").read_bytes()
+            == (bridged_out / "episodes.csv").read_bytes()
+        )
+
     def test_bridged_run_byte_identical_to_local(self, tmp_path):
         bound = {}
         ready = threading.Event()
