@@ -112,7 +112,7 @@ def floor_normalize(probs, floor: float) -> np.ndarray:
         if free_mass <= 0.0:
             p = np.where(fixed, floor, budget / max(int(free.sum()), 1))
             return p
-        p = np.where(fixed, floor, q * (budget / free_mass))
+        p = np.where(fixed, floor, q / free_mass * budget)
         below = free & (p < floor)
         if not below.any():
             return p

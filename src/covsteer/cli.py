@@ -1,29 +1,28 @@
 """Command surface: run a campaign, compare logs, serve a design over the bridge.
 
     covsteer run --config cfg.json [--seed N] [--episodes N]
-                 [--agent random|cem] [--out DIR]
+                 [--agent KIND] [--out DIR]
     covsteer report RUN_DIR... [--out FILE]
-    covsteer serve --dut rle|axi (--stdio | --port P) [--host H]
+    covsteer serve --dut NAME (--stdio | --port P) [--host H]
 
 ``run`` writes episodes.csv, summary.json and histograms.csv into the
 output directory and exits 0 on success; when a campaign aborts, the
 partial episodes.csv is kept next to a summary.json holding its column
 schema, and no histograms.csv. ``report`` reads run directories, prints a
 comparison table and writes the same data as JSON. ``serve`` exposes a
-bundled design to bridge clients over stdio or TCP.
+bundled design to bridge clients over stdio or TCP. Design names come from
+``config.DESIGNS`` and agent kinds from ``config.AGENT_KINDS``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from . import bridge
 from .agents import CemAgent, RandomAgent
-from .axi import AxiConfig, AxiDut
-from .config import RunConfig, parse_config
+from .config import AGENT_KINDS, DESIGNS, RunConfig, parse_config, parse_endpoint
 from .env import Environment, run_campaign
 from .errors import CovsteerError
 from .reporting import (
@@ -36,20 +35,21 @@ from .reporting import (
     write_json,
     write_summary,
 )
-from .rle import RleDut
 
 
 def make_dut(name: str, dut_params: dict | None = None):
     """Instantiate a bundled design or connect to a bridged one."""
-    params = dut_params or {}
-    if name == "rle":
-        return RleDut()
-    if name == "axi":
-        return AxiDut(AxiConfig(**params))
     if name.startswith("bridge:"):
-        host, _, port = name[len("bridge:") :].rpartition(":")
-        return bridge.connect_tcp(host, int(port))
-    raise CovsteerError(f"unknown dut {name!r}")
+        dut_cls, params_cls = None, None
+    elif name in DESIGNS:
+        dut_cls, _, params_cls = DESIGNS[name]
+    else:
+        raise CovsteerError(f"unknown dut {name!r}")
+    if params_cls is None and dut_params:
+        raise CovsteerError(f"dut {name!r} takes no dut_params")
+    if dut_cls is None:
+        return bridge.connect_tcp(*parse_endpoint(name))
+    return dut_cls(params_cls(**dut_params or {})) if params_cls else dut_cls()
 
 
 def make_agent(config: RunConfig, space):
@@ -112,15 +112,12 @@ def cmd_run(config: RunConfig, out_dir: str | Path | None = None) -> Path:
 
 def cmd_report(paths, out_file: str | Path | None = None) -> dict:
     report = build_report(paths)
-    out = Path(out_file) if out_file is not None else Path("report.json")
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out_file if out_file is not None else "report.json", report)
     return report
 
 
 def cmd_serve(dut_name: str, stdio: bool, port: int | None, host: str) -> None:
-    if dut_name not in ("rle", "axi"):
+    if dut_name not in DESIGNS:
         raise CovsteerError(f"serve supports the bundled designs, not {dut_name!r}")
     factory = lambda: make_dut(dut_name)  # noqa: E731
     if stdio:
@@ -140,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="path to a JSON run config")
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_run.add_argument("--episodes", type=int, default=None, help="override the episode count")
-    p_run.add_argument("--agent", choices=["random", "cem"], default=None,
+    p_run.add_argument("--agent", choices=AGENT_KINDS, default=None,
                        help="override the agent kind")
     p_run.add_argument("--out", default=None, help="override the output directory")
 
@@ -149,7 +146,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--out", default=None, help="where to write report.json")
 
     p_serve = sub.add_parser("serve", help="serve a bundled design over the bridge")
-    p_serve.add_argument("--dut", required=True, choices=["rle", "axi"])
+    p_serve.add_argument("--dut", required=True, choices=list(DESIGNS))
     mode = p_serve.add_mutually_exclusive_group(required=True)
     mode.add_argument("--stdio", action="store_true", help="speak the protocol on stdin/stdout")
     mode.add_argument("--port", type=int, help="listen on this TCP port (0 = ephemeral)")

@@ -5,32 +5,37 @@ Schema (all keys optional except ``dut``):
 .. code-block:: json
 
     {
-      "dut": "rle",                  // "rle" | "axi" | "bridge:<host>:<port>"
-      "agent": "random",             // "random" | "cem"
+      "dut": "<design>",             // a name in DESIGNS | "bridge:<host>:<port>"
+      "agent": "random",             // a name in AGENT_KINDS
       "episodes": 1000,
       "seed": 0,
-      "multipliers": {"e3_partial_count": 1.0},
+      "multipliers": {"<event>": 1.0},     // event names of the design
       "agent_params": {"batch_size": 50},  // CemAgent keyword arguments
-      "dut_params": {"fifo_depth": 4},     // axi only: AxiConfig fields
-      "out_dir": "runs/rle_random_seed0"
+      "dut_params": {"<field>": 4},        // fields of the design's params class
+      "out_dir": "runs/<dut>_<agent>_seed<seed>"
     }
+
+``DESIGNS`` is the one table of bundled designs, read by config,
+``cli.make_dut`` and ``covsteer serve``. A bridge port is 1-65535 in ASCII
+digits; ``parse_endpoint`` is the one parser of the endpoint.
 
 Multiplier keys must name events of the chosen design; events left out get
 multiplier 0. Numbers must be finite: json parses ``NaN`` and ``Infinity``,
-and both are rejected. Every key the file leaves out is defaulted and the
-applied defaults are echoed into the run's summary.
+and both are rejected. Every key the file leaves out takes ``RunConfig``'s
+default (``out_dir`` is derived from dut, agent and seed) and the applied
+defaults are echoed into the run's summary.
 
 The ``agent_params`` keys, defaults and range checks are those of
 ``agents.CemAgent``; the ``dut_params`` keys, defaults and checks are the
-fields of ``axi.AxiConfig``. ``dut_params`` is echoed as given, with the
-design's defaults left implicit.
+fields of the design's params class. ``dut_params`` is echoed as given,
+with the design's defaults left implicit.
 """
 
 from __future__ import annotations
 
 import inspect
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from . import axi, rle
 from .actionspace import is_finite_real
@@ -39,25 +44,17 @@ from .errors import ConfigError
 
 AGENT_KINDS = ("random", "cem")
 
+# Bundled designs: name -> (model class, event names, dut_params dataclass or None).
+DESIGNS = {
+    "rle": (rle.RleDut, rle.EVENT_NAMES, None),
+    "axi": (axi.AxiDut, axi.EVENT_NAMES, axi.AxiConfig),
+}
+
 # CemAgent's keyword defaults, in signature order.
 _CEM_DEFAULTS = {
     name: p.default
     for name, p in inspect.signature(CemAgent).parameters.items()
     if p.default is not p.empty
-}
-
-# Bundled designs: event names for early validation.
-DUT_EVENT_NAMES = {"rle": rle.EVENT_NAMES, "axi": axi.EVENT_NAMES}
-
-_TOP_KEYS = {
-    "dut",
-    "agent",
-    "episodes",
-    "seed",
-    "multipliers",
-    "agent_params",
-    "dut_params",
-    "out_dir",
 }
 
 
@@ -74,16 +71,13 @@ class RunConfig:
     defaulted: tuple[str, ...] = ()
 
     def to_json_dict(self) -> dict:
-        return {
-            "dut": self.dut,
-            "agent": self.agent,
-            "episodes": self.episodes,
-            "seed": self.seed,
-            "multipliers": dict(self.multipliers),
-            "agent_params": dict(self.agent_params),
-            "dut_params": dict(self.dut_params),
-            "out_dir": self.out_dir,
-        }
+        out = asdict(self)
+        del out["defaulted"]
+        return out
+
+
+# The config file's keys: every RunConfig field but the defaults record.
+_FIELDS = {f.name: f for f in fields(RunConfig) if f.name != "defaulted"}
 
 
 def _require(cond: bool, message: str) -> None:
@@ -95,98 +89,98 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def parse_endpoint(dut: str) -> tuple[str, int]:
+    """Split ``bridge:<host>:<port>`` into host and port, a port of 1-65535 in ASCII digits."""
+    endpoint = dut[len("bridge:") :]
+    host, _, port = endpoint.rpartition(":")
+    _require(
+        bool(host) and port.isascii() and port.isdigit() and len(port) <= 5
+        and 0 < int(port) < 65536,
+        f"bridge endpoint {endpoint!r} must look like <host>:<port> with port 1-65535",
+    )
+    return host, int(port)
+
+
 def build_config(raw: dict, overrides: dict | None = None) -> RunConfig:
     """Validate a raw mapping and apply defaults; overrides win over the file."""
     _require(isinstance(raw, dict), "config must be a JSON object")
-    unknown = set(raw) - _TOP_KEYS
+    unknown = set(raw) - set(_FIELDS)
     if unknown:
         raise ConfigError(f"unknown config key: {sorted(unknown)[0]}")
     merged = dict(raw)
     for key, value in (overrides or {}).items():
         if value is not None:
-            _require(key in _TOP_KEYS, f"unknown config key: {key}")
+            _require(key in _FIELDS, f"unknown config key: {key}")
             merged[key] = value
 
     defaulted = []
+
+    def given(key):
+        """The merged value of ``key``, or RunConfig's default recorded as applied."""
+        if merged.get(key) is not None:
+            return merged[key]
+        defaulted.append(key)
+        f = _FIELDS[key]
+        return f.default_factory() if f.default is MISSING else f.default
 
     _require("dut" in merged, "config key 'dut' is required")
     dut = merged["dut"]
     _require(isinstance(dut, str), "config key 'dut' must be a string")
     is_bridge = dut.startswith("bridge:")
     _require(
-        dut in DUT_EVENT_NAMES or is_bridge,
-        f"unknown dut {dut!r}: expected 'rle', 'axi' or 'bridge:<host>:<port>'",
+        dut in DESIGNS or is_bridge,
+        f"unknown dut {dut!r}: expected one of {tuple(DESIGNS)} or 'bridge:<host>:<port>'",
     )
     if is_bridge:
-        endpoint = dut[len("bridge:") :]
-        host, sep, port = endpoint.rpartition(":")
-        _require(
-            bool(host) and sep == ":" and port.isdigit(),
-            f"bridge endpoint {endpoint!r} must look like <host>:<port>",
-        )
+        parse_endpoint(dut)
 
-    agent = merged.get("agent")
-    if agent is None:
-        agent = "random"
-        defaulted.append("agent")
+    agent = given("agent")
     _require(agent in AGENT_KINDS, f"unknown agent {agent!r}: expected one of {AGENT_KINDS}")
 
-    episodes = merged.get("episodes")
-    if episodes is None:
-        episodes = 1000
-        defaulted.append("episodes")
+    episodes = given("episodes")
     _require(_is_int(episodes) and episodes >= 1, "config key 'episodes' must be a positive integer")
 
-    seed = merged.get("seed")
-    if seed is None:
-        seed = 0
-        defaulted.append("seed")
+    seed = given("seed")
     _require(
         _is_int(seed) and 0 <= seed < 1 << 64,
         "config key 'seed' must be an integer in [0, 2**64)",
     )
 
-    multipliers = merged.get("multipliers")
-    if multipliers is None:
-        multipliers = {}
-        defaulted.append("multipliers")
+    multipliers = given("multipliers")
     _require(isinstance(multipliers, dict), "config key 'multipliers' must be an object")
     for name, value in multipliers.items():
         _require(is_finite_real(value), f"multiplier for {name!r} must be a finite number")
     if not is_bridge:
-        known = set(DUT_EVENT_NAMES[dut])
-        bad = set(multipliers) - known
+        bad = set(multipliers) - set(DESIGNS[dut][1])
         if bad:
             raise ConfigError(f"unknown event in multipliers: {sorted(bad)[0]!r}")
     multipliers = {str(k): float(v) for k, v in multipliers.items()}
 
     agent_params = dict(_CEM_DEFAULTS)
-    given = merged.get("agent_params")
-    if given is None:
-        given = {}
-    _require(isinstance(given, dict), "config key 'agent_params' must be an object")
-    bad = set(given) - set(_CEM_DEFAULTS)
+    given_params = merged.get("agent_params")
+    if given_params is None:
+        given_params = {}
+    _require(isinstance(given_params, dict), "config key 'agent_params' must be an object")
+    bad = set(given_params) - set(_CEM_DEFAULTS)
     if bad:
         raise ConfigError(f"unknown agent_params key: {sorted(bad)[0]!r}")
-    defaulted.extend(f"agent_params.{k}" for k in _CEM_DEFAULTS if k not in given)
-    agent_params.update(given)
+    defaulted.extend(f"agent_params.{k}" for k in _CEM_DEFAULTS if k not in given_params)
+    agent_params.update(given_params)
     try:
         check_cem_params(**agent_params)
     except ValueError as exc:
         raise ConfigError(f"agent_params.{exc}") from None
 
-    dut_params = merged.get("dut_params")
-    if dut_params is None:
-        dut_params = {}
-        defaulted.append("dut_params")
+    dut_params = given("dut_params")
     _require(isinstance(dut_params, dict), "config key 'dut_params' must be an object")
-    allowed = {f.name for f in fields(axi.AxiConfig)} if dut == "axi" else set()
+    params_cls = None if is_bridge else DESIGNS[dut][2]
+    allowed = {f.name for f in fields(params_cls)} if params_cls else set()
     bad = set(dut_params) - allowed
     if bad:
         raise ConfigError(f"unknown dut_params key for {dut!r}: {sorted(bad)[0]!r}")
-    if dut == "axi":
+    if params_cls:
         try:
-            axi.AxiConfig(**dut_params)
+            params_cls(**dut_params)
         except ValueError as exc:
             raise ConfigError(f"dut_params.{exc}") from None
 

@@ -63,6 +63,14 @@ class TestFloorNormalize:
         p = floor_normalize(q, 0.01)
         assert np.allclose(p, q, atol=1e-15)
 
+    @pytest.mark.parametrize(
+        "q, floor, expected",
+        [([2.225073858507e-311], 0.0, [1.0]), ([3e-320, 1e-320], 0.01, [0.75, 0.25])],
+        ids=["one_subnormal", "two_subnormal_floored"],
+    )
+    def test_subnormal_mass_normalizes(self, q, floor, expected):
+        assert floor_normalize(q, floor).tolist() == expected
+
     def test_infeasible_floor_rejected(self):
         with pytest.raises(ValueError):
             floor_normalize([0.5, 0.5], 0.6)
@@ -169,11 +177,8 @@ def reference_propose(agent, rng):
 
 
 class TestCategoricalDraw:
-    # Subnormal weights are left out: floor_normalize scales by the
-    # reciprocal of the free mass, which overflows to inf when that mass is
-    # subnormal. No refit reaches that, because its inputs sum to 1.
     @given(
-        st.lists(st.floats(0, 1, allow_subnormal=False), min_size=1, max_size=12),
+        st.lists(st.floats(0, 1), min_size=1, max_size=12),
         st.floats(0, 0.99),
         st.integers(0, 2**32 - 1),
     )

@@ -1,3 +1,4 @@
+import argparse
 import itertools
 import json
 import subprocess
@@ -11,10 +12,10 @@ import pytest
 import covsteer
 from covsteer.actionspace import Action
 from covsteer.bridge import connect_dut, serve_tcp
-from covsteer.cli import cmd_report, cmd_run, main
-from covsteer.config import build_config
+from covsteer.cli import _build_parser, cmd_report, cmd_run, main, make_dut
+from covsteer.config import AGENT_KINDS, DESIGNS, build_config
 from covsteer.env import episode_seed
-from covsteer.errors import ReportError
+from covsteer.errors import ConfigError, CovsteerError, ReportError
 from covsteer.reporting import read_episode_log
 from covsteer.rle import RleDut
 
@@ -227,6 +228,26 @@ class TestMainEntry:
     def test_missing_config_exits_nonzero(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 1
 
+    @pytest.mark.parametrize("port", ["70000", "99999999999999999999", "\u00b2"])
+    def test_bad_bridge_port_exits_nonzero(self, tmp_path, capsys, port):
+        dut = f"bridge:127.0.0.1:{port}"
+        with pytest.raises(ConfigError, match="bridge endpoint"):
+            make_dut(dut)
+        cfg_path = write_config(tmp_path, rle_config(dut=dut))
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bridge endpoint") and "Traceback" not in err
+
+    def test_parser_choices_come_from_tables(self):
+        (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+
+        def choices(command, flag):
+            (action,) = [a for a in sub.choices[command]._actions if flag in a.option_strings]
+            return list(action.choices)
+
+        assert choices("serve", "--dut") == list(DESIGNS)
+        assert choices("run", "--agent") == list(AGENT_KINDS)
+
     def test_report_schema_mismatch_exits_nonzero(self, tmp_path, capsys):
         rle_out = cmd_run(build_config(rle_config(episodes=5)), tmp_path / "rle")
         axi_out = cmd_run(
@@ -234,6 +255,13 @@ class TestMainEntry:
             tmp_path / "axi",
         )
         assert main(["report", str(rle_out), str(axi_out)]) == 1
+
+
+class TestMakeDut:
+    @pytest.mark.parametrize("dut", ["rle", "bridge:127.0.0.1:1"])
+    def test_design_without_dut_params_rejects_them(self, dut):
+        with pytest.raises(CovsteerError, match="takes no dut_params"):
+            make_dut(dut, {"fifo_depth": 8})
 
 
 class TestServeStdio:

@@ -89,8 +89,14 @@ class TestParseConfig:
     def test_bridge_endpoints(self, tmp_path):
         cfg = parse_config(write(tmp_path, {"dut": "bridge:localhost:4000"}))
         assert cfg.dut == "bridge:localhost:4000"
-        with pytest.raises(ConfigError, match="bridge endpoint"):
-            parse_config(write(tmp_path, {"dut": "bridge:nowhere"}))
+        # getaddrinfo wraps port 70000 to 4464 and overflows on 20 digits;
+        # "²" is a digit to str.isdigit but not to int()
+        for dut in ("bridge:nowhere", "bridge::4000", "bridge:localhost:0",
+                    "bridge:localhost:70000", "bridge:localhost:99999999999999999999",
+                    "bridge:localhost:\u00b2", "bridge:localhost:" + "9" * 5000):
+            with pytest.raises(ConfigError, match="bridge endpoint"):
+                parse_config(write(tmp_path, {"dut": dut}))
+        assert build_config({"dut": "bridge:localhost:65535"}).dut.endswith("65535")
 
     def test_bridge_defers_multiplier_validation(self, tmp_path):
         cfg = parse_config(
@@ -176,6 +182,16 @@ class TestParseConfig:
         path.write_text(text)
         with pytest.raises(ConfigError, match="not valid JSON"):
             parse_config(path)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("out_dir", ""), ("out_dir", 7), ("agent", []), ("dut", 3),
+         ("episodes", True), ("seed", 1.5), ("multipliers", []), ("agent_params", []),
+         ("dut_params", [])],
+    )
+    def test_bad_top_level_value_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"'{key}'|unknown {key}"):
+            build_config({"dut": "rle", key: value})
 
     def test_negative_seed_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="seed"):
