@@ -40,7 +40,6 @@ from .errors import (
     BridgeProtocolError,
     ConfigError,
     CovsteerError,
-    EpisodeProtocolError,
     InvalidActionError,
     RemoteDutError,
     ReportError,
@@ -65,7 +64,6 @@ __all__ = [
     "CumulativeCoverage",
     "DutModel",
     "Environment",
-    "EpisodeProtocolError",
     "EpisodeRecord",
     "EventSpec",
     "InvalidActionError",

@@ -19,8 +19,8 @@ in request order; a client may send up to ``WINDOW`` requests ahead of the
 replies it has read (``DutProxy`` does, for the episodes that
 ``env.run_campaign`` hints to it). An episode is one request, a pure
 function of its seed and action, so a repeated or retried request replays
-it. The serving side runs each request through ``env.Environment`` as
-``reset(seed)`` then ``step(action)``. Unknown types, missing fields, and
+it. The serving side runs each request as one
+``env.Environment.step(action, seed)``. Unknown types, missing fields, and
 unexpected extra fields are all rejected, and so is a request line longer
 than ``MAX_LINE_BYTES``, which also ends the session. Error codes:
 ``decode`` (unparseable or over-long line), ``protocol`` (a message only
@@ -303,8 +303,7 @@ def serve_dut(dut: DutModel, rfile, wfile) -> None:
             try:
                 msg = decode(line)
                 if isinstance(msg, Episode):
-                    env.reset(msg.seed)
-                    reply = Counts(env.step(Action(msg.action)).counts)
+                    reply = Counts(env.step(Action(msg.action), msg.seed).counts)
                 else:
                     reply = Error("protocol", f"unexpected message type {type(msg).__name__}")
             except BridgeDecodeError as exc:

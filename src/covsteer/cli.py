@@ -17,6 +17,7 @@ bundled design to bridge clients over stdio or TCP. Design names come from
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -92,14 +93,17 @@ def cmd_run(config: RunConfig, out_dir: str | Path | None = None) -> Path:
             cumulative = run_campaign(
                 env, agent, config.episodes, config.seed, on_record=record
             )
+        # The report re-sums the logged rewards the same way, so both agree.
+        total_reward = sum(rewards)
+        if not math.isfinite(total_reward):
+            raise ValueError(f"total reward over {len(rewards)} episodes is not finite")
         hists = knob_histograms(env.space, actions)
         write_histograms_csv(out / "histograms.csv", hists)
         write_summary(
             out / "summary.json",
             schema,
             cumulative=cumulative,
-            # The report re-sums the logged rewards the same way, so both agree.
-            total_reward=sum(rewards),
+            total_reward=total_reward,
             hists=hists,
             agent_snapshot=agent.snapshot(),
         )
@@ -173,7 +177,7 @@ def main(argv=None) -> int:
             sys.stdout.write(render_report_text(report))
         elif args.command == "serve":
             cmd_serve(args.dut, args.stdio, args.port, args.host)
-    except (CovsteerError, ValueError) as exc:
+    except (CovsteerError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:

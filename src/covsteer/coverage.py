@@ -8,6 +8,7 @@ reporting.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 # Per-step occurrence counts, one non-negative int per tracked event.
@@ -28,7 +29,8 @@ def compute_reward(counts: CoverageCounts, events) -> float:
 
     Plain sequential accumulation is deliberate: it makes the result
     reproducible and directly comparable against any other left-to-right
-    dot product.
+    dot product. Raises ValueError for a count that does not fit in a
+    float and for a reward that is not finite.
     """
     if len(counts) != len(events):
         raise ValueError(f"counts length {len(counts)} != events length {len(events)}")
@@ -36,7 +38,12 @@ def compute_reward(counts: CoverageCounts, events) -> float:
     for c, ev in zip(counts, events):
         if c < 0:
             raise ValueError(f"negative count for event {ev.name}")
-        total += c * ev.multiplier
+        try:
+            total += c * ev.multiplier
+        except OverflowError:
+            raise ValueError(f"count for event {ev.name} does not fit in a float") from None
+    if not math.isfinite(total):
+        raise ValueError(f"reward {total} is not finite")
     return total
 
 

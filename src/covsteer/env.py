@@ -3,16 +3,18 @@
 An episode is a pure function of its seed and its action, as in a bandit:
 the agent picks knob values once, the design model expands them into
 stimulus from the seed's random stream and simulates it, and the episode
-ends. ``Environment.reset(seed)`` only records the seed; ``step(action)``
+ends. An episode is one call, ``Environment.step(action, seed)``: it
 validates the action, calls ``dut.step(action, seed)``, and returns the
-per-event counts and the multiplier-weighted reward. A repeated or retried
-step replays the same episode.
+per-event counts and the multiplier-weighted reward. The environment keeps
+no state between calls, so a repeated or retried step replays the episode.
 
 A design with a ``lookahead`` (a bridged one) is told of episodes before
 their turn: ``run_campaign`` seeds, proposes and hints up to that many
 episodes ahead of the one it steps, so the design can start on them while
 the agent works. It never looks past the agent's next policy update, so
-every proposal is the one a one-at-a-time loop would draw.
+every proposal is the one a one-at-a-time loop would draw. An in-process
+design (``lookahead`` 0) is never hinted and sees each episode's seed,
+proposal, step and observation in turn.
 
 Seeding is split so any episode can be replayed in isolation:
 
@@ -36,7 +38,7 @@ import numpy as np
 
 from .actionspace import Action, ActionSpace, validate
 from .coverage import CoverageCounts, CumulativeCoverage, EventSpec, compute_reward
-from .errors import EpisodeProtocolError, InvalidActionError
+from .errors import InvalidActionError
 
 _EPISODE_TAG = 1
 _AGENT_TAG = 2
@@ -118,11 +120,9 @@ class Environment:
             EventSpec(id=i, name=n, multiplier=float(mult.get(n, 0.0)))
             for i, n in enumerate(names)
         )
-        self._seed: int | None = None
 
     def reset(self, seed: int) -> None:
-        """Record the seed of the episodes that ``step`` runs; the design model is not called."""
-        self._seed = int(seed)
+        """Never called by covsteer; kept only because ``bench/tracer.py`` binds it by name."""
 
     def _check(self, action: Action) -> None:
         violations = validate(self.space, action)
@@ -134,12 +134,10 @@ class Environment:
         self._check(action)
         self.dut.hint(action, seed)
 
-    def step(self, action: Action) -> StepResult:
-        """Run the episode of the last reset's seed with this action."""
-        if self._seed is None:
-            raise EpisodeProtocolError("step needs a reset first")
+    def step(self, action: Action, seed: int) -> StepResult:
+        """Run the episode of this seed with this action."""
         self._check(action)
-        counts = tuple(int(c) for c in self.dut.step(action, self._seed))
+        counts = tuple(int(c) for c in self.dut.step(action, seed))
         return StepResult(reward=compute_reward(counts, self.events), counts=counts)
 
 
@@ -150,13 +148,14 @@ def run_campaign(
     seed: int,
     on_record: Callable[[EpisodeRecord], None] | None = None,
 ) -> CumulativeCoverage:
-    """Run the reset/propose/step/observe loop for a fixed episode count.
+    """Run the seed/propose/step/observe loop for a fixed episode count.
 
-    With a design lookahead of W, episodes are seeded, proposed and hinted
-    up to W ahead of the one being stepped, but only as far as
-    ``agent.observes_until_update()`` reaches. An exception raised while
-    looking ahead is raised on its episode's own turn, so the episodes
-    before it are stepped and logged first, as in a one-at-a-time loop.
+    Episodes are seeded and proposed up to the design's lookahead (at least
+    one) ahead of the one being stepped, but only as far as
+    ``agent.observes_until_update()`` reaches; a design with a lookahead is
+    hinted of each. An exception raised while looking ahead is raised on
+    its episode's own turn, so the episodes before it are stepped and
+    logged first, as in a one-at-a-time loop.
 
     The record callback fires after every episode, so a partially written
     log survives an abort. Raises whatever the environment or agent raises.
@@ -165,26 +164,22 @@ def run_campaign(
         raise ValueError("episodes must be >= 1")
     rng = agent_rng(seed)
     cumulative = CumulativeCoverage.zero(len(env.events))
-    window = env.dut.lookahead
-    ahead: deque = deque()  # (seed, action, error) of hinted episodes, oldest first
+    hint = env.hint if env.dut.lookahead else None
+    window = max(env.dut.lookahead, 1)
+    ahead: deque = deque()  # (seed, action, error) of proposed episodes, oldest first
     for ep in range(episodes):
-        if window:
-            horizon = min(episodes, ep + window)
-            until = agent.observes_until_update()
-            if until is not None:
-                horizon = min(horizon, ep + until)
-            for j in range(ep + len(ahead), horizon):
-                if ahead and ahead[-1][2] is not None:
-                    break
-                ahead.append(_propose_ahead(env, agent, rng, episode_seed(seed, j)))
-            ep_seed, action, error = ahead.popleft()
-            if error is not None:
-                raise error
-            env.reset(ep_seed)
-        else:
-            env.reset(episode_seed(seed, ep))
-            action = agent.propose(rng)
-        result = env.step(action)
+        horizon = min(episodes, ep + window)
+        until = agent.observes_until_update()
+        if until is not None:
+            horizon = min(horizon, ep + until)
+        for j in range(ep + len(ahead), horizon):
+            if ahead and ahead[-1][2] is not None:
+                break
+            ahead.append(_propose(agent, rng, episode_seed(seed, j), hint))
+        ep_seed, action, error = ahead.popleft()
+        if error is not None:
+            raise error
+        result = env.step(action, ep_seed)
         agent.observe(action, result.reward)
         if on_record is not None:
             on_record(EpisodeRecord(ep, action, result.counts, result.reward))
@@ -192,10 +187,11 @@ def run_campaign(
     return cumulative
 
 
-def _propose_ahead(env: Environment, agent, rng, ep_seed: int) -> tuple:
+def _propose(agent, rng, ep_seed: int, hint) -> tuple:
     try:
         action = agent.propose(rng)
-        env.hint(action, ep_seed)
+        if hint is not None:
+            hint(action, ep_seed)
     except Exception as exc:  # noqa: BLE001 - run_campaign raises it on the episode's turn
         return ep_seed, None, exc
     return ep_seed, action, None

@@ -17,10 +17,6 @@ class InvalidActionError(CovsteerError):
         super().__init__("; ".join(v.message for v in self.violations))
 
 
-class EpisodeProtocolError(CovsteerError):
-    """An environment was stepped before its first reset gave it a seed."""
-
-
 class ScoreboardError(CovsteerError):
     """DUT output disagreed with its golden reference model."""
 

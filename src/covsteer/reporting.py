@@ -16,6 +16,7 @@ Output is data, not images.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -141,15 +142,17 @@ def knob_histograms(space: ActionSpace, actions) -> dict:
         values = [a.values[k] for a in actions]
         if knob.kind == CONTINUOUS:
             width = (knob.hi - knob.lo) / CONTINUOUS_BINS
-            bins = []
-            for b in range(CONTINUOUS_BINS):
-                lo = knob.lo + b * width
-                hi = knob.hi if b == CONTINUOUS_BINS - 1 else lo + width
-                if b == CONTINUOUS_BINS - 1:
-                    n = sum(1 for v in values if lo <= v <= hi)
-                else:
-                    n = sum(1 for v in values if lo <= v < hi)
-                bins.append({"lo": lo, "hi": hi, "count": n})
+            los = [knob.lo + b * width for b in range(CONTINUOUS_BINS)]
+            # A value belongs to the last bin whose lo it reaches; the printed
+            # hi (lo + width) can miss the next lo by an ulp, so it is not an edge.
+            counts = [0] * CONTINUOUS_BINS
+            for v in values:
+                if knob.lo <= v <= knob.hi:
+                    counts[bisect_right(los, v) - 1] += 1
+            bins = [
+                {"lo": lo, "hi": knob.hi if b == CONTINUOUS_BINS - 1 else lo + width, "count": n}
+                for b, (lo, n) in enumerate(zip(los, counts))
+            ]
             hists[knob.name] = {"kind": knob.kind, "bins": bins}
         else:
             counts = {v: 0 for v in knob.values}

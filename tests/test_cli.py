@@ -238,6 +238,61 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("error: bridge endpoint") and "Traceback" not in err
 
+    def assert_refused_with_finite_log(self, argv, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        out_dir = Path(argv[argv.index("--out") + 1])
+        rows = (out_dir / "episodes.csv").read_text().splitlines()
+        assert not any(w in row for row in rows for w in ("nan", "inf"))
+        json.loads((out_dir / "summary.json").read_text(), parse_constant=pytest.fail)
+        assert not (out_dir / "histograms.csv").exists()
+        return rows, err
+
+    def test_non_finite_episode_reward_exits_nonzero(self, tmp_path, capsys):
+        mult = {"e0_word_full": 1e308, "e1_zc_full": -1e308}
+        cfg_path = write_config(
+            tmp_path, {"dut": "rle", "agent": "random", "episodes": 30, "multipliers": mult}
+        )
+        argv = ["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+        _, err = self.assert_refused_with_finite_log(argv, capsys)
+        assert "not finite" in err
+
+    def test_non_finite_total_reward_exits_nonzero(self, tmp_path, capsys):
+        # At this seed no episode counts more than 24 e3 events, so every
+        # reward is finite, but the 76 events of the campaign overflow.
+        cfg_path = write_config(
+            tmp_path,
+            {"dut": "rle", "agent": "random", "episodes": 30, "seed": 1,
+             "multipliers": {"e3_partial_count": 5e306}},
+        )
+        argv = ["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+        rows, err = self.assert_refused_with_finite_log(argv, capsys)
+        assert len(rows) == 1 + 30
+        assert err.startswith("error: total reward over 30 episodes is not finite")
+
+    def test_count_beyond_float_range_from_the_bridge_exits_nonzero(self, tmp_path, capsys):
+        port, thread = serve_scripted(
+            lambda i, dut, msg: (10**400, 0, 0, 0) if i == 3
+            else dut.step(Action(msg.action), msg.seed)
+        )
+        cfg_path = write_config(
+            tmp_path, rle_config(episodes=10, agent="random", dut=f"bridge:127.0.0.1:{port}")
+        )
+        argv = ["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+        rows, err = self.assert_refused_with_finite_log(argv, capsys)
+        thread.join(timeout=5)
+        assert len(rows) == 1 + 3
+        assert "does not fit in a float" in err
+
+    def test_uncreatable_out_dir_exits_nonzero(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, rle_config(episodes=2))
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "run"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_parser_choices_come_from_tables(self):
         (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
 
@@ -415,6 +470,34 @@ def start_server(dut_factory=RleDut):
     server.start()
     assert ready.wait(5)
     return server, bound["port"]
+
+
+def serve_scripted(counts_for):
+    """Serve one rle session whose i-th reply carries ``counts_for(i, dut, request)``.
+
+    It answers every request until the client closes, so no reply is lost.
+    """
+    import socket as socket_mod
+
+    from covsteer.bridge import PROTOCOL_VERSION, Counts, Hello, decode, encode
+
+    listener = socket_mod.create_server(("127.0.0.1", 0))
+    port = listener.getsockname()[1]
+
+    def run():
+        with listener:
+            conn, _ = listener.accept()
+        with conn, conn.makefile("rb") as rfile, conn.makefile("wb") as wfile:
+            dut = RleDut()
+            wfile.write(encode(Hello(PROTOCOL_VERSION, dut.action_space(), dut.event_names())))
+            wfile.flush()
+            for i, line in enumerate(iter(rfile.readline, b"")):
+                wfile.write(encode(Counts(counts_for(i, dut, decode(line)))))
+                wfile.flush()
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    return port, thread
 
 
 def run_until_abort(cfg, out_dir):

@@ -27,6 +27,19 @@ class TestComputeReward:
         with pytest.raises(ValueError):
             compute_reward((-1,), events(1.0))
 
+    @pytest.mark.parametrize(
+        "counts, multipliers",
+        [((2,), (1e308,)), ((1, 1), (float("inf"), 0.0)), ((2, 2), (1e308, -1e308))],
+    )
+    def test_non_finite_reward_rejected(self, counts, multipliers):
+        with pytest.raises(ValueError, match="not finite"):
+            compute_reward(counts, events(*multipliers))
+
+    @pytest.mark.parametrize("multiplier", [1.0, 0.0])
+    def test_count_beyond_float_range_rejected(self, multiplier):
+        with pytest.raises(ValueError, match="does not fit in a float"):
+            compute_reward((10**400,), events(multiplier))
+
     def test_negative_multipliers_allowed(self):
         assert compute_reward((2, 3), events(-1.0, 1.0)) == 1.0
 
