@@ -48,6 +48,9 @@ class KnobSpec:
                 raise ValueError(f"knob {self.name!r}: bounds must be finite")
             if not lo < hi:
                 raise ValueError(f"knob {self.name!r}: lo must be < hi")
+            # Agents sample and histogram over the width, so it must be a float too.
+            if not math.isfinite(hi - lo):
+                raise ValueError(f"knob {self.name!r}: hi - lo must be finite")
             object.__setattr__(self, "lo", lo)
             object.__setattr__(self, "hi", hi)
             object.__setattr__(self, "values", ())

@@ -10,7 +10,8 @@ no state between episodes. Every cycle:
    target slave, and the request enqueues unless the FIFO is full (a
    rejected request is dropped, not retried);
 2. on every ``drain_period``-th cycle each non-empty FIFO dequeues one
-   entry;
+   entry (only the FIFOs of slaves the step's requests reach are visited,
+   since the others stay empty all step);
 3. each FIFO ending the cycle full counts one occurrence of its
    ``fifo_full_slave_<i>`` event.
 
@@ -20,14 +21,16 @@ request by request. Its ``Trace`` is columnar: request ``i`` is master
 slave and acceptance in three per-request lists, and the dequeues are one
 list of ``(cycle, slave, req_id)`` tuples. After every step the trace is
 replayed against an independent queue model: order is preserved per FIFO,
-no request enqueues at full or dequeues at empty, and routing matches the
-region bounds. The replay recounts every slave's full cycles from its own
-queues and checks them against the counts the step returned, so the events
-the reward is computed from are checked too.
+no request enqueues at full or dequeues at empty, and every request's
+address lies within the region bounds of the slave it was routed to. The
+replay recounts every slave's full cycles from its own queues and checks
+them against the counts the step returned, so the events the reward is
+computed from are checked too.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, fields
 from numbers import Integral
@@ -182,6 +185,8 @@ def simulate_step(
     draw = rng.integers(a_min, a_max, size=n_cycles * N_MASTERS)
     slaves = decode_addresses(draw, config).tolist()
     fifos = [deque() for _ in range(N_SLAVES)]
+    # Only these FIFOs ever hold a request, so only they are drained.
+    reached = [(slave, fifos[slave]) for slave in sorted(set(slaves))]
     counts = [0] * N_SLAVES
     # A FIFO's full cycles are counted when it stops being full: it ends
     # every cycle from the one it filled in to the one before it drains.
@@ -200,12 +205,12 @@ def simulate_step(
             accepted[req_id] = False
         if req_id % drain_every == N_MASTERS - 1:
             cycle = req_id // N_MASTERS
-            for slave, fifo in enumerate(fifos):
+            for slave, fifo in reached:
                 if fifo:
                     if len(fifo) == depth:
                         counts[slave] += cycle - full_since[slave]
                     dequeues.append((cycle, slave, fifo.popleft()))
-    for slave, fifo in enumerate(fifos):
+    for slave, fifo in reached:
         if len(fifo) == depth:
             counts[slave] += n_cycles - full_since[slave]
     return tuple(counts), Trace(draw.tolist(), slaves, accepted, dequeues, n_cycles)
@@ -216,9 +221,9 @@ def golden_check(
 ) -> list[TraceViolation]:
     """Replay a trace against an independent queue model and recount its events.
 
-    Routing is checked against the region bounds through ``np.searchsorted``,
-    not the model's decoder; a request whose address is unmapped, or that
-    names a slave that does not exist, is a routing violation and is not
+    Routing is checked against the region bounds, not with the model's
+    decoder: a request must name a slave that exists and lie within that
+    slave's region. One that does not is a routing violation and is not
     replayed. Each cycle's occupancy comes from the replay queues, and the
     full cycles counted from it must equal ``counts``; a mismatch is one
     ``full_counts`` violation stamped with the step's cycle count. Returns
@@ -234,12 +239,7 @@ def golden_check(
             f"trace of {trace.cycles} cycles has {len(addrs)} addresses, "
             f"{len(slaves)} slaves and {len(accepted)} acceptances"
         )
-    bounds = np.arange(N_SLAVES + 1, dtype=np.int64) * config.region_size
-    regions = bounds.searchsorted(np.fromiter(addrs, np.int64, n_requests), "right") - 1
-    # Region -1 lies below the map and region N_SLAVES above it.
-    mapped = (regions >= 0) & (regions < N_SLAVES)
-    misrouted = (regions != np.fromiter(slaves, np.int64, n_requests)) | ~mapped
-    suspects = set(np.flatnonzero(misrouted).tolist())
+    bounds = [slave * config.region_size for slave in range(N_SLAVES + 1)]
     depth = config.fifo_depth
     queues: list[deque] = [deque() for _ in range(N_SLAVES)]
     full: set[int] = set()
@@ -247,13 +247,14 @@ def golden_check(
     violations: list[TraceViolation] = []
     n_dequeues = len(dequeues)
     d = 0
-    for req_id, (slave, taken) in enumerate(zip(slaves, accepted)):
-        if req_id in suspects:
-            region = int(regions[req_id])
+    for req_id, (addr, slave, taken) in enumerate(zip(addrs, slaves, accepted)):
+        if not (0 <= slave < N_SLAVES and bounds[slave] <= addr < bounds[slave + 1]):
+            # Region -1 lies below the map and region N_SLAVES above it.
+            region = bisect_right(bounds, addr) - 1
             if 0 <= region < N_SLAVES:
                 detail = f"request {req_id} routed to slave {slave}, region is {region}"
             else:
-                detail = f"address {addrs[req_id]:#x} unmapped"
+                detail = f"address {addr:#x} unmapped"
             violations.append(TraceViolation(req_id // N_MASTERS, "routing", detail))
             # A misrouted request still enters the FIFO it names, if there is one.
             taken = taken and 0 <= region < N_SLAVES and 0 <= slave < N_SLAVES

@@ -22,6 +22,14 @@ Seeding is split so any episode can be replayed in isolation:
 * ``stimulus_rng(seed)`` builds the stream the design model draws from,
   inside its ``step``.
 
+Both run numpy's ``SeedSequence`` hash, which costs 10–20 µs when taken
+one seed at a time. So seeds are derived 256 episodes at a time: one
+vectorised pass of the hash gives a block's episode seeds and, for each,
+the four words ``PCG64(seed)`` would derive from it.
+``stimulus_rng`` builds the stream from those cached words when the seed
+came from one of the two newest blocks, and from the seed itself
+otherwise; either way it is the stream of ``np.random.default_rng(seed)``.
+
 A bridged design receives the same seed over the wire and builds the
 identical stream on its side, which is what makes in-process and bridged
 campaigns byte-identical.
@@ -32,7 +40,8 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from functools import lru_cache
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -44,15 +53,153 @@ _EPISODE_TAG = 1
 _AGENT_TAG = 2
 
 
+# Seeds are derived a block of episodes at a time. A block starts at a
+# multiple of its size, so it never straddles 2**32 or 2**64: every index in
+# it has the same number of 32-bit words, and all but the lowest are shared.
+_SEED_BLOCK = 256
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+class _SeedBlock(NamedTuple):
+    campaign_seed: int
+    first: int
+    seeds: list[int]  # episode_seed(campaign_seed, first + j)
+    rows: dict[int, int]  # seed -> its row of ``states``, for every seed >= 2**32
+    states: np.ndarray  # (_SEED_BLOCK, 4) uint64: SeedSequence(seed).generate_state(4, np.uint64)
+
+
+# The two most recently derived blocks, newest first. It is only ever
+# replaced whole, so a reader needs no lock.
+_blocks: tuple[_SeedBlock, ...] = ()
+
+
+def _uint32_words(n: int) -> list[int]:
+    """A non-negative int as SeedSequence reads it: 32-bit words, least significant first."""
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+@lru_cache(maxsize=16)
+def _hash_consts(init: int, mult: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first n (xor, multiplier) pairs of a SeedSequence hash, as uint32 columns."""
+    xors, mults, k = [], [], init
+    for _ in range(n):
+        xors.append(k)
+        k = k * mult & _MASK32
+        mults.append(k)
+    return np.array(xors, np.uint32)[:, None], np.array(mults, np.uint32)[:, None]
+
+
+def _hashmix(value, xors, mults):
+    value = (value ^ xors) * mults
+    value ^= value >> 16
+    return value
+
+
+def _mix(x, y):
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    result ^= result >> 16
+    return result
+
+
+def _generate_state(entropy: list, lanes: int, n_words: int) -> np.ndarray:
+    """``SeedSequence(entropy).generate_state(n_words, np.uint64)`` for many entropies at once.
+
+    ``entropy`` lists uint32 words; each is an int shared by every lane or a
+    uint32 array of one word per lane. Returns an (n_words, lanes) uint64 array.
+    """
+    n_extra = max(len(entropy) - _POOL_SIZE, 0)
+    xors, mults = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE**2 + _POOL_SIZE * n_extra)
+    pool = np.zeros((_POOL_SIZE, lanes), np.uint32)
+    for i, word in enumerate(entropy[:_POOL_SIZE]):
+        pool[i] = word
+    pool = _hashmix(pool, xors[:_POOL_SIZE], mults[:_POOL_SIZE])
+    k = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        dst = [i for i in range(_POOL_SIZE) if i != src]
+        hashed = _hashmix(pool[src], xors[k : k + _POOL_SIZE - 1], mults[k : k + _POOL_SIZE - 1])
+        pool[dst] = _mix(pool[dst], hashed)
+        k += _POOL_SIZE - 1
+    for word in entropy[_POOL_SIZE:]:
+        hashed = _hashmix(word, xors[k : k + _POOL_SIZE], mults[k : k + _POOL_SIZE])
+        pool = _mix(pool, hashed)
+        k += _POOL_SIZE
+    xors, mults = _hash_consts(_INIT_B, _MULT_B, 2 * n_words)
+    state = _hashmix(pool[np.arange(2 * n_words) % _POOL_SIZE], xors, mults).astype(np.uint64)
+    return state[0::2] | state[1::2] << np.uint64(32)
+
+
+def _seed_block(campaign_seed: int, first: int) -> _SeedBlock:
+    """Derive the seeds of episodes ``first`` to ``first + _SEED_BLOCK - 1`` and their PCG64 words."""
+    low = first & _MASK32
+    high = _uint32_words(first >> 32) if first >> 32 else []
+    lows = np.arange(low, low + _SEED_BLOCK, dtype=np.uint32)
+    entropy = [*_uint32_words(campaign_seed), _EPISODE_TAG, lows, *high]
+    seeds = _generate_state(entropy, _SEED_BLOCK, 1)[0]
+    # A seed below 2**32 is one word of entropy, not two; stimulus_rng derives its stream itself.
+    lo = (seeds & np.uint64(_MASK32)).astype(np.uint32)
+    hi = (seeds >> np.uint64(32)).astype(np.uint32)
+    states = np.ascontiguousarray(_generate_state([lo, hi], _SEED_BLOCK, 4).T)
+    seeds = seeds.tolist()
+    rows = {seed: row for row, seed in enumerate(seeds) if seed > _MASK32}
+    return _SeedBlock(campaign_seed, first, seeds, rows, states)
+
+
+class _StateWords(np.random.bit_generator.ISeedSequence):
+    """Hands PCG64 the four words it would derive from a seed's SeedSequence."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        # PCG64 asks for exactly these: generate_state(4, np.uint64).
+        return self.words
+
+
 def episode_seed(campaign_seed: int, episode: int) -> int:
-    """Counter-based split: a distinct, reconstructible seed per episode."""
-    ss = np.random.SeedSequence((int(campaign_seed), _EPISODE_TAG, int(episode)))
-    return int(ss.generate_state(1, np.uint64)[0])
+    """Counter-based split: a distinct, reconstructible seed per episode.
+
+    Equal to ``SeedSequence((campaign_seed, 1, episode)).generate_state(1,
+    np.uint64)[0]``. It is served from the episode's block, which a miss
+    derives whole (see ``_SEED_BLOCK``).
+    """
+    global _blocks
+    campaign_seed, episode = int(campaign_seed), int(episode)
+    if campaign_seed < 0 or episode < 0:
+        raise ValueError("campaign seed and episode must be non-negative")
+    offset = episode % _SEED_BLOCK
+    first = episode - offset
+    for block in _blocks:
+        if block.first == first and block.campaign_seed == campaign_seed:
+            return block.seeds[offset]
+    block = _seed_block(campaign_seed, first)
+    _blocks = (block, *_blocks[:1])
+    return block.seeds[offset]
 
 
 def stimulus_rng(seed: int) -> np.random.Generator:
-    """The random stream a design model uses to expand knobs into stimulus."""
-    return np.random.default_rng(int(seed))
+    """The random stream a design model uses to expand knobs into stimulus.
+
+    It is the stream of ``np.random.default_rng(seed)``, built from a cached
+    block's words when the seed came from one.
+    """
+    seed = int(seed)
+    for block in _blocks:
+        row = block.rows.get(seed)
+        if row is not None:
+            return np.random.Generator(np.random.PCG64(_StateWords(block.states[row])))
+    return np.random.default_rng(seed)
 
 
 def agent_rng(campaign_seed: int) -> np.random.Generator:

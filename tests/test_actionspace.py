@@ -19,6 +19,10 @@ class TestKnobSpec:
     def test_continuous_requires_finite_bounds(self):
         with pytest.raises(ValueError):
             KnobSpec.continuous("p", 0.0, float("inf"))
+        # Both bounds are finite, but hi - lo overflows to inf.
+        with pytest.raises(ValueError, match="hi - lo must be finite"):
+            KnobSpec.continuous("p", -1e308, 1e308)
+        assert KnobSpec.continuous("p", -8e307, 8e307).hi == 8e307
 
     def test_discrete_rejects_empty_and_duplicates(self):
         with pytest.raises(ValueError):

@@ -44,6 +44,22 @@ def replay_occupancy(trace):
     return per_cycle
 
 
+def check_drain_schedule(trace, config):
+    """Every drain_period-th cycle releases one entry from each FIFO holding any; no other cycle releases."""
+    occupancy = [0] * 10
+    released = {}
+    for cycle, slave, _ in trace.dequeues:
+        released.setdefault(cycle, []).append(slave)
+    for cycle in range(len(trace)):
+        for req_id in (2 * cycle, 2 * cycle + 1):
+            occupancy[trace.slaves[req_id]] += trace.accepted[req_id]
+        due = cycle % config.drain_period == 0
+        expected = [slave for slave in range(10) if due and occupancy[slave]]
+        assert sorted(released.get(cycle, [])) == expected, f"cycle {cycle}"
+        for slave in expected:
+            occupancy[slave] -= 1
+
+
 def hand_trace(requests, dequeues=()):
     """A Trace of (addr, slave, accepted) requests, two per cycle, and the given dequeues."""
     assert len(requests) % 2 == 0
@@ -209,6 +225,7 @@ class TestGoldenCheck:
         assert counts == tuple(
             sum(occ[slave] == fifo_depth for occ in occupancies) for slave in range(10)
         )
+        check_drain_schedule(trace, cfg)
 
     def test_swapped_dequeues_break_fifo_order(self):
         counts, trace = self.clean_step(action=(4, 4))
@@ -244,7 +261,7 @@ class TestGoldenCheck:
 
     def test_unmapped_address_flagged(self):
         # The unmapped request is not replayed, so slave 9 releases request 1 in order.
-        for addr in (-1, 0xA000):
+        for addr in (-1, 0xA000, 1 << 63, -(1 << 63) - 1):
             trace = hand_trace([(addr, 9, True), (0x9000, 9, True)], dequeues=[(0, 9, 1)])
             violations = golden_check(trace, (0,) * 10, CFG)
             assert [v.kind for v in violations] == ["routing"]

@@ -44,8 +44,9 @@ from conftest import StreamThenFault, action_spaces, json_values
 ACTION = (0.4, 6.0, 300.0)
 
 # Lines that once escaped decode as TypeError, OverflowError, ValueError or
-# RecursionError, the v1 acknowledgements with their dropped fields, and the
-# v2 messages that split an episode into a reset and a seedless step.
+# RecursionError, a hello whose knob is too wide for a float to span, the v1
+# acknowledgements with their dropped fields, and the v2 messages that split
+# an episode into a reset and a seedless step.
 HOSTILE_LINES = [
     b'{"type":[]}\n',
     b'{"type":"episode","seed":0,"action":[' + b"9" * 400 + b"]}\n",
@@ -53,6 +54,8 @@ HOSTILE_LINES = [
     b'{"type":"episode","seed":0,"action":' + b"[" * 10**5 + b"]" * 10**5 + b"}\n",
     b'{"type":"hello","protocol_version":2,"events":[],"action_space":'
     b'{"knobs":[{"name":["a"],"kind":"continuous","lo":0,"hi":1}]}}\n',
+    b'{"type":"hello","protocol_version":3,"events":[],"action_space":'
+    b'{"knobs":[{"name":"x","kind":"continuous","lo":-1e308,"hi":1e308}]}}\n',
     b'{"type":"episode","seed":0,"action":[NaN]}\n',
     b'{"type":"reset_ack","observation":[0,0,0,0]}\n',
     b'{"type":"step_ack","observation":[],"counts":[1],"done":true}\n',
@@ -61,7 +64,8 @@ HOSTILE_LINES = [
     b'{"type":"step","action":[0.4,6,300]}\n',
 ]
 HOSTILE_IDS = [
-    "type_list", "400_digits", "5000_digits", "nested_1e5", "knob_name_list", "nan",
+    "type_list", "400_digits", "5000_digits", "nested_1e5", "knob_name_list",
+    "knob_width_overflows", "nan",
     "v1_reset_ack", "v1_step_ack", "v2_reset", "v2_reset_ack", "v2_seedless_step",
 ]
 

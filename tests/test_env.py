@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from covsteer.actionspace import Action, ActionSpace, KnobSpec
 from covsteer.agents import CemAgent, RandomAgent
 from covsteer.coverage import compute_reward
-from covsteer.env import DutModel, Environment, episode_seed, run_campaign
+from covsteer.env import DutModel, Environment, episode_seed, run_campaign, stimulus_rng
 from covsteer.errors import InvalidActionError
 from covsteer.rle import RleDut
 
@@ -195,3 +197,66 @@ def test_episode_seed_is_stable_and_distinct():
     assert seeds == [episode_seed(7, i) for i in range(100)]
     assert len(set(seeds)) == 100
     assert episode_seed(7, 0) != episode_seed(8, 0)
+
+
+def reference_seed(campaign_seed, episode):
+    return int(np.random.SeedSequence((campaign_seed, 1, episode)).generate_state(1, np.uint64)[0])
+
+
+def same_stream(a, b):
+    return a.integers(0, 2**63, 8).tolist() == b.integers(0, 2**63, 8).tolist() and (
+        a.random(4).tolist() == b.random(4).tolist()
+    )
+
+
+campaign_seeds = st.integers(0, 2**64 - 1) | st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+# Block edges near 0, around 2**32 and just below 2**64, where an index gains a word.
+episode_indices = st.sampled_from([0, 255, 256, 257, 511, 512]) | st.builds(
+    lambda base, delta: base + delta,
+    st.sampled_from([0, 2**32, 2**64]),
+    st.integers(-300, 300),
+).filter(lambda i: i >= 0) | st.integers(0, 2**70)
+
+
+class TestSeeding:
+    @given(campaign_seeds, st.lists(episode_indices, min_size=1, max_size=6))
+    def test_episode_seed_equals_seed_sequence(self, campaign_seed, indices):
+        for episode in indices:
+            assert episode_seed(campaign_seed, episode) == reference_seed(campaign_seed, episode)
+
+    @given(campaign_seeds, episode_indices)
+    def test_descending_order_reuses_and_replaces_blocks(self, campaign_seed, top):
+        for episode in range(top, max(top - 600, -1), -97):
+            assert episode_seed(campaign_seed, episode) == reference_seed(campaign_seed, episode)
+
+    @given(st.lists(campaign_seeds, min_size=2, max_size=3, unique=True), episode_indices)
+    def test_interleaved_campaigns(self, seeds, first):
+        for episode in range(first, first + 520, 37):
+            for campaign_seed in seeds:
+                assert episode_seed(campaign_seed, episode) == reference_seed(campaign_seed, episode)
+
+    def test_negative_inputs_rejected(self):
+        for args in ((-1, 0), (0, -1)):
+            with pytest.raises(ValueError):
+                episode_seed(*args)
+
+    @given(campaign_seeds, episode_indices)
+    def test_stimulus_rng_from_a_block_is_default_rng(self, campaign_seed, episode):
+        import covsteer.env as env_mod
+
+        seed = episode_seed(campaign_seed, episode)
+        # A seed of two or more words is built from the block's cached words.
+        assert seed < 2**32 or any(seed in block.rows for block in env_mod._blocks)
+        assert same_stream(stimulus_rng(seed), np.random.default_rng(seed))
+
+    @given(st.integers(0, 2**64 - 1) | st.integers(0, 2**32 - 1) | st.just(0))
+    def test_stimulus_rng_of_an_unseen_seed_is_default_rng(self, seed):
+        assert same_stream(stimulus_rng(seed), np.random.default_rng(seed))
+
+    def test_cache_holds_at_most_two_blocks(self):
+        import covsteer.env as env_mod
+
+        for block in range(10):
+            episode_seed(11, 256 * block)
+            assert len(env_mod._blocks) <= 2
+        assert [block.first for block in env_mod._blocks] == [256 * 9, 256 * 8]
