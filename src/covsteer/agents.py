@@ -210,6 +210,12 @@ class CemAgent(Agent):
         for k, knob in enumerate(space.knobs):
             if knob.kind == CONTINUOUS:
                 span = knob.hi - knob.lo
+                # lo + hi and a refit's sums over a batch of values and of
+                # squared deviations must stay finite, or propose spins.
+                widest = max(abs(knob.lo), abs(knob.hi))
+                sums = (knob.lo + knob.hi, batch_size * widest, batch_size * span * span)
+                if not all(map(math.isfinite, sums)):
+                    raise ValueError(f"knob {knob.name} too wide for batch_size {batch_size}")
                 self._mu[k] = (knob.lo + knob.hi) / 2.0
                 self._sigma[k] = span / 2.0
                 self._sigma_min[k] = sigma_min_frac * span

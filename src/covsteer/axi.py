@@ -19,20 +19,17 @@ A step draws and decodes all of its addresses at once, then runs the FIFOs
 request by request. Its ``Trace`` is columnar: request ``i`` is master
 ``i % N_MASTERS`` in cycle ``i // N_MASTERS``, with its address, routed
 slave and acceptance in three per-request lists, and the dequeues are one
-list of ``(cycle, slave, req_id)`` tuples. After every step the trace is
-replayed against an independent queue model: order is preserved per FIFO,
-no request enqueues at full or dequeues at empty, and every request's
-address lies within the region bounds of the slave it was routed to. The
-replay recounts every slave's full cycles from its own queues and checks
-them against the counts the step returned, so the events the reward is
-computed from are checked too.
+list of ``(cycle, slave, req_id)`` tuples. ``golden_check`` is the
+scoreboard: a reference model that re-derives the step from its addresses
+and the config alone, so ``AxiDut.step`` checks the routing, acceptances,
+releases and event counts of every episode by equality.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, fields
+from itertools import zip_longest
 from numbers import Integral
 from typing import NamedTuple
 
@@ -219,100 +216,94 @@ def simulate_step(
 def golden_check(
     trace: Trace, counts: tuple[int, ...], config: AxiConfig
 ) -> list[TraceViolation]:
-    """Replay a trace against an independent queue model and recount its events.
+    """Re-derive a step from its addresses and the config, and compare.
 
-    Routing is checked against the region bounds, not with the model's
-    decoder: a request must name a slave that exists and lie within that
-    slave's region. One that does not is a routing violation and is not
-    replayed. Each cycle's occupancy comes from the replay queues, and the
-    full cycles counted from it must equal ``counts``; a mismatch is one
-    ``full_counts`` violation stamped with the step's cycle count. Returns
-    every violation found in chronological order (empty means the trace is
-    clean). A trace whose columns do not fit its cycle count, or whose
-    dequeues are not in cycle order within the step, raises
+    The reference model runs the module docstring's cycle, routing by the
+    region bounds rather than with the model's decoder. A misrouted or
+    unmapped request is one ``routing`` violation, returned alone.
+    Otherwise the first divergence of the acceptances (``enqueue_at_full``
+    or ``drop_below_full``), of the dequeues (``fifo_order`` for another
+    request from the same slave and cycle, else ``drain``) and of
+    ``counts`` (``full_counts``, at the step's cycle count) is returned, in
+    cycle order. A trace whose columns do not fit its cycle count raises
     ``ScoreboardError``.
     """
     addrs, slaves, accepted, dequeues = trace.addrs, trace.slaves, trace.accepted, trace.dequeues
-    n_requests = trace.cycles * N_MASTERS
-    if not len(addrs) == len(slaves) == len(accepted) == n_requests:
+    if not len(addrs) == len(slaves) == len(accepted) == trace.cycles * N_MASTERS:
         raise ScoreboardError(
             f"trace of {trace.cycles} cycles has {len(addrs)} addresses, "
             f"{len(slaves)} slaves and {len(accepted)} acceptances"
         )
-    bounds = [slave * config.region_size for slave in range(N_SLAVES + 1)]
-    depth = config.fifo_depth
-    queues: list[deque] = [deque() for _ in range(N_SLAVES)]
-    full: set[int] = set()
-    full_cycles = [0] * N_SLAVES
-    violations: list[TraceViolation] = []
-    n_dequeues = len(dequeues)
-    d = 0
-    for req_id, (addr, slave, taken) in enumerate(zip(addrs, slaves, accepted)):
-        if not (0 <= slave < N_SLAVES and bounds[slave] <= addr < bounds[slave + 1]):
-            # Region -1 lies below the map and region N_SLAVES above it.
-            region = bisect_right(bounds, addr) - 1
-            if 0 <= region < N_SLAVES:
+    size = config.region_size
+    routed = [addr // size for addr in addrs]
+    regions = sorted(set(routed))
+    if routed != slaves or (regions and not 0 <= regions[0] <= regions[-1] < N_SLAVES):
+        for req_id, (region, slave) in enumerate(zip(routed, slaves)):
+            if not 0 <= region < N_SLAVES:
+                detail = f"address {addrs[req_id]:#x} unmapped"
+            elif region != slave:
                 detail = f"request {req_id} routed to slave {slave}, region is {region}"
             else:
-                detail = f"address {addr:#x} unmapped"
-            violations.append(TraceViolation(req_id // N_MASTERS, "routing", detail))
-            # A misrouted request still enters the FIFO it names, if there is one.
-            taken = taken and 0 <= region < N_SLAVES and 0 <= slave < N_SLAVES
-        if taken:
-            queue = queues[slave]
-            if len(queue) >= depth:
-                violations.append(
-                    TraceViolation(req_id // N_MASTERS, "enqueue_at_full", f"request {req_id}")
-                )
-            else:
-                queue.append(req_id)
-                if len(queue) == depth:
-                    full.add(slave)
+                continue
+            return [TraceViolation(req_id // N_MASTERS, "routing", detail)]
+
+    depth, period = config.fifo_depth, config.drain_period
+    fifos = [deque() for _ in range(N_SLAVES)]
+    reached = [(slave, fifos[slave]) for slave in regions]
+    taken: list[bool] = []
+    released: list[tuple[int, int, int]] = []
+    full: set[int] = set()
+    full_cycles = [0] * N_SLAVES
+    for req_id, slave in enumerate(routed):
+        fifo = fifos[slave]
+        room = len(fifo) < depth
+        taken.append(room)
+        if room:
+            fifo.append(req_id)
+            if len(fifo) == depth:
+                full.add(slave)
         if req_id % N_MASTERS < N_MASTERS - 1:
             continue
-        # The cycle's last request is in: release its dequeues, then count full FIFOs.
         cycle = req_id // N_MASTERS
-        while d < n_dequeues and dequeues[d][0] == cycle:
-            _, slave, released = dequeues[d]
-            d += 1
-            if not 0 <= slave < N_SLAVES:
-                detail = f"request {released} dequeued from slave {slave}"
-                violations.append(TraceViolation(cycle, "routing", detail))
-                continue
-            queue = queues[slave]
-            if not queue:
-                violations.append(TraceViolation(cycle, "dequeue_at_empty", f"slave {slave}"))
-                continue
-            full.discard(slave)
-            head = queue.popleft()
-            if head != released:
-                violations.append(
-                    TraceViolation(
-                        cycle,
-                        "fifo_order",
-                        f"slave {slave} released {released}, oldest was {head}",
-                    )
-                )
+        if cycle % period == 0:
+            for slave, fifo in reached:
+                if fifo:
+                    released.append((cycle, slave, fifo.popleft()))
+            # Every FIFO that was full has just released an entry.
+            full.clear()
         for slave in full:
             full_cycles[slave] += 1
-    if d < n_dequeues:
-        raise ScoreboardError(
-            f"dequeue {dequeues[d]} is out of cycle order or outside the step's "
-            f"{trace.cycles} cycles"
-        )
+
+    violations: list[TraceViolation] = []
+    if accepted != taken:
+        req_id, was_taken, _ = _first_difference(accepted, taken)
+        kind = "enqueue_at_full" if was_taken else "drop_below_full"
+        violations.append(TraceViolation(req_id // N_MASTERS, kind, f"request {req_id}"))
+    if dequeues != released:
+        _, got, want = _first_difference(dequeues, released)
+        if got and want and got[:2] == want[:2]:
+            cycle, slave, oldest = want
+            detail = f"slave {slave} released {got[2]}, oldest was {oldest}"
+            violations.append(TraceViolation(cycle, "fifo_order", detail))
+        else:
+            cycle = min(d[0] for d in (got, want) if d)
+            detail = f"step dequeued {got or 'nothing'}, reference dequeues {want or 'nothing'}"
+            violations.append(TraceViolation(cycle, "drain", detail))
     if tuple(counts) != tuple(full_cycles):
-        violations.append(
-            TraceViolation(
-                trace.cycles,
-                "full_counts",
-                f"step counted {tuple(counts)}, replay counts {tuple(full_cycles)}",
-            )
-        )
-    return violations
+        detail = f"step counted {tuple(counts)}, reference counts {tuple(full_cycles)}"
+        violations.append(TraceViolation(trace.cycles, "full_counts", detail))
+    return sorted(violations, key=lambda v: v.cycle)
+
+
+def _first_difference(got: list, want: list) -> tuple:
+    """Index and entries where two unequal lists first differ; None past a list's end."""
+    for i, (a, b) in enumerate(zip_longest(got, want)):
+        if a != b:
+            return i, a, b
 
 
 class AxiDut(DutModel):
-    """Crossbar wrapped in the design-model contract, with trace replay checking.
+    """Crossbar wrapped in the design-model contract, checked by ``golden_check``.
 
     Every step starts from empty FIFOs, so there is nothing to reset.
     """

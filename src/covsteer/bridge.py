@@ -445,10 +445,11 @@ def serve_tcp(
     """Accept connections and serve each with a fresh design-model instance.
 
     ``on_bound`` receives the actual bound port (useful with port 0).
-    ``max_sessions`` limits how many connections are served before
-    returning; None serves forever. At most ``MAX_CONCURRENT_SESSIONS`` are
-    served at once: a connection beyond them gets a ``busy`` error and is
-    closed, and does not count as served. Each connection is closed after
+    ``max_sessions`` limits how many connections are served, and the call
+    returns once the last of them has ended; None serves forever. At most
+    ``MAX_CONCURRENT_SESSIONS`` are served at once, each on its own thread:
+    a connection beyond them gets a ``busy`` error and is closed, and does
+    not count as served. A connection is closed after
     ``SESSION_IDLE_TIMEOUT_S`` seconds without a request.
     """
     import threading
@@ -462,7 +463,8 @@ def serve_tcp(
             raise TransportError(f"cannot listen on {host}:{port}: {exc}") from exc
         if on_bound is not None:
             on_bound(server.getsockname()[1])
-        slots = threading.BoundedSemaphore(MAX_CONCURRENT_SESSIONS)
+        n_slots = MAX_CONCURRENT_SESSIONS
+        slots = threading.BoundedSemaphore(n_slots)
         served = 0
         while max_sessions is None or served < max_sessions:
             conn, _ = server.accept()
@@ -470,7 +472,7 @@ def serve_tcp(
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             if not slots.acquire(blocking=False):
                 with conn:
-                    busy = f"already serving {MAX_CONCURRENT_SESSIONS} sessions"
+                    busy = f"already serving {n_slots} sessions"
                     try:
                         conn.sendall(encode(Error("busy", busy)))
                     except OSError:
@@ -488,7 +490,7 @@ def serve_tcp(
                     _close_quietly(rfile, wfile, c)
                     slots.release()
 
-            if max_sessions == 1:
-                session()
-            else:
-                threading.Thread(target=session, daemon=True).start()
+            threading.Thread(target=session, daemon=True).start()
+        # Every slot is free again only once every session has ended.
+        for _ in range(n_slots):
+            slots.acquire()

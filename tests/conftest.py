@@ -1,3 +1,5 @@
+import inspect
+
 import hypothesis
 from hypothesis import strategies as st
 
@@ -58,3 +60,16 @@ class StreamThenFault(RleDut):
             stimulus_rng(seed).random(100)
             raise RuntimeError("transient fault")
         return super().step(action, seed)
+
+
+def exec_mutant(monkeypatch, module, name, line, mutation):
+    """Monkeypatch ``module.name`` with its source's one ``line`` replaced by ``mutation``.
+
+    The mutated source is exec'd in the module's namespace, so it calls
+    the same helpers as the original.
+    """
+    source = inspect.getsource(getattr(module, name))
+    assert source.count(line) == 1
+    namespace = dict(vars(module))
+    exec(source.replace(line, mutation), namespace)
+    monkeypatch.setattr(module, name, namespace[name])

@@ -295,6 +295,30 @@ class TestCemObserve:
         with pytest.raises(ValueError, match=next(iter(params))):
             CemAgent(UNIT, **params)
 
+    @pytest.mark.parametrize(
+        "lo,hi,batch_size",
+        [
+            (-8.9e307, 8.9e307, 10),  # the refit's mean overflows
+            (1e308, 1.7e308, 1),  # the initial mean overflows
+            (-1e160, 1e160, 1),  # the refit's squared deviations overflow
+        ],
+    )
+    def test_knob_too_wide_for_the_refit_rejected(self, lo, hi, batch_size):
+        space = ActionSpace(knobs=(KnobSpec.continuous("x", lo, hi),))
+        with pytest.raises(ValueError, match="knob x too wide"):
+            CemAgent(space, batch_size=batch_size)
+
+    def test_widest_accepted_knob_keeps_proposing(self):
+        space = ActionSpace(knobs=(KnobSpec.continuous("x", -1e150, 1e150),))
+        agent = CemAgent(space, batch_size=10)
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            action = agent.propose(rng)
+            assert -1e150 <= action.values[0] <= 1e150
+            agent.observe(action, float(rng.random()))
+        knob = agent.snapshot()["knobs"][0]
+        assert np.isfinite([knob["mu"], knob["sigma"]]).all()
+
     def test_widest_stddev_floor_still_proposes(self):
         agent = CemAgent(UNIT, sigma_min_frac=0.5)
         rng = np.random.default_rng(0)

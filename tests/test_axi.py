@@ -13,12 +13,15 @@ from covsteer.axi import (
     AxiConfig,
     AxiDut,
     Trace,
+    TraceViolation,
     decode_action,
     decode_addresses,
     golden_check,
     simulate_step,
 )
 from covsteer.errors import AddressDecodeError, ScoreboardError
+
+from conftest import exec_mutant
 
 CFG = AxiConfig()
 
@@ -237,21 +240,40 @@ class TestGoldenCheck:
         assert "fifo_order" in kinds
 
     def test_enqueue_at_full_flagged(self):
-        # depth + 1 accepted requests over three cycles: the FIFO fills in
-        # cycle 1 and request 4 arrives at full in cycle 2; request 5 is rejected.
-        assert CFG.fifo_depth == 4
-        trace = hand_trace([(0x4000, 4, True)] * 5 + [(0x4000, 4, False)])
-        counts = (0, 0, 0, 0, 2, 0, 0, 0, 0, 0)
-        violations = golden_check(trace, counts, CFG)
-        assert [v.kind for v in violations] == ["enqueue_at_full"]
-        assert (violations[0].cycle, violations[0].detail) == (2, "request 4")
+        counts, trace = self.clean_step(action=(4, 4))
+        rejected = trace.accepted.index(False)
+        accepted = [*trace.accepted]
+        accepted[rejected] = True
+        violations = golden_check(replace(trace, accepted=accepted), counts, CFG)
+        assert violations == [
+            TraceViolation(rejected // 2, "enqueue_at_full", f"request {rejected}")
+        ]
+
+    def test_drop_below_full_flagged(self):
+        counts, trace = self.clean_step(action=(4, 4))
+        accepted = [*trace.accepted]
+        accepted[3] = False
+        violations = golden_check(replace(trace, accepted=accepted), counts, CFG)
+        assert violations == [TraceViolation(1, "drop_below_full", "request 3")]
 
     def test_dequeue_at_empty_flagged(self):
-        trace = hand_trace([(0x5000, 5, True), (0x5004, 5, True)], dequeues=[(0, 2, 0)])
-        violations = golden_check(trace, (0,) * 10, CFG)
-        assert violations and violations[0].kind == "dequeue_at_empty"
-        assert violations[0].cycle == 0
-        assert violations[0].detail == "slave 2"
+        # Only slave 4 is reached, so slave 2 is empty when cycle 0 drains.
+        counts, trace = self.clean_step(action=(4, 4))
+        first = trace.dequeues[0]
+        assert first[:2] == (0, 4)
+        dequeues = [(0, 2, 0), *trace.dequeues]
+        violations = golden_check(replace(trace, dequeues=dequeues), counts, CFG)
+        assert violations == [
+            TraceViolation(0, "drain", f"step dequeued (0, 2, 0), reference dequeues {first}")
+        ]
+
+    def test_missed_drain_flagged(self):
+        counts, trace = self.clean_step(action=(4, 4))
+        (cycle, slave, req_id), *rest = trace.dequeues
+        violations = golden_check(replace(trace, dequeues=rest), counts, CFG)
+        assert [v.kind for v in violations] == ["drain"]
+        assert violations[0].cycle == cycle
+        assert f"reference dequeues {(cycle, slave, req_id)}" in violations[0].detail
 
     def test_misrouted_request_flagged(self):
         trace = hand_trace([(0x8000, 8, False), (0x4000, 3, True)])
@@ -273,12 +295,14 @@ class TestGoldenCheck:
         assert [v.kind for v in violations] == ["routing"]
         assert "slave 10" in violations[0].detail
 
-    def test_dequeue_from_a_missing_slave_is_a_routing_violation(self):
-        # Slave 9 holds a request, which a dequeue from slave -1 must not release.
-        trace = hand_trace([(0x9000, 9, True), (0x8000, 8, False)], dequeues=[(0, -1, 0)])
-        violations = golden_check(trace, (0,) * 10, CFG)
-        assert [v.kind for v in violations] == ["routing"]
-        assert "slave -1" in violations[0].detail
+    def test_dequeue_from_a_missing_slave_is_a_drain_violation(self):
+        counts, trace = self.clean_step(action=(9, 9))
+        (cycle, _, req_id), *rest = trace.dequeues
+        for missing in (-1, 10):
+            dequeues = [(cycle, missing, req_id), *rest]
+            violations = golden_check(replace(trace, dequeues=dequeues), counts, CFG)
+            assert [v.kind for v in violations] == ["drain"]
+            assert f"step dequeued {(cycle, missing, req_id)}" in violations[0].detail
 
     def test_full_counts_mismatch_flagged(self):
         counts, trace = self.clean_step(action=(4, 4))
@@ -296,11 +320,16 @@ class TestGoldenCheck:
         for bad in (
             replace(trace, cycles=trace.cycles + 1),
             replace(trace, accepted=trace.accepted[:-1]),
-            replace(trace, dequeues=trace.dequeues[::-1]),
-            replace(trace, dequeues=[*trace.dequeues, (trace.cycles, 4, 0)]),
         ):
             with pytest.raises(ScoreboardError):
                 golden_check(bad, counts, CFG)
+        # Dequeues out of cycle order or past the step fit the columns: they
+        # are released off the drain schedule.
+        for bad in (
+            replace(trace, dequeues=trace.dequeues[::-1]),
+            replace(trace, dequeues=[*trace.dequeues, (trace.cycles, 4, 0)]),
+        ):
+            assert [v.kind for v in golden_check(bad, counts, CFG)] == ["drain"]
 
 
 class TestAxiDut:
@@ -370,20 +399,28 @@ class TestAxiDut:
                 "dequeues.append((cycle, slave, fifo.popleft()))",
                 "dequeues.append((cycle, slave, fifo.popleft())) if cycle else fifo.popleft()",
                 (0, 9),
-                "fifo_order|full_counts",
+                "drain",
+            ),
+            # drops every seventh request even when its FIFO has room
+            (
+                "if len(fifo) < depth:",
+                "if len(fifo) < depth and req_id % 7 != 3:",
+                (4, 4),
+                "drop_below_full",
+            ),
+            # skips every fourth drain
+            (
+                "if req_id % drain_every == N_MASTERS - 1:",
+                "if req_id % drain_every == N_MASTERS - 1 and req_id // drain_every % 4 != 3:",
+                (4, 4),
+                "drain",
             ),
         ],
     )
     def test_scoreboard_catches_a_model_mutant(self, monkeypatch, line, mutation, action, kinds):
-        import inspect
-
         import covsteer.axi as axi_mod
 
-        source = inspect.getsource(axi_mod.simulate_step)
-        assert source.count(line) == 1
-        namespace = dict(vars(axi_mod))
-        exec(source.replace(line, mutation), namespace)
-        monkeypatch.setattr(axi_mod, "simulate_step", namespace["simulate_step"])
+        exec_mutant(monkeypatch, axi_mod, "simulate_step", line, mutation)
         with pytest.raises(ScoreboardError, match=kinds):
             AxiDut().step(Action(action), 0)
 

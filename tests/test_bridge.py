@@ -725,11 +725,29 @@ class TestTcp:
                     assert time.monotonic() < deadline
                     time.sleep(0.01)
             assert proxies[-1].step(Action(ACTION), 3) == local
-            server.join(timeout=5)
-            assert not server.is_alive()
         finally:
             for proxy in proxies:
                 proxy.close()
+        server.join(timeout=5)
+        assert not server.is_alive()
+
+    def test_returns_only_after_every_session_ended(self):
+        server, port = self.start_server(max_sessions=2)
+        first = connect_tcp("127.0.0.1", port, timeout=10)
+        second = connect_tcp("127.0.0.1", port, timeout=10)
+        try:
+            local = RleDut().step(Action(ACTION), 3)
+            assert first.step(Action(ACTION), 3) == local
+            first.close()
+            # Both sessions were admitted, but the second still serves.
+            server.join(timeout=0.5)
+            assert server.is_alive()
+            assert second.step(Action(ACTION), 3) == local
+        finally:
+            first.close()
+            second.close()
+        server.join(timeout=5)
+        assert not server.is_alive()
 
     def test_silent_peer_is_disconnected(self, monkeypatch):
         from covsteer import bridge

@@ -18,6 +18,8 @@ from covsteer.rle import (
     rle_run,
 )
 
+from conftest import exec_mutant
+
 DIVISORS = (1, 2, 4, 8)
 NON_DIVISORS = (3, 5, 6, 7)
 
@@ -306,18 +308,28 @@ class TestRleDut:
     def test_scoreboard_catches_a_lost_carry(self, monkeypatch):
         # Mutant model: a straddled field's high bits never reach the next
         # zero-count vector.
-        import inspect
-
         import covsteer.rle as rle_mod
 
-        source = inspect.getsource(rle_mod.rle_run)
-        carry = "zc_bits = counter >> free"
-        assert source.count(carry) == 1
-        namespace = dict(vars(rle_mod))
-        exec(source.replace(carry, "zc_bits = 0"), namespace)
-        monkeypatch.setattr(rle_mod, "rle_run", namespace["rle_run"])
+        exec_mutant(monkeypatch, rle_mod, "rle_run", "zc_bits = counter >> free", "zc_bits = 0")
         with pytest.raises(ScoreboardError, match="output diverged"):
             RleDut().step(Action((1.0, 6, 1000)), 0)
+
+    @pytest.mark.parametrize(
+        "line,mutation,action,message",
+        [
+            # skips e1 when a field fills the zero-count vector exactly
+            ("e1 += 1", "e1 += zc_used > 0", (1.0, 1, 1000), "event counts"),
+            # flushes a saturated count field one zero word late
+            ("if counter < saturation:", "if counter <= saturation:", (1.0, 6, 1000),
+             "output diverged"),
+        ],
+    )
+    def test_scoreboard_catches_a_model_mutant(self, monkeypatch, line, mutation, action, message):
+        import covsteer.rle as rle_mod
+
+        exec_mutant(monkeypatch, rle_mod, "rle_run", line, mutation)
+        with pytest.raises(ScoreboardError, match=message):
+            RleDut().step(Action(action), 0)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
