@@ -17,12 +17,15 @@ error     code, detail                               server
 Every ``episode`` is answered by ``counts`` or ``error``, and replies come
 in request order; a client may send up to ``WINDOW`` requests ahead of the
 replies it has read (``DutProxy`` does, for the episodes that
-``env.run_campaign`` hints to it). An episode is one request, a pure
-function of its seed and action, so a repeated or retried request replays
-it. The serving side runs each request as one
-``env.Environment.step(action, seed)``. Unknown types, missing fields, and
-unexpected extra fields are all rejected, and so is a request line longer
-than ``MAX_LINE_BYTES``, which also ends the session. Error codes:
+``env.run_campaign`` hints to it). Replies may come in bursts: the
+serving side answers the requests that arrived together and sends their
+replies at once, holding a reply at most ``REPLY_HOLD_S`` plus one step.
+An episode is one request, a pure function of its seed and action, so a
+repeated or retried request replays it. The serving side runs each
+request as one ``env.Environment.step(action, seed)``. Unknown types,
+missing fields, and unexpected extra fields are all rejected, and so is a
+request line longer than ``MAX_LINE_BYTES``, which also ends the session
+once the lines before it are answered. Error codes:
 ``decode`` (unparseable or over-long line), ``protocol`` (a message only
 the serving side sends), ``invalid_action`` (action outside the served
 space), ``dut_fault`` (design model raised), ``busy`` (sent in place of
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 import json
 import socket
+import time
 from collections import deque
 from dataclasses import dataclass
 
@@ -68,6 +72,10 @@ SESSION_IDLE_TIMEOUT_S = 300.0
 # side blocks writing a reply the client has not read yet.
 WINDOW = 16
 WINDOW_BYTES = 4096
+# The serving side writes the replies to the requests that arrived together
+# with one flush, but holds none past the first step that ends this long
+# after the oldest held reply's step began.
+REPLY_HOLD_S = 0.05
 
 
 @dataclass(frozen=True)
@@ -278,9 +286,19 @@ def longest_request(space: ActionSpace) -> int:
     return length
 
 
-def _send(wfile, msg: BridgeMessage) -> None:
-    wfile.write(encode(msg))
-    wfile.flush()
+def _answer(env: Environment, line: bytes) -> BridgeMessage:
+    """The reply to one request line: its counts, or the error it earns."""
+    try:
+        msg = decode(line)
+        if isinstance(msg, Episode):
+            return Counts(env.step(Action(msg.action), msg.seed).counts)
+        return Error("protocol", f"unexpected message type {type(msg).__name__}")
+    except BridgeDecodeError as exc:
+        return Error("decode", str(exc))
+    except InvalidActionError as exc:
+        return Error("invalid_action", exc.violations[0].message)
+    except Exception as exc:  # noqa: BLE001 - reported to the peer
+        return Error("dut_fault", f"{type(exc).__name__}: {exc}")
 
 
 def serve_dut(dut: DutModel, rfile, wfile) -> None:
@@ -289,30 +307,54 @@ def serve_dut(dut: DutModel, rfile, wfile) -> None:
     Each request runs through an ``Environment`` without multipliers, so
     the action checks are the in-process ones. Decode failures, protocol
     violations and design-model faults are answered with error messages
-    and the session continues. It ends when the transport closes or times
-    out, or after the ``decode`` error that answers a line longer than
-    ``MAX_LINE_BYTES``: the rest of that line is never read.
+    and the session continues.
+
+    ``rfile`` must support ``read1``. Each read takes whatever has arrived,
+    every complete line in it is answered in order, and the replies go out
+    with one flush before the next read, so a burst of requests gets a
+    burst of replies. A reply is held at most until the first step that
+    ends ``REPLY_HOLD_S`` after the oldest held reply's step began.
+
+    The session ends when the transport closes or times out, or after the
+    ``decode`` error that answers a line longer than ``MAX_LINE_BYTES``: the
+    replies before it go out first, and nothing read after it is answered.
+    At most ``MAX_LINE_BYTES`` of an unfinished line is kept, plus one read.
     """
     env = Environment(dut)
+    unfinished = bytearray()  # the start of a line whose newline has not arrived
     try:
-        _send(wfile, Hello(PROTOCOL_VERSION, env.space, dut.event_names()))
-        while line := rfile.readline(MAX_LINE_BYTES):
-            if len(line) == MAX_LINE_BYTES and not line.endswith(b"\n"):
-                _send(wfile, Error("decode", f"line longer than {MAX_LINE_BYTES} bytes"))
+        wfile.write(encode(Hello(PROTOCOL_VERSION, env.space, dut.event_names())))
+        while True:
+            wfile.flush()
+            chunk = rfile.read1()
+            if not chunk:  # the peer closed; a last line without its newline is still answered
+                if unfinished:
+                    wfile.write(encode(_answer(env, bytes(unfinished))))
+                    wfile.flush()
                 return
-            try:
-                msg = decode(line)
-                if isinstance(msg, Episode):
-                    reply = Counts(env.step(Action(msg.action), msg.seed).counts)
-                else:
-                    reply = Error("protocol", f"unexpected message type {type(msg).__name__}")
-            except BridgeDecodeError as exc:
-                reply = Error("decode", str(exc))
-            except InvalidActionError as exc:
-                reply = Error("invalid_action", exc.violations[0].message)
-            except Exception as exc:  # noqa: BLE001 - reported to the peer
-                reply = Error("dut_fault", f"{type(exc).__name__}: {exc}")
-            _send(wfile, reply)
+            start = 0
+            held_since = None
+            while end := chunk.find(b"\n", start) + 1:
+                line, start = chunk[start:end], end
+                if unfinished:
+                    unfinished += line
+                    line = bytes(unfinished)
+                    unfinished.clear()
+                if len(line) > MAX_LINE_BYTES:
+                    break
+                if held_since is None:
+                    held_since = time.monotonic()
+                wfile.write(encode(_answer(env, line)))
+                if time.monotonic() - held_since >= REPLY_HOLD_S:
+                    wfile.flush()
+                    held_since = None
+            else:  # every complete line was answered; keep the rest unless it is too long already
+                unfinished += chunk[start:]
+                if len(unfinished) < MAX_LINE_BYTES:
+                    continue
+            wfile.write(encode(Error("decode", f"line longer than {MAX_LINE_BYTES} bytes")))
+            wfile.flush()
+            return
     except (BrokenPipeError, ConnectionResetError, TimeoutError):
         return
 
@@ -420,7 +462,11 @@ def connect_dut(rfile, wfile, sock: socket.socket | None = None) -> DutProxy:
 
 
 def connect_tcp(host: str, port: int, timeout: float = DEFAULT_TIMEOUT) -> DutProxy:
-    """Connect to a TCP serving side; the timeout applies to every response."""
+    """Connect to a TCP serving side; the timeout applies to every response.
+
+    A reply may wait behind the others of its burst, for up to
+    ``REPLY_HOLD_S`` plus one step, so the timeout must cover that too.
+    """
     try:
         sock = socket.create_connection((host, port), timeout=timeout)
     except OSError as exc:

@@ -3,7 +3,7 @@ import os
 import socket
 import threading
 import time
-from collections import deque
+from collections import Counter, deque
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ from covsteer.agents import CemAgent, RandomAgent
 from covsteer.bridge import (
     MAX_LINE_BYTES,
     PROTOCOL_VERSION,
+    REPLY_HOLD_S,
     WINDOW,
     WINDOW_BYTES,
     Counts,
@@ -187,9 +188,13 @@ def test_decode_raises_only_decode_errors(line):
 
 
 class Session:
-    """Raw client side of one served session over a socketpair."""
+    """Raw client side of one served session over a socketpair.
 
-    def __init__(self, dut_factory=RleDut):
+    ``wrap`` receives the serving side's reader and writer and returns the
+    pair that ``serve_dut`` is given.
+    """
+
+    def __init__(self, dut_factory=RleDut, wrap=lambda rfile, wfile: (rfile, wfile)):
         self.client, server = socket.socketpair()
         self.client.settimeout(10)  # a dead serving side fails the test instead of hanging it
         self.rfile = self.client.makefile("rb")
@@ -197,7 +202,7 @@ class Session:
 
         def serve():
             with server:
-                serve_dut(dut_factory(), server.makefile("rb"), server.makefile("wb"))
+                serve_dut(dut_factory(), *wrap(server.makefile("rb"), server.makefile("wb")))
 
         self.thread = threading.Thread(target=serve, daemon=True)
         self.thread.start()
@@ -219,6 +224,43 @@ class Session:
         self.client.close()
         self.thread.join(timeout=5)
         assert not self.thread.is_alive()
+
+
+class CountingFile:
+    """A serving-side file that tallies its use in ``counts``.
+
+    Tests keep only the counter, so the session's socket closes once
+    ``serve_dut`` returns and drops its files.
+    """
+
+    def __init__(self, f, counts: Counter):
+        self.f, self.counts = f, counts
+
+    def read1(self, size=-1):
+        chunk = self.f.read1(size)
+        self.counts["read_bytes"] += len(chunk)
+        self.counts["largest_read"] = max(self.counts["largest_read"], len(chunk))
+        return chunk
+
+    def write(self, data):
+        self.counts["lines_written"] += data.count(b"\n")
+        return self.f.write(data)
+
+    def flush(self):
+        self.counts["flushes"] += 1
+        self.f.flush()
+
+
+def counting(counts: Counter):
+    return lambda rfile, wfile: (CountingFile(rfile, counts), CountingFile(wfile, counts))
+
+
+def read_until_closed(session):
+    """What the serving side sent before it closed; unread input makes that close a reset."""
+    try:
+        return session.rfile.readline()
+    except ConnectionResetError:
+        return b""
 
 
 @pytest.fixture
@@ -358,6 +400,76 @@ class TestServeSession:
         assert not flooder.is_alive()
 
 
+class TestBursts:
+    def test_burst_matches_requests_sent_one_at_a_time_with_fewer_flushes(self):
+        counts = Counter()
+        s = Session(wrap=counting(counts))
+        try:
+            requests = [Episode(seed, ACTION) for seed in range(WINDOW)]
+            before = counts.copy()
+            s.send_raw(b"".join(encode(r) for r in requests))
+            burst = [decode(s.rfile.readline()) for _ in requests]
+            replies = counts["lines_written"] - before["lines_written"]
+            flushes = counts["flushes"] - before["flushes"]
+            assert replies == WINDOW
+            assert flushes < replies
+            assert burst == [s.request(r) for r in requests]
+        finally:
+            s.close()
+
+    def test_lone_request_is_answered_before_the_next_arrives(self, session):
+        # The serving side flushes before it blocks on its next read.
+        session.send_raw(encode(Episode(7, ACTION)))
+        assert decode(session.rfile.readline()) == Counts(RleDut().step(Action(ACTION), 7))
+
+    def test_last_line_without_newline_is_answered_at_eof(self, session):
+        session.send_raw(encode(Episode(7, ACTION))[:-1])
+        session.client.shutdown(socket.SHUT_WR)
+        assert decode(session.rfile.readline()) == Counts(RleDut().step(Action(ACTION), 7))
+        assert session.rfile.readline() == b""
+
+    def test_over_long_line_in_a_burst_ends_the_session_after_the_replies_before_it(
+        self, session
+    ):
+        requests = [Episode(seed, ACTION) for seed in (1, 2, 3)]
+        session.send_raw(
+            b"".join(encode(r) for r in requests)
+            + b"9" * MAX_LINE_BYTES + b"\n"
+            + encode(Episode(4, ACTION))
+        )
+        replies = [decode(session.rfile.readline()) for _ in range(4)]
+        assert replies[:3] == [Counts(RleDut().step(Action(ACTION), r.seed)) for r in requests]
+        assert isinstance(replies[3], Error) and replies[3].code == "decode"
+        assert "longer than" in replies[3].detail
+        assert read_until_closed(session) == b""
+        session.thread.join(timeout=5)
+        assert not session.thread.is_alive()
+
+    def test_flood_is_read_no_further_than_one_line_and_one_read(self):
+        counts = Counter()
+        s = Session(wrap=counting(counts))
+
+        def flood():
+            try:
+                s.client.sendall(b"9" * (4 * MAX_LINE_BYTES))
+            except OSError:
+                pass  # the serving side closed mid-flood
+
+        flooder = threading.Thread(target=flood, daemon=True)
+        flooder.start()
+        try:
+            reply = decode(s.rfile.readline())
+            assert isinstance(reply, Error) and reply.code == "decode"
+            assert read_until_closed(s) == b""
+            s.thread.join(timeout=5)
+            assert not s.thread.is_alive()
+            assert counts["read_bytes"] <= MAX_LINE_BYTES + counts["largest_read"]
+        finally:
+            s.close()
+            flooder.join(timeout=5)
+        assert not flooder.is_alive()
+
+
 def proxy_session(dut_factory=RleDut):
     client, server = socket.socketpair()
 
@@ -395,13 +507,19 @@ class TestProxy:
         received = []
 
         class RecordingReader:
+            """Records each complete line read, and what was left unfinished at EOF."""
+
             def __init__(self, rfile):
                 self.rfile = rfile
+                self.unfinished = b""
 
-            def readline(self, limit):
-                line = self.rfile.readline(limit)
-                received.append(line)
-                return line
+            def read1(self, size=-1):
+                chunk = self.rfile.read1(size)
+                *lines, self.unfinished = (self.unfinished + chunk).split(b"\n")
+                received.extend(line + b"\n" for line in lines)
+                if not chunk:
+                    received.append(self.unfinished)
+                return chunk
 
         def serve():
             with server:
@@ -642,7 +760,7 @@ def test_longest_request_bounds_wide_numbers():
 
 class TestTcp:
     @staticmethod
-    def start_server(max_sessions):
+    def start_server(max_sessions, dut_factory=RleDut):
         bound = {}
         ready = threading.Event()
 
@@ -652,7 +770,9 @@ class TestTcp:
 
         server = threading.Thread(
             target=serve_tcp,
-            kwargs=dict(dut_factory=RleDut, port=0, max_sessions=max_sessions, on_bound=on_bound),
+            kwargs=dict(
+                dut_factory=dut_factory, port=0, max_sessions=max_sessions, on_bound=on_bound
+            ),
             daemon=True,
         )
         server.start()
@@ -693,6 +813,25 @@ class TestTcp:
         server.join(timeout=5)
         assert not server.is_alive()
         assert served and served[0]
+
+    def test_slow_design_answers_a_full_window_within_the_timeout(self):
+        # Each step outlasts REPLY_HOLD_S, so its reply goes out at once
+        # instead of waiting for the burst it came in.
+        class SlowDut(RleDut):
+            def step(self, action, seed):
+                time.sleep(2 * REPLY_HOLD_S)
+                return super().step(action, seed)
+
+        server, port = self.start_server(max_sessions=1, dut_factory=SlowDut)
+        proxy = connect_tcp("127.0.0.1", port, timeout=10 * REPLY_HOLD_S)
+        try:
+            assert proxy.lookahead == WINDOW
+            records = campaign_records(proxy, RandomAgent, episodes=WINDOW)
+        finally:
+            proxy.close()
+        assert records == campaign_records(RleDut(), RandomAgent, episodes=WINDOW)
+        server.join(timeout=5)
+        assert not server.is_alive()
 
     def test_connect_refused(self):
         with pytest.raises(TransportError):
