@@ -15,14 +15,15 @@ no state between episodes. Every cycle:
 3. each FIFO ending the cycle full counts one occurrence of its
    ``fifo_full_slave_<i>`` event.
 
-A step draws and decodes all of its addresses at once, then runs the FIFOs
-request by request. Its ``Trace`` is columnar: request ``i`` is master
-``i % N_MASTERS`` in cycle ``i // N_MASTERS``, with its address, routed
-slave and acceptance in three per-request lists, and the dequeues are one
-list of ``(cycle, slave, req_id)`` tuples. ``golden_check`` is the
-scoreboard: a reference model that re-derives the step from its addresses
-and the config alone, so ``AxiDut.step`` checks the routing, acceptances,
-releases and event counts of every episode by equality.
+A step checks its address span, draws all of its addresses and routes
+them at once, then runs the FIFOs request by request. Its ``Trace`` is
+columnar: request ``i`` is master ``i % N_MASTERS`` in cycle
+``i // N_MASTERS``, with its address, routed slave and acceptance in three
+per-request lists, and the dequeues are one list of ``(cycle, slave,
+req_id)`` tuples. ``golden_check`` is the scoreboard: a reference model
+that re-derives the step from its addresses and the config alone, so
+``AxiDut.step`` checks the routing, acceptances, releases and event counts
+of every episode by equality.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import numpy as np
 from . import env
 from .actionspace import Action, ActionSpace, KnobSpec
 from .env import DutModel
-from .errors import AddressDecodeError, ScoreboardError
+from .errors import ScoreboardError
 
 N_MASTERS = 2
 N_SLAVES = 10
@@ -156,17 +157,6 @@ def decode_action(action: Action, config: AxiConfig) -> tuple[int, int]:
     return lo * config.region_size, (hi + 1) * config.region_size
 
 
-def decode_addresses(addrs: np.ndarray, config: AxiConfig) -> np.ndarray:
-    """Address decoder: the region index of every address in an int64 array.
-
-    Raises ``AddressDecodeError`` naming the first address outside the map.
-    """
-    outside = (addrs < 0) | (addrs >= N_SLAVES * config.region_size)
-    if outside.any():
-        raise AddressDecodeError(f"address {int(addrs[outside.argmax()]):#x} outside the slave map")
-    return addrs // config.region_size
-
-
 def simulate_step(
     config: AxiConfig,
     addr_range: tuple[int, int],
@@ -174,13 +164,17 @@ def simulate_step(
 ) -> tuple[tuple[int, ...], Trace]:
     """Run one step of ``cycles_per_step`` cycles from empty FIFOs.
 
-    Returns the per-slave full-cycle counts and the recorded trace.
+    Returns the per-slave full-cycle counts and the recorded trace. Every
+    address is drawn from ``addr_range``, so one check of that span covers
+    them all: an empty span or one beyond the slave map raises ``ValueError``.
     """
     a_min, a_max = addr_range
+    if not 0 <= a_min < a_max <= N_SLAVES * config.region_size:
+        raise ValueError(f"address span [{a_min:#x}, {a_max:#x}) is empty or outside the slave map")
     n_cycles = config.cycles_per_step
     depth = config.fifo_depth
     draw = rng.integers(a_min, a_max, size=n_cycles * N_MASTERS)
-    slaves = decode_addresses(draw, config).tolist()
+    slaves = (draw // config.region_size).tolist()
     fifos = [deque() for _ in range(N_SLAVES)]
     # Only these FIFOs ever hold a request, so only they are drained.
     reached = [(slave, fifos[slave]) for slave in sorted(set(slaves))]
@@ -218,9 +212,9 @@ def golden_check(
 ) -> list[TraceViolation]:
     """Re-derive a step from its addresses and the config, and compare.
 
-    The reference model runs the module docstring's cycle, routing by the
-    region bounds rather than with the model's decoder. A misrouted or
-    unmapped request is one ``routing`` violation, returned alone.
+    The reference model runs the module docstring's cycle and routes each
+    address by the region bounds. A misrouted or unmapped request is one
+    ``routing`` violation, returned alone.
     Otherwise the first divergence of the acceptances (``enqueue_at_full``
     or ``drop_below_full``), of the dequeues (``fifo_order`` for another
     request from the same slave and cycle, else ``drain``) and of

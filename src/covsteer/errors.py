@@ -25,10 +25,6 @@ class BlockFormatError(CovsteerError):
     """Compressed block data cannot be decoded back to a word sequence."""
 
 
-class AddressDecodeError(CovsteerError):
-    """An address falls outside the crossbar's slave map."""
-
-
 class ReportError(CovsteerError):
     """Episode logs handed to the report command are unusable together."""
 

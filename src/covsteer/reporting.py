@@ -33,14 +33,26 @@ def format_real(x: float) -> str:
 
 
 class EpisodeCsvWriter:
-    """Streams episode records to disk; each row is flushed as written."""
+    """Streams episode records to disk; each row is flushed as written.
+
+    Raises ``ReportError``, before the file is opened, when a column name
+    repeats or holds a comma or a line break: the log could not be read
+    back column by column.
+    """
 
     def __init__(self, path, knob_names, event_names):
         self.path = Path(path)
         self.knob_names = tuple(knob_names)
         self.event_names = tuple(event_names)
-        self._fh = open(self.path, "w", encoding="utf-8", newline="")
         header = ["episode", *self.knob_names, *self.event_names, "reward"]
+        seen = set()
+        for name in header:
+            if name in seen:
+                raise ReportError(f"column {name!r} appears twice in the episode log header")
+            if any(c in name for c in ",\r\n"):
+                raise ReportError(f"column name {name!r} holds a comma or a line break")
+            seen.add(name)
+        self._fh = open(self.path, "w", encoding="utf-8", newline="")
         self._fh.write(",".join(header) + "\n")
         self._fh.flush()
 

@@ -5,7 +5,6 @@ The lines print straight to the terminal (capture is bypassed), so a plain
 """
 
 import statistics
-import threading
 import time
 
 import numpy as np
@@ -15,7 +14,6 @@ from covsteer.actionspace import Action, sample_uniform
 from covsteer.agents import CemAgent, RandomAgent
 from covsteer.axi import ACTION_SPACE as AXI_SPACE
 from covsteer.axi import AxiConfig, AxiDut, golden_check, simulate_step
-from covsteer.bridge import serve_tcp
 from covsteer.cli import cmd_run
 from covsteer.config import build_config
 from covsteer.coverage import EventSpec, compute_reward
@@ -29,6 +27,8 @@ from covsteer.rle import (
     rle_golden,
     rle_run,
 )
+
+from conftest import tcp_server
 
 SEED_PAIRS = (101, 202, 303, 404, 505)
 NON_DIVISORS = (3, 5, 6, 7)
@@ -262,41 +262,27 @@ def test_criterion_8_determinism(check, tmp_path):
         (axi_a / "episodes.csv").read_bytes() == (axi_b / "episodes.csv").read_bytes()
     )
 
-    bound = {}
-    ready = threading.Event()
-    server = threading.Thread(
-        target=serve_tcp,
-        kwargs=dict(
-            dut_factory=RleDut,
-            port=0,
-            max_sessions=1,
-            on_bound=lambda p: (bound.update(port=p), ready.set()),
-        ),
-        daemon=True,
-    )
-    server.start()
-    assert ready.wait(5)
-    local_cfg = build_config(
-        {
-            "dut": "rle",
-            "agent": "random",
-            "episodes": 300,
-            "seed": 3,
-            "multipliers": {"e3_partial_count": 1},
-        }
-    )
-    local = cmd_run(local_cfg, tmp_path / "local")
-    bridged_cfg = build_config(
-        {
-            "dut": f"bridge:127.0.0.1:{bound['port']}",
-            "agent": "random",
-            "episodes": 300,
-            "seed": 3,
-            "multipliers": {"e3_partial_count": 1},
-        }
-    )
-    bridged = cmd_run(bridged_cfg, tmp_path / "bridged")
-    server.join(timeout=5)
+    with tcp_server() as server:
+        local_cfg = build_config(
+            {
+                "dut": "rle",
+                "agent": "random",
+                "episodes": 300,
+                "seed": 3,
+                "multipliers": {"e3_partial_count": 1},
+            }
+        )
+        local = cmd_run(local_cfg, tmp_path / "local")
+        bridged_cfg = build_config(
+            {
+                "dut": f"bridge:127.0.0.1:{server.port}",
+                "agent": "random",
+                "episodes": 300,
+                "seed": 3,
+                "multipliers": {"e3_partial_count": 1},
+            }
+        )
+        bridged = cmd_run(bridged_cfg, tmp_path / "bridged")
     bridged_identical = (
         (local / "episodes.csv").read_bytes() == (bridged / "episodes.csv").read_bytes()
     )

@@ -15,11 +15,10 @@ from covsteer.axi import (
     Trace,
     TraceViolation,
     decode_action,
-    decode_addresses,
     golden_check,
     simulate_step,
 )
-from covsteer.errors import AddressDecodeError, ScoreboardError
+from covsteer.errors import ScoreboardError
 
 from conftest import exec_mutant
 
@@ -63,6 +62,14 @@ def check_drain_schedule(trace, config):
             occupancy[slave] -= 1
 
 
+def routed_to(addr, config):
+    """The slave a step routes the one address of the span [addr, addr + 1) to."""
+    config = replace(config, cycles_per_step=1)
+    _, trace = simulate_step(config, (addr, addr + 1), np.random.default_rng(0))
+    (slave,) = set(trace.slaves)
+    return slave
+
+
 def hand_trace(requests, dequeues=()):
     """A Trace of (addr, slave, accepted) requests, two per cycle, and the given dequeues."""
     assert len(requests) % 2 == 0
@@ -99,20 +106,18 @@ class TestDecode:
         assert decode_action(Action((0, 9)), CFG) == (0x0000, 0xA000)
 
     def test_address_decoding(self):
-        addrs = np.array([0x4800, 0x0, 0x9FFF, 0x1000, 0x0FFF], dtype=np.int64)
-        assert decode_addresses(addrs, CFG).tolist() == [4, 0, 9, 1, 0]
-        assert decode_addresses(np.array([], dtype=np.int64), CFG).tolist() == []
+        for addr, slave in ((0x4800, 4), (0x0, 0), (0x9FFF, 9), (0x1000, 1), (0x0FFF, 0)):
+            assert routed_to(addr, CFG) == slave
 
     def test_out_of_map_address(self):
-        for bad, shown in ((0xA000, "0xa000"), (-1, "-0x1")):
-            addrs = np.array([0x4000, bad, 0x5000, 0xB000], dtype=np.int64)
-            with pytest.raises(AddressDecodeError, match=f"address {shown} outside"):
-                decode_addresses(addrs, CFG)
+        # A span is checked once for every address drawn from it.
+        for a_min, a_max in ((0, 0xA001), (-1, 0x1000), (0x1000, 0x1000)):
+            with pytest.raises(ValueError, match=rf"address span \[{a_min:#x}, {a_max:#x}\) is"):
+                simulate_step(CFG, (a_min, a_max), np.random.default_rng(0))
 
     def test_largest_region_size(self):
         cfg = AxiConfig(region_size=(1 << 63) // 10)
-        top = 10 * cfg.region_size - 1
-        assert decode_addresses(np.array([0, top], dtype=np.int64), cfg).tolist() == [0, 9]
+        assert routed_to(0, cfg) == 0 and routed_to(10 * cfg.region_size - 1, cfg) == 9
         dut = AxiDut(cfg)
         for seed in range(5):
             dut.step(Action((0, 9)), seed)
@@ -374,14 +379,14 @@ class TestAxiDut:
                 dut.step(action, int(rng.integers(1 << 30)))
 
     def test_scoreboard_catches_a_faulty_address_decoder(self, monkeypatch):
-        # The model and the scoreboard must not share the decoder: a model
-        # that routes every request one slave up is caught on every step.
+        # The scoreboard routes by the region bounds, not by the model's
+        # division: a model that routes every request one slave up is
+        # caught on every step.
         import covsteer.axi as axi_mod
 
-        real = axi_mod.decode_addresses
-        monkeypatch.setattr(
-            axi_mod, "decode_addresses", lambda addrs, config: (real(addrs, config) + 1) % 10
-        )
+        line = "slaves = (draw // config.region_size).tolist()"
+        exec_mutant(monkeypatch, axi_mod, "simulate_step", line,
+                    "slaves = ((draw // config.region_size + 1) % N_SLAVES).tolist()")
         dut = AxiDut()
         rng = np.random.default_rng(23)
         for _ in range(50):

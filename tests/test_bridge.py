@@ -4,6 +4,8 @@ import socket
 import threading
 import time
 from collections import Counter, deque
+from contextlib import closing, contextmanager
+from functools import partial
 
 import numpy as np
 import pytest
@@ -40,7 +42,14 @@ from covsteer.errors import (
 )
 from covsteer.rle import RleDut
 
-from conftest import StreamThenFault, action_spaces, json_values
+from conftest import (
+    JOIN_DEADLINE_S,
+    StreamThenFault,
+    action_spaces,
+    json_values,
+    socketpair_session,
+    tcp_server,
+)
 
 ACTION = (0.4, 6.0, 300.0)
 
@@ -187,43 +196,16 @@ def test_decode_raises_only_decode_errors(line):
         pass
 
 
-class Session:
-    """Raw client side of one served session over a socketpair.
+@contextmanager
+def dut_session(dut_factory=RleDut, wrap=lambda rfile, wfile: (rfile, wfile)):
+    """Raw client of one ``serve_dut`` session over a socketpair, past its ``hello``.
 
     ``wrap`` receives the serving side's reader and writer and returns the
     pair that ``serve_dut`` is given.
     """
-
-    def __init__(self, dut_factory=RleDut, wrap=lambda rfile, wfile: (rfile, wfile)):
-        self.client, server = socket.socketpair()
-        self.client.settimeout(10)  # a dead serving side fails the test instead of hanging it
-        self.rfile = self.client.makefile("rb")
-        self.wfile = self.client.makefile("wb")
-
-        def serve():
-            with server:
-                serve_dut(dut_factory(), *wrap(server.makefile("rb"), server.makefile("wb")))
-
-        self.thread = threading.Thread(target=serve, daemon=True)
-        self.thread.start()
-        self.hello = decode(self.rfile.readline())
-
-    def send_raw(self, data: bytes):
-        self.wfile.write(data)
-        self.wfile.flush()
-
-    def request(self, msg):
-        self.send_raw(encode(msg))
-        return decode(self.rfile.readline())
-
-    def close(self):
-        # makefile wrappers keep the fd alive; close them before the socket
-        # so the serving side sees EOF.
-        self.rfile.close()
-        self.wfile.close()
-        self.client.close()
-        self.thread.join(timeout=5)
-        assert not self.thread.is_alive()
+    with socketpair_session(lambda rfile, wfile: serve_dut(dut_factory(), *wrap(rfile, wfile))) as s:
+        s.hello = s.read()
+        yield s
 
 
 class CountingFile:
@@ -265,9 +247,8 @@ def read_until_closed(session):
 
 @pytest.fixture
 def session():
-    s = Session()
-    yield s
-    s.close()
+    with dut_session() as s:
+        yield s
 
 
 class TestServeSession:
@@ -284,7 +265,7 @@ class TestServeSession:
 
     def test_garbage_line_then_normal_continuation(self, session):
         session.send_raw(b"garbage not json\n")
-        reply = decode(session.rfile.readline())
+        reply = session.read()
         assert isinstance(reply, Error) and reply.code == "decode"
         assert isinstance(session.request(Episode(5, ACTION)), Counts)
 
@@ -311,38 +292,29 @@ class TestServeSession:
             def step(self, action, seed):
                 raise RuntimeError("internal explosion")
 
-        s = Session(dut_factory=FaultyDut)
-        try:
+        with dut_session(FaultyDut) as s:
             for seed in (1, 2):
                 reply = s.request(Episode(seed, ACTION))
                 assert isinstance(reply, Error) and reply.code == "dut_fault"
-        finally:
-            s.close()
 
     def test_retry_after_dut_fault_is_protocol_error(self):
         # A dut_fault leaves no episode open on the wire: echoing the error
         # back is the protocol error, and the retried request runs a fresh
         # episode despite the stream the fault spent.
-        s = Session(dut_factory=StreamThenFault)
-        try:
+        with dut_session(StreamThenFault) as s:
             fault = s.request(Episode(4, ACTION))
             assert isinstance(fault, Error) and fault.code == "dut_fault"
             reply = s.request(fault)
             assert isinstance(reply, Error) and reply.code == "protocol"
             assert s.request(Episode(4, ACTION)) == Counts(RleDut().step(Action(ACTION), 4))
-        finally:
-            s.close()
 
     def test_retry_after_dut_fault_replays_the_episode(self):
-        s = Session(dut_factory=StreamThenFault)
-        try:
+        with dut_session(StreamThenFault) as s:
             assert s.request(Episode(4, ACTION)).code == "dut_fault"
             expected = Counts(RleDut().step(Action(ACTION), 4))
             # the retry, and a repeat after it, reproduce a fresh episode
             assert s.request(Episode(4, ACTION)) == expected
             assert s.request(Episode(4, ACTION)) == expected
-        finally:
-            s.close()
 
     def test_burst_is_answered_in_order(self, session):
         # Requests written in one go, as a client sending ahead does: every
@@ -354,7 +326,7 @@ class TestServeSession:
             + encode(Counts((1, 0, 0, 0)))
             + encode(Episode(3, ACTION))
         )
-        replies = [decode(session.rfile.readline()) for _ in range(5)]
+        replies = [session.read() for _ in range(5)]
         assert replies[0] == Counts(RleDut().step(Action(ACTION), 1))
         assert [r.code for r in replies[1:4]] == ["decode", "invalid_action", "protocol"]
         assert replies[4] == Counts(RleDut().step(Action(ACTION), 3))
@@ -362,7 +334,7 @@ class TestServeSession:
     @pytest.mark.parametrize("line", HOSTILE_LINES, ids=HOSTILE_IDS)
     def test_hostile_line_then_normal_episode(self, session, line):
         session.send_raw(line)
-        reply = decode(session.rfile.readline())
+        reply = session.read()
         assert isinstance(reply, Error) and reply.code == "decode"
         assert isinstance(session.request(Episode(5, ACTION)), Counts)
 
@@ -370,7 +342,7 @@ class TestServeSession:
         request = encode(Episode(5, ACTION))
         padded = request[:-1] + b" " * (MAX_LINE_BYTES - len(request)) + b"\n"
         session.send_raw(padded)
-        assert decode(session.rfile.readline()) == session.request(Episode(5, ACTION))
+        assert session.read() == session.request(Episode(5, ACTION))
 
     def test_flooding_peer_gets_a_decode_error_and_the_session_ends(self, session):
         # A peer that never ends its line: the serving side reads at most
@@ -379,13 +351,13 @@ class TestServeSession:
             chunk = b"9" * 65536
             try:
                 for _ in range(4 * MAX_LINE_BYTES // len(chunk)):
-                    session.client.sendall(chunk)
+                    session.sock.sendall(chunk)
             except OSError:
                 pass  # the serving side closed mid-flood
 
         flooder = threading.Thread(target=flood, daemon=True)
         flooder.start()
-        reply = decode(session.rfile.readline())
+        reply = session.read()
         assert isinstance(reply, Error) and reply.code == "decode"
         assert "longer than" in reply.detail
         # closing with the flood unread makes the close a reset
@@ -394,8 +366,7 @@ class TestServeSession:
         except ConnectionResetError:
             rest = b""
         assert rest == b""
-        session.thread.join(timeout=5)
-        assert not session.thread.is_alive()
+        session.server.join()
         flooder.join(timeout=5)
         assert not flooder.is_alive()
 
@@ -403,29 +374,26 @@ class TestServeSession:
 class TestBursts:
     def test_burst_matches_requests_sent_one_at_a_time_with_fewer_flushes(self):
         counts = Counter()
-        s = Session(wrap=counting(counts))
-        try:
+        with dut_session(wrap=counting(counts)) as s:
             requests = [Episode(seed, ACTION) for seed in range(WINDOW)]
             before = counts.copy()
             s.send_raw(b"".join(encode(r) for r in requests))
-            burst = [decode(s.rfile.readline()) for _ in requests]
+            burst = [s.read() for _ in requests]
             replies = counts["lines_written"] - before["lines_written"]
             flushes = counts["flushes"] - before["flushes"]
             assert replies == WINDOW
             assert flushes < replies
             assert burst == [s.request(r) for r in requests]
-        finally:
-            s.close()
 
     def test_lone_request_is_answered_before_the_next_arrives(self, session):
         # The serving side flushes before it blocks on its next read.
         session.send_raw(encode(Episode(7, ACTION)))
-        assert decode(session.rfile.readline()) == Counts(RleDut().step(Action(ACTION), 7))
+        assert session.read() == Counts(RleDut().step(Action(ACTION), 7))
 
     def test_last_line_without_newline_is_answered_at_eof(self, session):
         session.send_raw(encode(Episode(7, ACTION))[:-1])
-        session.client.shutdown(socket.SHUT_WR)
-        assert decode(session.rfile.readline()) == Counts(RleDut().step(Action(ACTION), 7))
+        session.sock.shutdown(socket.SHUT_WR)
+        assert session.read() == Counts(RleDut().step(Action(ACTION), 7))
         assert session.rfile.readline() == b""
 
     def test_over_long_line_in_a_burst_ends_the_session_after_the_replies_before_it(
@@ -437,73 +405,57 @@ class TestBursts:
             + b"9" * MAX_LINE_BYTES + b"\n"
             + encode(Episode(4, ACTION))
         )
-        replies = [decode(session.rfile.readline()) for _ in range(4)]
+        replies = [session.read() for _ in range(4)]
         assert replies[:3] == [Counts(RleDut().step(Action(ACTION), r.seed)) for r in requests]
         assert isinstance(replies[3], Error) and replies[3].code == "decode"
         assert "longer than" in replies[3].detail
         assert read_until_closed(session) == b""
-        session.thread.join(timeout=5)
-        assert not session.thread.is_alive()
+        session.server.join()
 
     def test_flood_is_read_no_further_than_one_line_and_one_read(self):
         counts = Counter()
-        s = Session(wrap=counting(counts))
+        with dut_session(wrap=counting(counts)) as s:
 
-        def flood():
-            try:
-                s.client.sendall(b"9" * (4 * MAX_LINE_BYTES))
-            except OSError:
-                pass  # the serving side closed mid-flood
+            def flood():
+                try:
+                    s.sock.sendall(b"9" * (4 * MAX_LINE_BYTES))
+                except OSError:
+                    pass  # the serving side closed mid-flood
 
-        flooder = threading.Thread(target=flood, daemon=True)
-        flooder.start()
-        try:
-            reply = decode(s.rfile.readline())
+            flooder = threading.Thread(target=flood, daemon=True)
+            flooder.start()
+            reply = s.read()
             assert isinstance(reply, Error) and reply.code == "decode"
             assert read_until_closed(s) == b""
-            s.thread.join(timeout=5)
-            assert not s.thread.is_alive()
+            s.server.join()
             assert counts["read_bytes"] <= MAX_LINE_BYTES + counts["largest_read"]
-        finally:
-            s.close()
-            flooder.join(timeout=5)
+        flooder.join(timeout=5)
         assert not flooder.is_alive()
 
 
-def proxy_session(dut_factory=RleDut):
-    client, server = socket.socketpair()
-
-    def serve():
-        with server:
-            serve_dut(dut_factory(), server.makefile("rb"), server.makefile("wb"))
-
-    thread = threading.Thread(target=serve, daemon=True)
-    thread.start()
-    proxy = connect_dut(client.makefile("rb"), client.makefile("wb"), sock=client)
-    return proxy, thread
+@contextmanager
+def proxy_session(serve=lambda rfile, wfile: serve_dut(RleDut(), rfile, wfile)):
+    """A ``DutProxy`` over a socketpair whose other end runs ``serve(rfile, wfile)``."""
+    with socketpair_session(serve) as client:
+        yield connect_dut(client.rfile, client.wfile, sock=client.sock)
 
 
 class TestProxy:
     def test_proxy_satisfies_dut_contract(self):
-        proxy, thread = proxy_session()
-        try:
+        with proxy_session() as proxy:
             env = Environment(proxy, {"e3_partial_count": 1.0})
             records = []
             run_campaign(env, RandomAgent(env.space), 25, seed=3, on_record=records.append)
 
-            local_env = Environment(RleDut(), {"e3_partial_count": 1.0})
-            local_records = []
-            run_campaign(
-                local_env, RandomAgent(local_env.space), 25, seed=3,
-                on_record=local_records.append,
-            )
-            assert records == local_records
-        finally:
-            proxy.close()
-            thread.join(timeout=5)
+        local_env = Environment(RleDut(), {"e3_partial_count": 1.0})
+        local_records = []
+        run_campaign(
+            local_env, RandomAgent(local_env.space), 25, seed=3,
+            on_record=local_records.append,
+        )
+        assert records == local_records
 
     def test_bridged_campaign_sends_one_request_line_per_episode(self):
-        client, server = socket.socketpair()
         received = []
 
         class RecordingReader:
@@ -521,72 +473,58 @@ class TestProxy:
                     received.append(self.unfinished)
                 return chunk
 
-        def serve():
-            with server:
-                serve_dut(RleDut(), RecordingReader(server.makefile("rb")), server.makefile("wb"))
-
-        thread = threading.Thread(target=serve, daemon=True)
-        thread.start()
-        proxy = connect_dut(client.makefile("rb"), client.makefile("wb"), sock=client)
-        try:
+        with proxy_session(lambda rfile, wfile: serve_dut(RleDut(), RecordingReader(rfile), wfile)) as proxy:
             env = Environment(proxy)
             run_campaign(env, RandomAgent(env.space), 25, seed=3)
-        finally:
-            proxy.close()
-            thread.join(timeout=5)
-        assert not thread.is_alive()
         assert received[-1] == b""  # the session ended at the close
         assert [decode(line).seed for line in received[:-1]] == [
             episode_seed(3, ep) for ep in range(25)
         ]
 
     def test_remote_error_raises(self):
-        proxy, thread = proxy_session()
-        try:
+        with proxy_session() as proxy:
             with pytest.raises(RemoteDutError) as exc:
                 proxy.step(Action((9.0, 6.0, 300.0)), 0)
             assert exc.value.code == "invalid_action"
-        finally:
-            proxy.close()
-            thread.join(timeout=5)
 
     def test_server_close_mid_session_is_transport_error(self):
-        client, server = socket.socketpair()
+        def serve_then_die(rfile, wfile):
+            hello = Hello(PROTOCOL_VERSION, RleDut().action_space(), RleDut().event_names())
+            wfile.write(encode(hello))
+            wfile.flush()
+            rfile.readline()  # swallow the request, then drop the connection
 
-        def serve_then_die():
-            with server:
-                wfile = server.makefile("wb")
-                rfile = server.makefile("rb")
-                hello = Hello(PROTOCOL_VERSION, RleDut().action_space(), RleDut().event_names())
-                wfile.write(encode(hello))
-                wfile.flush()
-                rfile.readline()  # swallow the request, then drop the connection
-
-        thread = threading.Thread(target=serve_then_die, daemon=True)
-        thread.start()
-        proxy = connect_dut(client.makefile("rb"), client.makefile("wb"), sock=client)
-        with pytest.raises(TransportError):
-            proxy.step(Action(ACTION), 0)
-        proxy.close()
-        thread.join(timeout=5)
+        with proxy_session(serve_then_die) as proxy:
+            with pytest.raises(TransportError):
+                proxy.step(Action(ACTION), 0)
 
     def test_version_gate(self):
         # v1 sent observations; v2 split each episode into a reset and a step
         for version in (1, 2):
-            client, server = socket.socketpair()
 
-            def old_server():
-                with server:
-                    wfile = server.makefile("wb")
-                    wfile.write(encode(Hello(version, RleDut().action_space(), ("x",))))
-                    wfile.flush()
+            def old_server(rfile, wfile):
+                wfile.write(encode(Hello(version, RleDut().action_space(), ("x",))))
+                wfile.flush()
 
-            thread = threading.Thread(target=old_server, daemon=True)
-            thread.start()
-            with pytest.raises(BridgeProtocolError, match="protocol_version"):
-                connect_dut(client.makefile("rb"), client.makefile("wb"), sock=client)
-            client.close()
-            thread.join(timeout=5)
+            with socketpair_session(old_server) as client:
+                with pytest.raises(BridgeProtocolError, match="protocol_version"):
+                    connect_dut(client.rfile, client.wfile, sock=client.sock)
+
+    def test_serving_fault_is_raised_within_the_deadline(self):
+        # serve_dut raises once it reads through a reader without read1; the
+        # client's TransportError follows, and the session fails with the
+        # serving side's error instead of hanging.
+        class LineReader:
+            def __init__(self, rfile):
+                self.readline = rfile.readline
+
+        started = time.monotonic()
+        with pytest.raises(AttributeError, match="read1") as exc:
+            with proxy_session(lambda rfile, wfile: serve_dut(RleDut(), LineReader(rfile), wfile)) as proxy:
+                env = Environment(proxy)
+                run_campaign(env, RandomAgent(env.space), 25, seed=3)
+        assert isinstance(exc.value.__context__, TransportError)
+        assert time.monotonic() - started < JOIN_DEADLINE_S
 
     def test_closed_before_hello(self):
         client, server = socket.socketpair()
@@ -759,37 +697,12 @@ def test_longest_request_bounds_wide_numbers():
 
 
 class TestTcp:
-    @staticmethod
-    def start_server(max_sessions, dut_factory=RleDut):
-        bound = {}
-        ready = threading.Event()
-
-        def on_bound(port):
-            bound["port"] = port
-            ready.set()
-
-        server = threading.Thread(
-            target=serve_tcp,
-            kwargs=dict(
-                dut_factory=dut_factory, port=0, max_sessions=max_sessions, on_bound=on_bound
-            ),
-            daemon=True,
-        )
-        server.start()
-        assert ready.wait(5)
-        return server, bound["port"]
-
     def test_connect_tcp_and_run(self):
-        server, port = self.start_server(max_sessions=1)
-        proxy = connect_tcp("127.0.0.1", port, timeout=10)
-        try:
+        with tcp_server() as server, closing(connect_tcp("127.0.0.1", server.port, timeout=10)) as proxy:
             env = Environment(proxy, {"e3_partial_count": 1.0})
             cumulative = run_campaign(env, RandomAgent(env.space), 10, seed=1)
-            local = Environment(RleDut(), {"e3_partial_count": 1.0})
-            assert cumulative == run_campaign(local, RandomAgent(local.space), 10, seed=1)
-        finally:
-            proxy.close()
-            server.join(timeout=5)
+        local = Environment(RleDut(), {"e3_partial_count": 1.0})
+        assert cumulative == run_campaign(local, RandomAgent(local.space), 10, seed=1)
 
     def test_both_ends_disable_nagle(self, monkeypatch):
         # Requests sent ahead must not wait behind unacknowledged ones.
@@ -804,14 +717,8 @@ class TestTcp:
             serve_dut(dut, rfile, wfile)
 
         monkeypatch.setattr(bridge, "serve_dut", recording_serve_dut)
-        server, port = self.start_server(max_sessions=1)
-        proxy = connect_tcp("127.0.0.1", port, timeout=10)
-        try:
+        with tcp_server() as server, closing(connect_tcp("127.0.0.1", server.port, timeout=10)) as proxy:
             assert proxy._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
-        finally:
-            proxy.close()
-        server.join(timeout=5)
-        assert not server.is_alive()
         assert served and served[0]
 
     def test_slow_design_answers_a_full_window_within_the_timeout(self):
@@ -822,16 +729,12 @@ class TestTcp:
                 time.sleep(2 * REPLY_HOLD_S)
                 return super().step(action, seed)
 
-        server, port = self.start_server(max_sessions=1, dut_factory=SlowDut)
-        proxy = connect_tcp("127.0.0.1", port, timeout=10 * REPLY_HOLD_S)
-        try:
+        with tcp_server(partial(serve_tcp, SlowDut, max_sessions=1)) as server, closing(
+            connect_tcp("127.0.0.1", server.port, timeout=10 * REPLY_HOLD_S)
+        ) as proxy:
             assert proxy.lookahead == WINDOW
             records = campaign_records(proxy, RandomAgent, episodes=WINDOW)
-        finally:
-            proxy.close()
         assert records == campaign_records(RleDut(), RandomAgent, episodes=WINDOW)
-        server.join(timeout=5)
-        assert not server.is_alive()
 
     def test_connect_refused(self):
         with pytest.raises(TransportError):
@@ -841,65 +744,57 @@ class TestTcp:
         from covsteer import bridge
 
         monkeypatch.setattr(bridge, "MAX_CONCURRENT_SESSIONS", 2)
-        server, port = self.start_server(max_sessions=3)
-        first = connect_tcp("127.0.0.1", port, timeout=10)
-        second = connect_tcp("127.0.0.1", port, timeout=10)
-        proxies = [first, second]
-        try:
-            with pytest.raises(RemoteDutError, match="busy"):
-                connect_tcp("127.0.0.1", port, timeout=10)
-            # Both admitted sessions still serve episodes.
-            local = RleDut().step(Action(ACTION), 3)
-            assert first.step(Action(ACTION), 3) == local
-            assert second.step(Action(ACTION), 3) == local
-            # Once a session ends its slot is free again; the refused
-            # connection did not count towards max_sessions.
-            first.close()
-            deadline = time.monotonic() + 5
-            while True:
-                try:
-                    proxies.append(connect_tcp("127.0.0.1", port, timeout=10))
-                    break
-                except RemoteDutError:
-                    assert time.monotonic() < deadline
-                    time.sleep(0.01)
-            assert proxies[-1].step(Action(ACTION), 3) == local
-        finally:
-            for proxy in proxies:
-                proxy.close()
-        server.join(timeout=5)
-        assert not server.is_alive()
+        with tcp_server(partial(serve_tcp, RleDut, max_sessions=3)) as server:
+            port = server.port
+            first = connect_tcp("127.0.0.1", port, timeout=10)
+            second = connect_tcp("127.0.0.1", port, timeout=10)
+            proxies = [first, second]
+            try:
+                with pytest.raises(RemoteDutError, match="busy"):
+                    connect_tcp("127.0.0.1", port, timeout=10)
+                # Both admitted sessions still serve episodes.
+                local = RleDut().step(Action(ACTION), 3)
+                assert first.step(Action(ACTION), 3) == local
+                assert second.step(Action(ACTION), 3) == local
+                # Once a session ends its slot is free again; the refused
+                # connection did not count towards max_sessions.
+                first.close()
+                deadline = time.monotonic() + 5
+                while True:
+                    try:
+                        proxies.append(connect_tcp("127.0.0.1", port, timeout=10))
+                        break
+                    except RemoteDutError:
+                        assert time.monotonic() < deadline
+                        time.sleep(0.01)
+                assert proxies[-1].step(Action(ACTION), 3) == local
+            finally:
+                for proxy in proxies:
+                    proxy.close()
 
     def test_returns_only_after_every_session_ended(self):
-        server, port = self.start_server(max_sessions=2)
-        first = connect_tcp("127.0.0.1", port, timeout=10)
-        second = connect_tcp("127.0.0.1", port, timeout=10)
-        try:
-            local = RleDut().step(Action(ACTION), 3)
-            assert first.step(Action(ACTION), 3) == local
-            first.close()
-            # Both sessions were admitted, but the second still serves.
-            server.join(timeout=0.5)
-            assert server.is_alive()
-            assert second.step(Action(ACTION), 3) == local
-        finally:
-            first.close()
-            second.close()
-        server.join(timeout=5)
-        assert not server.is_alive()
+        with tcp_server(partial(serve_tcp, RleDut, max_sessions=2)) as server:
+            first = connect_tcp("127.0.0.1", server.port, timeout=10)
+            second = connect_tcp("127.0.0.1", server.port, timeout=10)
+            try:
+                local = RleDut().step(Action(ACTION), 3)
+                assert first.step(Action(ACTION), 3) == local
+                first.close()
+                # Both sessions were admitted, but the second still serves.
+                server.thread.join(timeout=0.5)
+                assert server.thread.is_alive()
+                assert second.step(Action(ACTION), 3) == local
+            finally:
+                first.close()
+                second.close()
 
     def test_silent_peer_is_disconnected(self, monkeypatch):
         from covsteer import bridge
 
         monkeypatch.setattr(bridge, "SESSION_IDLE_TIMEOUT_S", 0.2)
-        server, port = self.start_server(max_sessions=1)
-        proxy = connect_tcp("127.0.0.1", port, timeout=10)
-        try:
+        with tcp_server() as server, closing(connect_tcp("127.0.0.1", server.port, timeout=10)) as proxy:
             assert proxy.step(Action(ACTION), 3) == RleDut().step(Action(ACTION), 3)
             # The server closes the silent session, which ends serve_tcp.
-            server.join(timeout=5)
-            assert not server.is_alive()
+            server.join()
             with pytest.raises(TransportError):
                 proxy.step(Action(ACTION), 3)
-        finally:
-            proxy.close()

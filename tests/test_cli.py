@@ -3,7 +3,7 @@ import itertools
 import json
 import subprocess
 import sys
-import threading
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +18,8 @@ from covsteer.env import episode_seed
 from covsteer.errors import ConfigError, CovsteerError, ReportError
 from covsteer.reporting import read_episode_log
 from covsteer.rle import RleDut
+
+from conftest import scripted_server, step_reply, tcp_server
 
 SRC_DIR = str(Path(covsteer.__file__).resolve().parent.parent)
 
@@ -272,18 +274,37 @@ class TestMainEntry:
         assert err.startswith("error: total reward over 30 episodes is not finite")
 
     def test_count_beyond_float_range_from_the_bridge_exits_nonzero(self, tmp_path, capsys):
-        port, thread = serve_scripted(
-            lambda i, dut, msg: (10**400, 0, 0, 0) if i == 3
-            else dut.step(Action(msg.action), msg.seed)
-        )
-        cfg_path = write_config(
-            tmp_path, rle_config(episodes=10, agent="random", dut=f"bridge:127.0.0.1:{port}")
-        )
-        argv = ["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
-        rows, err = self.assert_refused_with_finite_log(argv, capsys)
-        thread.join(timeout=5)
+        with scripted_server(
+            lambda i, dut, msg: (10**400, 0, 0, 0) if i == 3 else step_reply(i, dut, msg)
+        ) as server:
+            cfg_path = write_config(
+                tmp_path,
+                rle_config(episodes=10, agent="random", dut=f"bridge:127.0.0.1:{server.port}"),
+            )
+            argv = ["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+            rows, err = self.assert_refused_with_finite_log(argv, capsys)
         assert len(rows) == 1 + 3
         assert "does not fit in a float" in err
+
+    @pytest.mark.parametrize("events,error", [
+        (["x", "x"], "error: column 'x' appears twice"),
+        (["a,b", "c"], "error: column name 'a,b' holds a comma"),
+        (["e0", "reward"], "error: column 'reward' appears twice"),
+    ], ids=["repeated", "comma", "reward"])
+    def test_clashing_column_names_exit_nonzero(self, tmp_path, capsys, events, error):
+        # A bridged hello names the event columns; none may clash in the log.
+        with scripted_server(
+            lambda i, dut, msg: step_reply(i, dut, msg)[:2], events=events
+        ) as server:
+            cfg_path = write_config(tmp_path, rle_config(
+                episodes=5, agent="random", dut=f"bridge:127.0.0.1:{server.port}",
+                multipliers={events[1]: 1},
+            ))
+            out_dir = tmp_path / "out"
+            assert main(["run", "--config", str(cfg_path), "--out", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(error) and "Traceback" not in err
+        assert not (out_dir / "episodes.csv").exists()
 
     def test_uncreatable_out_dir_exits_nonzero(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, rle_config(episodes=2))
@@ -376,48 +397,19 @@ class TestServeTcpCli:
 
 
 class TestBridgeAbort:
-    def serve_then_die(self, episodes_before_death=3):
-        """Minimal server that answers a few episodes, then drops the link."""
-        import socket as socket_mod
-
-        from covsteer.bridge import PROTOCOL_VERSION, Counts, Hello, decode, encode
-
-        server = socket_mod.socket()
-        server.bind(("127.0.0.1", 0))
-        server.listen()
-        port = server.getsockname()[1]
-
-        def run():
-            conn, _ = server.accept()
-            with conn:
-                rfile, wfile = conn.makefile("rb"), conn.makefile("wb")
-                dut = RleDut()
-                wfile.write(
-                    encode(Hello(PROTOCOL_VERSION, dut.action_space(), dut.event_names()))
-                )
-                wfile.flush()
-                for _ in range(episodes_before_death):
-                    msg = decode(rfile.readline())
-                    wfile.write(encode(Counts(dut.step(Action(msg.action), msg.seed))))
-                    wfile.flush()
-            server.close()
-
-        thread = threading.Thread(target=run, daemon=True)
-        thread.start()
-        return port, thread
+    """Scripted servers that answer a few episodes, then drop the link."""
 
     def test_midcampaign_close_aborts_with_partial_log(self, tmp_path):
-        port, thread = self.serve_then_die(episodes_before_death=3)
-        cfg = build_config(
-            rle_config(episodes=10, agent="random", dut=f"bridge:127.0.0.1:{port}")
-        )
         out_dir = tmp_path / "partial"
-        with pytest.raises(Exception) as exc_info:
-            cmd_run(cfg, out_dir)
+        with scripted_server(requests=3) as server:
+            cfg = build_config(
+                rle_config(episodes=10, agent="random", dut=f"bridge:127.0.0.1:{server.port}")
+            )
+            with pytest.raises(Exception) as exc_info:
+                cmd_run(cfg, out_dir)
         from covsteer.errors import TransportError
 
         assert isinstance(exc_info.value, TransportError)
-        thread.join(timeout=5)
         rows = (out_dir / "episodes.csv").read_text().splitlines()
         assert len(rows) == 1 + 3  # header + the episodes that completed
         report = cmd_report([out_dir], tmp_path / "r.json")
@@ -428,76 +420,26 @@ class TestBridgeAbort:
         out_dir = tmp_path / "reused"
         cmd_run(build_config(rle_config(episodes=20, agent="random")), out_dir)
         assert (out_dir / "histograms.csv").exists()
-        port, thread = self.serve_then_die(episodes_before_death=3)
-        cfg = build_config(
-            rle_config(episodes=10, agent="random", dut=f"bridge:127.0.0.1:{port}")
-        )
         from covsteer.errors import TransportError
 
-        with pytest.raises(TransportError):
-            cmd_run(cfg, out_dir)
-        thread.join(timeout=5)
-        assert not thread.is_alive()
+        with scripted_server(requests=3) as server:
+            cfg = build_config(
+                rle_config(episodes=10, agent="random", dut=f"bridge:127.0.0.1:{server.port}")
+            )
+            with pytest.raises(TransportError):
+                cmd_run(cfg, out_dir)
         assert len((out_dir / "episodes.csv").read_text().splitlines()) == 1 + 3
         assert not (out_dir / "histograms.csv").exists()
 
     def test_main_exits_nonzero_on_bridge_failure(self, tmp_path):
-        port, thread = self.serve_then_die(episodes_before_death=2)
-        cfg_path = write_config(
-            tmp_path,
-            rle_config(episodes=10, agent="random", dut=f"bridge:127.0.0.1:{port}"),
-        )
         out_dir = tmp_path / "out"
-        assert main(["run", "--config", str(cfg_path), "--out", str(out_dir)]) == 1
-        thread.join(timeout=5)
+        with scripted_server(requests=2) as server:
+            cfg_path = write_config(
+                tmp_path,
+                rle_config(episodes=10, agent="random", dut=f"bridge:127.0.0.1:{server.port}"),
+            )
+            assert main(["run", "--config", str(cfg_path), "--out", str(out_dir)]) == 1
         assert (out_dir / "episodes.csv").exists()
-
-
-def start_server(dut_factory=RleDut):
-    """Serve one TCP session in a thread; returns the thread and its port."""
-    bound = {}
-    ready = threading.Event()
-
-    def on_bound(port):
-        bound["port"] = port
-        ready.set()
-
-    server = threading.Thread(
-        target=serve_tcp,
-        kwargs=dict(dut_factory=dut_factory, port=0, max_sessions=1, on_bound=on_bound),
-        daemon=True,
-    )
-    server.start()
-    assert ready.wait(5)
-    return server, bound["port"]
-
-
-def serve_scripted(counts_for):
-    """Serve one rle session whose i-th reply carries ``counts_for(i, dut, request)``.
-
-    It answers every request until the client closes, so no reply is lost.
-    """
-    import socket as socket_mod
-
-    from covsteer.bridge import PROTOCOL_VERSION, Counts, Hello, decode, encode
-
-    listener = socket_mod.create_server(("127.0.0.1", 0))
-    port = listener.getsockname()[1]
-
-    def run():
-        with listener:
-            conn, _ = listener.accept()
-        with conn, conn.makefile("rb") as rfile, conn.makefile("wb") as wfile:
-            dut = RleDut()
-            wfile.write(encode(Hello(PROTOCOL_VERSION, dut.action_space(), dut.event_names())))
-            wfile.flush()
-            for i, line in enumerate(iter(rfile.readline, b"")):
-                wfile.write(encode(Counts(counts_for(i, dut, decode(line)))))
-                wfile.flush()
-
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    return port, thread
 
 
 def run_until_abort(cfg, out_dir):
@@ -548,11 +490,9 @@ class TestPipelinedAbort:
             if mode == "serial":
                 self.serial(monkeypatch)
             fail_at_k()
-            server, port = start_server()
-            cfg = build_config(rle_config(episodes=80, dut=f"bridge:127.0.0.1:{port}"))
-            outcomes.append(run_until_abort(cfg, tmp_path / mode))
-            server.join(timeout=5)
-            assert not server.is_alive()
+            with tcp_server() as server:
+                cfg = build_config(rle_config(episodes=80, dut=f"bridge:127.0.0.1:{server.port}"))
+                outcomes.append(run_until_abort(cfg, tmp_path / mode))
         assert outcomes == [local, local]
         assert local[0] is AgentFault
         assert len(local[1].splitlines()) == 1 + k
@@ -571,11 +511,9 @@ class TestPipelinedAbort:
         for mode in ("pipelined", "serial"):
             if mode == "serial":
                 self.serial(monkeypatch)
-            server, port = start_server(FaultAt20)
-            cfg = build_config(rle_config(episodes=80, dut=f"bridge:127.0.0.1:{port}"))
-            outcomes.append(run_until_abort(cfg, tmp_path / mode))
-            server.join(timeout=5)
-            assert not server.is_alive()
+            with tcp_server(partial(serve_tcp, FaultAt20, max_sessions=1)) as server:
+                cfg = build_config(rle_config(episodes=80, dut=f"bridge:127.0.0.1:{server.port}"))
+                outcomes.append(run_until_abort(cfg, tmp_path / mode))
         from covsteer.errors import RemoteDutError
 
         assert outcomes[0] == outcomes[1]
@@ -588,11 +526,12 @@ class TestPipelinedAbort:
         for mode in ("pipelined", "serial"):
             if mode == "serial":
                 self.serial(monkeypatch)
-            port, thread = self.close_after(5)
-            cfg = build_config(rle_config(episodes=80, dut=f"bridge:127.0.0.1:{port}"))
-            outcomes.append(run_until_abort(cfg, tmp_path / mode))
-            thread.join(timeout=5)
-            assert not thread.is_alive()
+            # Its replies leave at once (TCP_NODELAY, as serve_tcp sets): a
+            # close with unread input resets the connection, which drops
+            # replies still held back for an acknowledgement.
+            with scripted_server(requests=5, nodelay=True) as server:
+                cfg = build_config(rle_config(episodes=80, dut=f"bridge:127.0.0.1:{server.port}"))
+                outcomes.append(run_until_abort(cfg, tmp_path / mode))
         from covsteer.errors import TransportError
 
         assert outcomes[0] == outcomes[1]
@@ -600,81 +539,32 @@ class TestPipelinedAbort:
         local = cmd_run(build_config(rle_config(episodes=5)), tmp_path / "local")
         assert outcomes[0][1] == (local / "episodes.csv").read_bytes()
 
-    @staticmethod
-    def close_after(episodes):
-        """A server that answers a few episodes and closes with later requests unread.
-
-        Its replies leave at once (TCP_NODELAY, as ``serve_tcp`` sets): a
-        close with unread input resets the connection, which drops replies
-        still held back for an acknowledgement.
-        """
-        import socket as socket_mod
-
-        from covsteer.bridge import PROTOCOL_VERSION, Counts, Hello, decode, encode
-
-        listener = socket_mod.create_server(("127.0.0.1", 0))
-        port = listener.getsockname()[1]
-
-        def run():
-            with listener:
-                conn, _ = listener.accept()
-            with conn, conn.makefile("rb") as rfile, conn.makefile("wb") as wfile:
-                conn.setsockopt(socket_mod.IPPROTO_TCP, socket_mod.TCP_NODELAY, 1)
-                dut = RleDut()
-                wfile.write(encode(Hello(PROTOCOL_VERSION, dut.action_space(), dut.event_names())))
-                wfile.flush()
-                for _ in range(episodes):
-                    msg = decode(rfile.readline())
-                    wfile.write(encode(Counts(dut.step(Action(msg.action), msg.seed))))
-                    wfile.flush()
-
-        thread = threading.Thread(target=run, daemon=True)
-        thread.start()
-        return port, thread
-
 
 class TestRunOverBridge:
     @pytest.mark.parametrize("batch_size", [1, 7, 50])
     def test_bridged_cem_log_byte_identical_to_local(self, tmp_path, batch_size):
         raw = rle_config(episodes=23, agent_params={"batch_size": batch_size})
         local_out = cmd_run(build_config(raw), tmp_path / "local")
-        server, port = start_server()
-        bridged_out = cmd_run(
-            build_config(dict(raw, dut=f"bridge:127.0.0.1:{port}")), tmp_path / "bridged"
-        )
-        server.join(timeout=5)
-        assert not server.is_alive()
+        with tcp_server() as server:
+            bridged_out = cmd_run(
+                build_config(dict(raw, dut=f"bridge:127.0.0.1:{server.port}")), tmp_path / "bridged"
+            )
         assert (
             (local_out / "episodes.csv").read_bytes()
             == (bridged_out / "episodes.csv").read_bytes()
         )
 
     def test_bridged_run_byte_identical_to_local(self, tmp_path):
-        bound = {}
-        ready = threading.Event()
+        with tcp_server() as server:
+            local_cfg = build_config(rle_config(episodes=40, agent="random"))
+            local_out = cmd_run(local_cfg, tmp_path / "local")
 
-        def on_bound(port):
-            bound["port"] = port
-            ready.set()
-
-        server = threading.Thread(
-            target=serve_tcp,
-            kwargs=dict(dut_factory=RleDut, port=0, max_sessions=1, on_bound=on_bound),
-            daemon=True,
-        )
-        server.start()
-        assert ready.wait(5)
-
-        local_cfg = build_config(rle_config(episodes=40, agent="random"))
-        local_out = cmd_run(local_cfg, tmp_path / "local")
-
-        bridged_cfg = build_config(
-            rle_config(
-                episodes=40, agent="random", dut=f"bridge:127.0.0.1:{bound['port']}"
+            bridged_cfg = build_config(
+                rle_config(
+                    episodes=40, agent="random", dut=f"bridge:127.0.0.1:{server.port}"
+                )
             )
-        )
-        bridged_out = cmd_run(bridged_cfg, tmp_path / "bridged")
-        server.join(timeout=5)
+            bridged_out = cmd_run(bridged_cfg, tmp_path / "bridged")
 
         assert (
             (local_out / "episodes.csv").read_bytes()
