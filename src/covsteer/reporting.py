@@ -20,7 +20,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
-from .actionspace import CONTINUOUS, ActionSpace
+from .actionspace import CONTINUOUS, Action, ActionSpace
 from .env import EpisodeRecord
 from .errors import ReportError
 
@@ -32,6 +32,11 @@ def format_real(x: float) -> str:
     return repr(float(x))
 
 
+def log_columns(knob_names, event_names) -> list[str]:
+    """The episode log's columns, in order: ``episode``, the knobs, the events, ``reward``."""
+    return ["episode", *knob_names, *event_names, "reward"]
+
+
 class EpisodeCsvWriter:
     """Streams episode records to disk; each row is flushed as written.
 
@@ -41,10 +46,7 @@ class EpisodeCsvWriter:
     """
 
     def __init__(self, path, knob_names, event_names):
-        self.path = Path(path)
-        self.knob_names = tuple(knob_names)
-        self.event_names = tuple(event_names)
-        header = ["episode", *self.knob_names, *self.event_names, "reward"]
+        header = log_columns(knob_names, event_names)
         seen = set()
         for name in header:
             if name in seen:
@@ -52,7 +54,7 @@ class EpisodeCsvWriter:
             if any(c in name for c in ",\r\n"):
                 raise ReportError(f"column name {name!r} holds a comma or a line break")
             seen.add(name)
-        self._fh = open(self.path, "w", encoding="utf-8", newline="")
+        self._fh = open(path, "w", encoding="utf-8", newline="")
         self._fh.write(",".join(header) + "\n")
         self._fh.flush()
 
@@ -77,29 +79,28 @@ class EpisodeCsvWriter:
 
 @dataclass(frozen=True)
 class EpisodeLog:
-    """Parsed episode log plus the knob/event split of its columns."""
+    """A parsed episode log: the records it was written from, in file order."""
 
     path: str
     knob_names: tuple[str, ...]
     event_names: tuple[str, ...]
-    episodes: tuple[int, ...]
-    knob_values: tuple[tuple[float, ...], ...]  # one tuple per knob column
-    counts: tuple[tuple[int, ...], ...]  # one tuple per event column
-    rewards: tuple[float, ...]
+    records: tuple[EpisodeRecord, ...]
 
     @property
     def event_totals(self) -> dict[str, int]:
-        return {n: sum(col) for n, col in zip(self.event_names, self.counts)}
+        return {n: sum(r.counts[i] for r in self.records) for i, n in enumerate(self.event_names)}
 
     @property
     def total_reward(self) -> float:
-        return sum(self.rewards)
+        return sum(r.reward for r in self.records)
 
 
 def read_episode_log(path) -> EpisodeLog:
     """Load a run's episodes.csv; accepts the run directory or the csv path in it.
 
     The knob and event columns are the ones the run's summary.json names.
+    A last row without its line break is dropped: the writer ends every
+    row with one, so that row is an episode whose write was cut off.
     """
     p = Path(path)
     if p.is_dir():
@@ -116,35 +117,25 @@ def read_episode_log(path) -> EpisodeLog:
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ReportError(f"cannot read the column schema from {summary}: {exc!r}") from None
     with open(p, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+        lines = [ln for ln in fh if ln.strip()]
     if not lines:
         raise ReportError(f"episode log is empty: {p}")
-    header = lines[0].split(",")
-    if header != ["episode", *knob_names, *ev_names, "reward"]:
+    if len(lines) > 1 and not lines[-1].endswith("\n"):
+        lines.pop()
+    header, *rows = (ln.rstrip("\n") for ln in lines)
+    columns = log_columns(knob_names, ev_names)
+    if header.split(",") != columns:
         raise ReportError(f"episode log header in {p} does not match {summary}")
-    n_knobs, n_events = len(knob_names), len(ev_names)
-    episodes, rewards = [], []
-    knob_cols = [[] for _ in range(n_knobs)]
-    count_cols = [[] for _ in range(n_events)]
-    for ln in lines[1:]:
+    n_knobs = len(knob_names)
+    records = []
+    for ln in rows:
         cells = ln.split(",")
-        if len(cells) != len(header):
+        if len(cells) != len(columns):
             raise ReportError(f"malformed row in {p}: {ln!r}")
-        episodes.append(int(cells[0]))
-        for i in range(n_knobs):
-            knob_cols[i].append(float(cells[1 + i]))
-        for i in range(n_events):
-            count_cols[i].append(int(cells[1 + n_knobs + i]))
-        rewards.append(float(cells[-1]))
-    return EpisodeLog(
-        path=str(p),
-        knob_names=knob_names,
-        event_names=ev_names,
-        episodes=tuple(episodes),
-        knob_values=tuple(tuple(col) for col in knob_cols),
-        counts=tuple(tuple(col) for col in count_cols),
-        rewards=tuple(rewards),
-    )
+        action = Action(tuple(map(float, cells[1 : 1 + n_knobs])))
+        counts = tuple(map(int, cells[1 + n_knobs : -1]))
+        records.append(EpisodeRecord(int(cells[0]), action, counts, float(cells[-1])))
+    return EpisodeLog(str(p), knob_names, ev_names, tuple(records))
 
 
 def knob_histograms(space: ActionSpace, actions) -> dict:
@@ -236,23 +227,22 @@ def build_report(paths) -> dict:
     runs = [
         {
             "path": log.path,
-            "episodes": len(log.episodes),
+            "episodes": len(log.records),
             "event_totals": log.event_totals,
             "total_reward": log.total_reward,
         }
         for log in logs
     ]
     ratios = []
-    for log in logs[1:]:
+    for run in runs[1:]:
         entry = {}
-        for name in first.event_names:
-            num = first.event_totals[name]
-            den = log.event_totals[name]
+        for name, num in runs[0]["event_totals"].items():
+            den = run["event_totals"][name]
             if den == 0:
                 entry[name] = None if num == 0 else "inf"
             else:
                 entry[name] = num / den
-        ratios.append({"baseline": log.path, "ratio_first_over_this": entry})
+        ratios.append({"baseline": run["path"], "ratio_first_over_this": entry})
     return {
         "knob_names": list(first.knob_names),
         "event_names": list(first.event_names),

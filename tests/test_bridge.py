@@ -53,10 +53,14 @@ from conftest import (
 
 ACTION = (0.4, 6.0, 300.0)
 
+_HELLO = b'{"type":"hello","protocol_version":3,"events":[],"action_space":'
+_KNOB_X = b'{"name":"x","kind":"continuous","lo":0,"hi":1}'
+
 # Lines that once escaped decode as TypeError, OverflowError, ValueError or
 # RecursionError, a hello whose knob is too wide for a float to span, the v1
-# acknowledgements with their dropped fields, and the v2 messages that split
-# an episode into a reset and a seedless step.
+# acknowledgements with their dropped fields, the v2 messages that split an
+# episode into a reset and a seedless step, and one line for each field check
+# of decode that no other line reaches.
 HOSTILE_LINES = [
     b'{"type":[]}\n',
     b'{"type":"episode","seed":0,"action":[' + b"9" * 400 + b"]}\n",
@@ -72,11 +76,28 @@ HOSTILE_LINES = [
     b'{"type":"reset","seed":5}\n',
     b'{"type":"reset_ack"}\n',
     b'{"type":"step","action":[0.4,6,300]}\n',
+    _HELLO + b'[]}\n',
+    _HELLO + b'{"knobs":[1]}}\n',
+    _HELLO + b'{"knobs":[{"name":"x","kind":"continuous","lo":0,"hi":1,"values":[0]}]}}\n',
+    _HELLO + b'{"knobs":[{"name":"x","kind":"discrete"}]}}\n',
+    _HELLO + b'{"knobs":[{"name":"x","kind":"ordinal","values":[0]}]}}\n',
+    _HELLO + b'{"knobs":[' + _KNOB_X + b"," + _KNOB_X + b"]}}\n",
+    _HELLO + b'{"knobs":[{"name":"x","kind":"discrete","values":3}]}}\n',
+    b'{"type":"hello","protocol_version":"3","events":[],"action_space":{"knobs":['
+    + _KNOB_X + b"]}}\n",
+    b'{"type":"hello","protocol_version":3,"events":[1],"action_space":{"knobs":['
+    + _KNOB_X + b"]}}\n",
+    b'{"type":"counts","counts":3}\n',
+    b'{"type":"episode","seed":-1,"action":[0.4,6,300]}\n',
+    b'{"type":"error","code":1,"detail":"x"}\n',
 ]
 HOSTILE_IDS = [
     "type_list", "400_digits", "5000_digits", "nested_1e5", "knob_name_list",
     "knob_width_overflows", "nan",
     "v1_reset_ack", "v1_step_ack", "v2_reset", "v2_reset_ack", "v2_seedless_step",
+    "space_list", "knob_int", "continuous_with_values", "discrete_without_values",
+    "kind_ordinal", "knob_named_twice", "values_int", "version_string", "event_int",
+    "counts_int", "seed_negative", "error_code_int",
 ]
 
 
@@ -103,6 +124,10 @@ class TestEncode:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             encode(Episode(seed=0, action=(float("nan"),)))
+
+    def test_non_message_rejected(self):
+        with pytest.raises(TypeError, match="not a bridge message"):
+            encode(object())
 
 
 class TestDecode:
@@ -525,6 +550,29 @@ class TestProxy:
                 run_campaign(env, RandomAgent(env.space), 25, seed=3)
         assert isinstance(exc.value.__context__, TransportError)
         assert time.monotonic() - started < JOIN_DEADLINE_S
+
+    def test_counts_in_place_of_hello_refused(self):
+        def counts_first(rfile, wfile):
+            wfile.write(encode(Counts((1, 0, 0, 0))))
+            wfile.flush()
+
+        with socketpair_session(counts_first) as client:
+            with pytest.raises(BridgeProtocolError, match="expected hello"):
+                connect_dut(client.rfile, client.wfile, sock=client.sock)
+
+    def test_hello_in_place_of_counts_refused(self):
+        def hello_twice(rfile, wfile):
+            dut = RleDut()
+            hello = encode(Hello(PROTOCOL_VERSION, dut.action_space(), dut.event_names()))
+            wfile.write(hello)
+            wfile.flush()
+            rfile.readline()
+            wfile.write(hello)
+            wfile.flush()
+
+        with proxy_session(hello_twice) as proxy:
+            with pytest.raises(BridgeProtocolError, match="expected Counts"):
+                proxy.step(Action(ACTION), 0)
 
     def test_closed_before_hello(self):
         client, server = socket.socketpair()

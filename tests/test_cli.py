@@ -12,9 +12,9 @@ import pytest
 import covsteer
 from covsteer.actionspace import Action
 from covsteer.bridge import connect_dut, serve_tcp
-from covsteer.cli import _build_parser, cmd_report, cmd_run, main, make_dut
+from covsteer.cli import _build_parser, cmd_report, cmd_run, main, make_agent, make_dut
 from covsteer.config import AGENT_KINDS, DESIGNS, build_config
-from covsteer.env import episode_seed
+from covsteer.env import Environment, episode_seed, run_campaign
 from covsteer.errors import ConfigError, CovsteerError, ReportError
 from covsteer.reporting import read_episode_log
 from covsteer.rle import RleDut
@@ -73,10 +73,11 @@ class TestCmdRun:
         summary = json.loads((out / "summary.json").read_text())
         log = read_episode_log(out)
         assert summary["event_totals"] == {
-            name: sum(col) for name, col in zip(log.event_names, log.counts)
+            name: sum(rec.counts[i] for rec in log.records)
+            for i, name in enumerate(log.event_names)
         }
         assert summary["episodes"] == 80
-        assert summary["total_reward"] == sum(log.rewards)
+        assert summary["total_reward"] == sum(rec.reward for rec in log.records)
         assert summary["agent_snapshot"]["kind"] == "cem"
         assert "out_dir" in summary["applied_defaults"]
 
@@ -102,12 +103,36 @@ class TestCmdRun:
         out = cmd_run(cfg, tmp_path / "run")
         log = read_episode_log(out)
         dut = RleDut()
-        for row in range(len(log.episodes)):
-            episode = log.episodes[row]
-            seed = episode_seed(cfg.seed, episode)
-            action = Action(tuple(col[row] for col in log.knob_values))
-            counts = dut.step(action, seed)
-            assert counts == tuple(col[row] for col in log.counts)
+        for rec in log.records:
+            assert dut.step(rec.action, episode_seed(cfg.seed, rec.episode)) == rec.counts
+
+    @pytest.mark.parametrize("served", [False, True], ids=["in_process", "served"])
+    def test_log_reads_back_as_the_campaign_records(self, tmp_path, served):
+        cfg = build_config(rle_config(episodes=40))
+        env = Environment(RleDut(), cfg.multipliers)
+        records = []
+        run_campaign(env, make_agent(cfg, env.space), cfg.episodes, cfg.seed, records.append)
+        if served:
+            with tcp_server() as server:
+                cfg = build_config(rle_config(episodes=40, dut=f"bridge:127.0.0.1:{server.port}"))
+                out = cmd_run(cfg, tmp_path / "run")
+        else:
+            out = cmd_run(cfg, tmp_path / "run")
+        assert read_episode_log(out).records == tuple(records)
+
+    def test_torn_last_row_is_dropped(self, tmp_path):
+        # An episode whose write was cut off: its row lost its line break
+        # and the last digits of its reward, so 1.4 would read as 1.
+        cfg = build_config(rle_config(episodes=5, seed=2, multipliers={"e3_partial_count": 0.7}))
+        out = cmd_run(cfg, tmp_path / "run")
+        whole = read_episode_log(out).records
+        csv = out / "episodes.csv"
+        assert csv.read_bytes().endswith(b",1.4\n")
+        csv.write_bytes(csv.read_bytes()[:-3])
+        assert read_episode_log(out).records == whole[:4]
+        run = cmd_report([out], tmp_path / "r.json")["runs"][0]
+        assert run["episodes"] == 4
+        assert run["total_reward"] == sum(rec.reward for rec in whole[:4])
 
     def test_axi_run(self, tmp_path):
         cfg = build_config(
@@ -216,7 +241,7 @@ class TestMainEntry:
             == 0
         )
         log = read_episode_log(out_dir)
-        assert len(log.episodes) == 7
+        assert len(log.records) == 7
         summary = json.loads((out_dir / "summary.json").read_text())
         assert summary["config"]["agent"] == "random"
         assert summary["config"]["seed"] == 9
@@ -382,6 +407,7 @@ class TestServeTcpCli:
         finally:
             proc.terminate()
             proc.wait(timeout=10)
+            proc.stderr.close()
 
     @pytest.mark.parametrize("port", ["99999", "-5", "in_use"])
     def test_unlistenable_port_is_an_error(self, port, capsys):
