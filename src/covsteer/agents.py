@@ -9,12 +9,12 @@ far ahead proposals may be drawn before their rewards are observed.
 space, observe is a no-op.
 
 ``CemAgent`` is a cross-entropy-method optimizer over the knob
-distributions. It keeps an independent sampling distribution per knob
-(truncated normal on an interval knob, categorical on a value-set knob),
-buffers a batch of (action, reward) pairs, and on every full batch refits
-each distribution toward the elite fraction of the batch with exponential
-smoothing. Floors on the stddevs and on the categorical probabilities
-keep exploration alive forever.
+distributions. It keeps one distribution object per knob, chosen once from
+the knob's kind (``TruncatedNormal`` on an interval knob,
+``FlooredCategorical`` on a value set), buffers a batch of (action,
+reward) pairs, and on every full batch refits each distribution toward
+the elite fraction of the batch with exponential smoothing. Floors on the
+stddevs and on the category probabilities keep exploration alive forever.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .actionspace import CONTINUOUS, Action, ActionSpace, is_finite_real, sample_uniform
+from .actionspace import CONTINUOUS, Action, ActionSpace, KnobSpec, is_finite_real, sample_uniform
 
 
 class Agent(ABC):
@@ -136,7 +136,7 @@ def check_cem_params(batch_size, elite_frac, smoothing, sigma_min_frac, prob_flo
     """Raise ValueError, message led by the parameter's name, on the first bad value.
 
     ``sigma_min_frac <= 0.5`` keeps every stddev at most (hi - lo)/2, which
-    bounds the rejection loop in ``CemAgent.propose``.
+    bounds the rejection loop in ``TruncatedNormal.draw``.
     """
     if isinstance(batch_size, bool) or not isinstance(batch_size, Integral) or batch_size < 1:
         raise ValueError("batch_size must be a positive integer")
@@ -157,6 +157,69 @@ def check_cem_params(batch_size, elite_frac, smoothing, sigma_min_frac, prob_flo
         raise ValueError("sigma_min_frac must be in (0, 0.5]")
     if prob_floor < 0.0:
         raise ValueError("prob_floor must be >= 0")
+
+
+class TruncatedNormal:
+    """An interval knob's normal, truncated to [lo, hi] by rejection, stddev floored."""
+
+    def __init__(self, knob: KnobSpec, batch_size: int, sigma_min_frac: float):
+        span = knob.hi - knob.lo
+        # lo + hi and a refit's sums over a batch of values and of squared
+        # deviations must stay finite, or draw spins.
+        widest = max(abs(knob.lo), abs(knob.hi))
+        sums = (knob.lo + knob.hi, batch_size * widest, batch_size * span * span)
+        if not all(map(math.isfinite, sums)):
+            raise ValueError(f"knob {knob.name} too wide for batch_size {batch_size}")
+        self.lo, self.hi = knob.lo, knob.hi
+        self.mu = (knob.lo + knob.hi) / 2.0
+        self.sigma = span / 2.0
+        self.sigma_min = sigma_min_frac * span
+
+    def draw(self, rng) -> float:
+        # mu stays inside [lo, hi] and sigma <= (hi - lo)/2 by construction,
+        # so the acceptance probability is bounded well away from zero.
+        lo, hi, mu, sigma = self.lo, self.hi, self.mu, self.sigma
+        while True:
+            x = rng.normal(mu, sigma)
+            if lo <= x <= hi:
+                return float(x)
+
+    def refit(self, elite_column: np.ndarray, smoothing: float) -> None:
+        self.mu = smoothing * float(elite_column.mean()) + (1.0 - smoothing) * self.mu
+        sigma = smoothing * float(elite_column.std()) + (1.0 - smoothing) * self.sigma
+        self.sigma = max(self.sigma_min, sigma)
+
+    def snapshot(self) -> dict:
+        return {"mu": self.mu, "sigma": self.sigma, "sigma_min": self.sigma_min}
+
+
+class FlooredCategorical:
+    """A value-set knob's category probabilities, floored, drawn through their CDF."""
+
+    def __init__(self, knob: KnobSpec, prob_floor: float):
+        n = len(knob.values)
+        if prob_floor * n >= 1.0:
+            raise ValueError(f"prob_floor {prob_floor} infeasible for knob {knob.name} ({n} values)")
+        self.values = knob.values
+        self.prob_floor = prob_floor
+        self._index = {v: i for i, v in enumerate(knob.values)}
+        self.probs = np.full(n, 1.0 / n)
+        self.cdf = categorical_cdf(self.probs)
+
+    def draw(self, rng) -> float:
+        return self.values[bisect_right(self.cdf, rng.random())]
+
+    def refit(self, elite_column: np.ndarray, smoothing: float) -> None:
+        freq = np.zeros(len(self.values))
+        for v in elite_column:
+            freq[self._index[float(v)]] += 1.0
+        freq /= len(elite_column)
+        q = smoothing * freq + (1.0 - smoothing) * self.probs
+        self.probs = floor_normalize(q, self.prob_floor)
+        self.cdf = categorical_cdf(self.probs)
+
+    def snapshot(self) -> dict:
+        return {"values": list(self.values), "probs": self.probs.tolist()}
 
 
 class CemAgent(Agent):
@@ -180,9 +243,10 @@ class CemAgent(Agent):
     prob_floor:
         Per-category probability floor for value-set knobs.
 
-    Initial distributions match the uniform baseline: mean at the interval
-    midpoint with stddev (hi - lo)/2, and equal category probabilities.
-    The defaults here are also the run config's ``agent_params`` defaults.
+    ``dists`` holds each knob's distribution, in the space's order. They
+    start as the uniform baseline: mean at the interval midpoint with stddev
+    (hi - lo)/2, and equal category probabilities. The defaults here are
+    also the run config's ``agent_params`` defaults.
     """
 
     def __init__(
@@ -200,61 +264,21 @@ class CemAgent(Agent):
         self.elite_frac = float(elite_frac)
         self.smoothing = float(smoothing)
         self.prob_floor = float(prob_floor)
-
-        self._mu: dict[int, float] = {}
-        self._sigma: dict[int, float] = {}
-        self._sigma_min: dict[int, float] = {}
-        self._probs: dict[int, np.ndarray] = {}
-        self._cdf: dict[int, list[float]] = {}
-        self._value_index: dict[int, dict[float, int]] = {}
-        for k, knob in enumerate(space.knobs):
-            if knob.kind == CONTINUOUS:
-                span = knob.hi - knob.lo
-                # lo + hi and a refit's sums over a batch of values and of
-                # squared deviations must stay finite, or propose spins.
-                widest = max(abs(knob.lo), abs(knob.hi))
-                sums = (knob.lo + knob.hi, batch_size * widest, batch_size * span * span)
-                if not all(map(math.isfinite, sums)):
-                    raise ValueError(f"knob {knob.name} too wide for batch_size {batch_size}")
-                self._mu[k] = (knob.lo + knob.hi) / 2.0
-                self._sigma[k] = span / 2.0
-                self._sigma_min[k] = sigma_min_frac * span
-            else:
-                n = len(knob.values)
-                if prob_floor * n >= 1.0:
-                    raise ValueError(
-                        f"prob_floor {prob_floor} infeasible for knob {knob.name} ({n} values)"
-                    )
-                self._set_probs(k, np.full(n, 1.0 / n))
-                self._value_index[k] = {v: i for i, v in enumerate(knob.values)}
-
+        self.dists = tuple(
+            TruncatedNormal(knob, batch_size, sigma_min_frac)
+            if knob.kind == CONTINUOUS
+            else FlooredCategorical(knob, prob_floor)
+            for knob in space.knobs
+        )
         self._buffer: list[tuple[Action, float]] = []
         self._refits = 0
-
-    def _set_probs(self, k: int, probs: np.ndarray) -> None:
-        self._probs[k] = probs
-        self._cdf[k] = categorical_cdf(probs)
 
     @property
     def refits(self) -> int:
         return self._refits
 
     def propose(self, rng):
-        vals = []
-        for k, knob in enumerate(self.space.knobs):
-            if knob.kind == CONTINUOUS:
-                mu, sigma = self._mu[k], self._sigma[k]
-                # Rejection-truncated normal. mu stays inside [lo, hi] and
-                # sigma <= (hi - lo)/2 by construction, so the acceptance
-                # probability is bounded well away from zero.
-                while True:
-                    x = rng.normal(mu, sigma)
-                    if knob.lo <= x <= knob.hi:
-                        vals.append(float(x))
-                        break
-            else:
-                vals.append(knob.values[bisect_right(self._cdf[k], rng.random())])
-        return Action(tuple(vals))
+        return Action(tuple([dist.draw(rng) for dist in self.dists]))
 
     def observe(self, action, reward):
         self._buffer.append((action, float(reward)))
@@ -268,46 +292,12 @@ class CemAgent(Agent):
         batch = self._buffer
         chosen = elite_indices([r for _, r in batch], self.elite_frac)
         elite = [batch[i][0] for i in chosen]
-        a = self.smoothing
-        for k, knob in enumerate(self.space.knobs):
-            col = np.array([act.values[k] for act in elite], dtype=float)
-            if knob.kind == CONTINUOUS:
-                self._mu[k] = a * float(col.mean()) + (1.0 - a) * self._mu[k]
-                sigma = a * float(col.std()) + (1.0 - a) * self._sigma[k]
-                self._sigma[k] = max(self._sigma_min[k], sigma)
-            else:
-                freq = np.zeros(len(knob.values))
-                index = self._value_index[k]
-                for v in col:
-                    freq[index[float(v)]] += 1.0
-                freq /= len(elite)
-                q = a * freq + (1.0 - a) * self._probs[k]
-                self._set_probs(k, floor_normalize(q, self.prob_floor))
+        for k, dist in enumerate(self.dists):
+            dist.refit(np.array([act.values[k] for act in elite], dtype=float), self.smoothing)
         self._buffer = []
         self._refits += 1
 
     def snapshot(self):
-        knobs = []
-        for k, knob in enumerate(self.space.knobs):
-            if knob.kind == CONTINUOUS:
-                knobs.append(
-                    {
-                        "name": knob.name,
-                        "kind": knob.kind,
-                        "mu": self._mu[k],
-                        "sigma": self._sigma[k],
-                        "sigma_min": self._sigma_min[k],
-                    }
-                )
-            else:
-                knobs.append(
-                    {
-                        "name": knob.name,
-                        "kind": knob.kind,
-                        "values": list(knob.values),
-                        "probs": [float(p) for p in self._probs[k]],
-                    }
-                )
         return {
             "kind": "cem",
             "batch_size": self.batch_size,
@@ -316,5 +306,8 @@ class CemAgent(Agent):
             "prob_floor": self.prob_floor,
             "refits": self._refits,
             "buffered": len(self._buffer),
-            "knobs": knobs,
+            "knobs": [
+                {"name": knob.name, "kind": knob.kind, **dist.snapshot()}
+                for knob, dist in zip(self.space.knobs, self.dists)
+            ],
         }

@@ -252,28 +252,25 @@ def build_report(paths) -> dict:
 
 
 def render_report_text(report: dict) -> str:
-    """Plain-text table of event totals per run plus ratio rows."""
+    """Plain-text table of event totals per run plus ratio rows.
+
+    Each column is as wide as its widest cell, and columns are one space apart.
+    """
     events = report["event_names"]
     runs = report["runs"]
-    name_w = max([len(e) for e in events] + [len("total_reward"), 5])
-    col_w = 14
-    lines = []
-    header = "event".ljust(name_w) + "".join(
-        f"run{j}".rjust(col_w) for j in range(len(runs))
+    table = [["event"] + [f"run{j}" for j in range(len(runs))]]
+    table += [[ev] + [str(run["event_totals"][ev]) for run in runs] for ev in events]
+    table.append(["total_reward"] + [format_real(run["total_reward"]) for run in runs])
+    name_w, *col_ws = (max(map(len, column)) for column in zip(*table))
+    header, *rows = (
+        " ".join([row[0].ljust(name_w)] + [c.rjust(w) for c, w in zip(row[1:], col_ws)])
+        for row in table
     )
-    lines.append(header)
+    lines = [header]
     for j, run in enumerate(runs):
         lines.append(f"  run{j}: {run['path']} ({run['episodes']} episodes)")
     lines.append("-" * len(header))
-    for ev in events:
-        row = ev.ljust(name_w)
-        for run in runs:
-            row += str(run["event_totals"][ev]).rjust(col_w)
-        lines.append(row)
-    row = "total_reward".ljust(name_w)
-    for run in runs:
-        row += format_real(run["total_reward"]).rjust(col_w)
-    lines.append(row)
+    lines.extend(rows)
     for j, ratio in enumerate(report["ratios"], start=1):
         lines.append("")
         lines.append(f"run0 / run{j} event ratios:")

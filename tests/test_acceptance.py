@@ -310,7 +310,7 @@ def test_criterion_9_cem_bandit_sanity(check):
         while agent.refits < 20 and not reached:
             action = agent.propose(rng)
             agent.observe(action, 1.0 if action.values[0] == target else 0.0)
-            if not agent._buffer and agent._probs[0][target_idx] > 0.9:
+            if not agent._buffer and agent.dists[0].probs[target_idx] > 0.9:
                 reached = True
         if reached:
             successes += 1

@@ -1,3 +1,6 @@
+import hashlib
+import json
+import struct
 from bisect import bisect_right
 
 import numpy as np
@@ -126,9 +129,9 @@ class TestEliteSelection:
 class TestCemPropose:
     def test_concentrated_categorical(self):
         agent = CemAgent(WIDTH8, prob_floor=0.01)
-        agent._set_probs(0, floor_normalize([1, 0, 0, 0, 0, 0, 0, 0], 0.01))
-        # Flooring leaves exactly 1 - 7*0.01 on the first value.
-        assert agent._probs[0][0] == pytest.approx(1 - 7 * 0.01)
+        # A full-weight refit on one elite value 1 leaves exactly 1 - 7*0.01 on it.
+        agent.dists[0].refit(np.array([1.0]), 1.0)
+        assert agent.dists[0].probs[0] == pytest.approx(1 - 7 * 0.01)
         rng = np.random.default_rng(2)
         draws = [agent.propose(rng).values[0] for _ in range(10_000)]
         freq = draws.count(1.0) / 10_000
@@ -138,11 +141,12 @@ class TestCemPropose:
 
     def test_tight_normal_concentrates(self):
         agent = CemAgent(UNIT, sigma_min_frac=0.05)
-        agent._mu[0] = 0.5
-        agent._sigma[0] = agent._sigma_min[0]  # 0.05
+        dist = agent.dists[0]
+        dist.mu = 0.5
+        dist.sigma = dist.sigma_min  # 0.05
         rng = np.random.default_rng(3)
         draws = np.array([agent.propose(rng).values[0] for _ in range(10_000)])
-        assert draws.std() <= 2 * agent._sigma_min[0]
+        assert draws.std() <= 2 * dist.sigma_min
         assert abs(draws.mean() - 0.5) < 0.01
 
     @given(action_spaces(max_knobs=3), st.integers(0, 2**32 - 1))
@@ -164,15 +168,15 @@ class TestCemPropose:
 def reference_propose(agent, rng):
     """``CemAgent.propose`` drawing its categories through ``Generator.choice``."""
     vals = []
-    for k, knob in enumerate(agent.space.knobs):
+    for knob, dist in zip(agent.space.knobs, agent.dists):
         if knob.kind == CONTINUOUS:
             while True:
-                x = rng.normal(agent._mu[k], agent._sigma[k])
+                x = rng.normal(dist.mu, dist.sigma)
                 if knob.lo <= x <= knob.hi:
                     vals.append(float(x))
                     break
         else:
-            vals.append(knob.values[int(rng.choice(len(knob.values), p=agent._probs[k]))])
+            vals.append(knob.values[int(rng.choice(len(knob.values), p=dist.probs))])
     return Action(tuple(vals))
 
 
@@ -225,22 +229,23 @@ class TestCemObserve:
         space = ActionSpace(knobs=(KnobSpec.continuous("x", 0.0, 10.0),))
         agent = CemAgent(space, batch_size=2, elite_frac=1.0, smoothing=1.0,
                          sigma_min_frac=0.01)
-        agent._sigma_min[0] = 0.1
+        dist = agent.dists[0]
+        dist.sigma_min = 0.1
         agent.observe(Action((2.0,)), 1.0)
         agent.observe(Action((4.0,)), 0.0)
         assert agent.refits == 1
-        assert agent._mu[0] == pytest.approx(3.0)
-        assert agent._sigma[0] == pytest.approx(1.0)
+        assert dist.mu == pytest.approx(3.0)
+        assert dist.sigma == pytest.approx(1.0)
 
     def test_zero_smoothing_freezes_distributions(self):
         agent = CemAgent(WIDTH8, batch_size=4, smoothing=0.0)
-        before = agent._probs[0].copy()
+        before = agent.dists[0].probs.copy()
         rng = np.random.default_rng(0)
         for _ in range(4):
             a = agent.propose(rng)
             agent.observe(a, float(rng.random()))
         assert agent.refits == 1
-        assert np.allclose(agent._probs[0], before)
+        assert np.allclose(agent.dists[0].probs, before)
 
     def test_buffer_clears_on_refit(self):
         agent = CemAgent(UNIT, batch_size=3)
@@ -263,10 +268,10 @@ class TestCemObserve:
             a = agent.propose(rng)
             agent.observe(a, float(rng.normal()))
             if agent.refits and not agent._buffer:
-                probs = agent._probs[1]
-                assert abs(probs.sum() - 1.0) < 1e-9
-                assert (probs >= agent.prob_floor - 1e-15).all()
-                assert agent._sigma[0] >= agent._sigma_min[0]
+                normal, categorical = agent.dists
+                assert abs(categorical.probs.sum() - 1.0) < 1e-9
+                assert (categorical.probs >= agent.prob_floor - 1e-15).all()
+                assert normal.sigma >= normal.sigma_min
         assert agent.refits == 10
 
     def test_hyperparameter_validation(self):
@@ -345,7 +350,7 @@ def run_bandit(seed, target=6.0, refit_limit=20):
         a = agent.propose(rng)
         agent.observe(a, bandit.reward(a))
         if not agent._buffer:  # just refitted
-            best = max(best, float(agent._probs[0][target_idx]))
+            best = max(best, float(agent.dists[0].probs[target_idx]))
             if best > 0.9:
                 break
     return best
@@ -358,8 +363,6 @@ def test_bandit_learns_target_quickly():
 
 
 def test_snapshot_is_json_ready():
-    import json
-
     space = ActionSpace(
         knobs=(KnobSpec.continuous("p", 0.0, 1.0), KnobSpec.discrete("w", [1, 2]))
     )
@@ -369,3 +372,36 @@ def test_snapshot_is_json_ready():
     assert parsed["kind"] == "cem"
     assert parsed["knobs"][0]["name"] == "p"
     assert parsed["knobs"][1]["probs"] == [0.5, 0.5]
+
+
+PINNED_SPACE = ActionSpace(knobs=(
+    KnobSpec.continuous("x", -2.0, 3.0),
+    KnobSpec.discrete("w", range(1, 9)),
+    KnobSpec.discrete("v", [3.0, -1.0, 7.5]),
+))
+
+
+def pinned_digests():
+    """sha256 of every proposal and of the snapshot after every refit."""
+    agent = CemAgent(PINNED_SPACE, batch_size=12, elite_frac=0.3, smoothing=0.55,
+                     sigma_min_frac=0.08, prob_floor=0.03)
+    rng, noise = np.random.default_rng(2024), np.random.default_rng(7)
+    proposals, snapshots = hashlib.sha256(), hashlib.sha256()
+    for _ in range(300):
+        action = agent.propose(rng)
+        proposals.update(struct.pack("3d", *action.values))
+        x, w, v = action.values
+        agent.observe(action, float(noise.normal()) + x + 2.0 * (w == 6) + (v == 7.5))
+        if agent.observes_until_update() == agent.batch_size:
+            snapshots.update(json.dumps(agent.snapshot(), sort_keys=True).encode())
+    assert agent.refits == 25
+    return proposals.hexdigest(), snapshots.hexdigest()
+
+
+def test_pinned_agent_matches_recorded_digests():
+    # Recorded before the per-knob distributions became objects: any change
+    # to the order of rng calls or float expressions moves these.
+    assert pinned_digests() == (
+        "c32ecaad8544aa2ec5e7966b0ee649d365c3686b36ac60b86ea33722ddabac00",
+        "d78738c30f3473cb85d2371863144af7ab78e483ef0cb36c87e2e149f5784609",
+    )

@@ -12,6 +12,7 @@ from covsteer.reporting import (
     CONTINUOUS_BINS,
     EpisodeCsvWriter,
     build_report,
+    format_real,
     knob_histograms,
     read_episode_log,
     render_report_text,
@@ -112,6 +113,24 @@ class TestReport:
         (run,) = build_report([out])["runs"]
         assert (run["episodes"], run["total_reward"]) == (0, 0)
         assert run["event_totals"] == {"a": 0, "b": 0, "c": 0}
+
+    def test_wide_cells_stay_apart(self, tmp_path):
+        rewards = [6134.400000000001, 11722.799999999999, 1e308]
+        counts = [(2**64, 0, 7), (0, 12345678901234567, 7), (1, 1, 7)]
+        runs = [
+            write_run(tmp_path / f"run{j}", [EpisodeRecord(0, Action((0.5,)), c, r)])
+            for j, (c, r) in enumerate(zip(counts, rewards))
+        ]
+        lines = render_report_text(build_report(runs)).splitlines()
+        rule = next(i for i, line in enumerate(lines) if set(line) == {"-"})
+        assert lines[0].split() == ["event", "run0", "run1", "run2"]
+        rows = [line.split() for line in lines[rule + 1 : rule + 5]]
+        assert rows == [
+            ["a", str(2**64), "0", "1"],
+            ["b", "0", "12345678901234567", "1"],
+            ["c", "7", "7", "7"],
+            ["total_reward"] + [format_real(r) for r in rewards],
+        ]
 
     def test_no_logs_refused(self):
         with pytest.raises(ReportError, match="at least one episode log"):
