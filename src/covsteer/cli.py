@@ -68,7 +68,6 @@ def cmd_run(config: RunConfig, out_dir: str | Path | None = None) -> Path:
         env = Environment(dut, config.multipliers)
         agent = make_agent(config, env.space)
         actions = []
-        rewards = []
         schema = summary_schema(
             config_dict=config.to_json_dict(),
             defaulted=config.defaulted,
@@ -87,23 +86,19 @@ def cmd_run(config: RunConfig, out_dir: str | Path | None = None) -> Path:
 
             def record(rec):
                 actions.append(rec.action)
-                rewards.append(rec.reward)
                 writer.write(rec)
 
             cumulative = run_campaign(
                 env, agent, config.episodes, config.seed, on_record=record
             )
-        # The report re-sums the logged rewards the same way, so both agree.
-        total_reward = sum(rewards)
-        if not math.isfinite(total_reward):
-            raise ValueError(f"total reward over {len(rewards)} episodes is not finite")
+        if not math.isfinite(cumulative.reward):
+            raise ValueError(f"total reward over {cumulative.episodes} episodes is not finite")
         hists = knob_histograms(env.space, actions)
         write_histograms_csv(out / "histograms.csv", hists)
         write_summary(
             out / "summary.json",
             schema,
             cumulative=cumulative,
-            total_reward=total_reward,
             hists=hists,
             agent_snapshot=agent.snapshot(),
         )

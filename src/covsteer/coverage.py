@@ -2,8 +2,9 @@
 
 A step's reward is the dot product of the per-event occurrence counts with
 user-chosen multipliers: reward = sum(counts[i] * multiplier[i]). Counts
-are per step, never cumulative; cumulative totals are kept separately for
-reporting.
+are per step, never cumulative. A run's totals are one ``CumulativeCoverage``
+that each episode's counts and reward are merged into; ``covsteer run`` and
+``covsteer report`` both read their totals from it.
 """
 
 from __future__ import annotations
@@ -17,9 +18,8 @@ CoverageCounts = tuple[int, ...]
 
 @dataclass(frozen=True)
 class EventSpec:
-    """A tracked functional event and its reward multiplier."""
+    """A tracked functional event and its reward multiplier; its id is its position."""
 
-    id: int
     name: str
     multiplier: float = 0.0
 
@@ -49,19 +49,24 @@ def compute_reward(counts: CoverageCounts, events) -> float:
 
 @dataclass(frozen=True)
 class CumulativeCoverage:
-    """Elementwise sum of per-step counts plus the number of merged steps."""
+    """A run's tally: elementwise sum of per-step counts, summed reward, merged steps.
+
+    Rewards are added left to right in merge order, like ``compute_reward``,
+    so the total does not depend on the Python version's ``sum()``.
+    """
 
     totals: tuple[int, ...]
     episodes: int = 0
+    reward: float = 0.0
 
     @classmethod
     def zero(cls, n_events: int) -> "CumulativeCoverage":
-        return cls(totals=(0,) * n_events, episodes=0)
+        return cls(totals=(0,) * n_events)
 
-    def merge(self, counts: CoverageCounts) -> "CumulativeCoverage":
+    def merge(self, counts: CoverageCounts, reward: float) -> "CumulativeCoverage":
         if len(counts) != len(self.totals):
             raise ValueError(
                 f"counts length {len(counts)} != totals length {len(self.totals)}"
             )
         new_totals = tuple(t + int(c) for t, c in zip(self.totals, counts))
-        return CumulativeCoverage(totals=new_totals, episodes=self.episodes + 1)
+        return CumulativeCoverage(new_totals, self.episodes + 1, self.reward + reward)

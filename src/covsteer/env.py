@@ -263,10 +263,7 @@ class Environment:
         unknown = set(mult) - set(names)
         if unknown:
             raise ValueError(f"unknown event names in multipliers: {sorted(unknown)}")
-        self.events = tuple(
-            EventSpec(id=i, name=n, multiplier=float(mult.get(n, 0.0)))
-            for i, n in enumerate(names)
-        )
+        self.events = tuple(EventSpec(n, float(mult.get(n, 0.0))) for n in names)
 
     def reset(self, seed: int) -> None:
         """Never called by covsteer; kept only because ``bench/tracer.py`` binds it by name."""
@@ -330,7 +327,7 @@ def run_campaign(
         agent.observe(action, result.reward)
         if on_record is not None:
             on_record(EpisodeRecord(ep, action, result.counts, result.reward))
-        cumulative = cumulative.merge(result.counts)
+        cumulative = cumulative.merge(result.counts, result.reward)
     return cumulative
 
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .actionspace import CONTINUOUS, Action, ActionSpace
+from .coverage import CumulativeCoverage
 from .env import EpisodeRecord
 from .errors import ReportError
 
@@ -86,13 +87,12 @@ class EpisodeLog:
     event_names: tuple[str, ...]
     records: tuple[EpisodeRecord, ...]
 
-    @property
-    def event_totals(self) -> dict[str, int]:
-        return {n: sum(r.counts[i] for r in self.records) for i, n in enumerate(self.event_names)}
-
-    @property
-    def total_reward(self) -> float:
-        return sum(r.reward for r in self.records)
+    def tally(self) -> CumulativeCoverage:
+        """The records merged in file order, as the campaign merged them."""
+        tally = CumulativeCoverage.zero(len(self.event_names))
+        for r in self.records:
+            tally = tally.merge(r.counts, r.reward)
+        return tally
 
 
 def read_episode_log(path) -> EpisodeLog:
@@ -195,18 +195,24 @@ def write_json(path, obj) -> None:
         fh.write("\n")
 
 
-def write_summary(path, schema, *, cumulative, total_reward, hists, agent_snapshot) -> dict:
+def run_totals(tally: CumulativeCoverage, event_names) -> dict:
+    """A run's totals as summary.json and report.json both hold them."""
+    return {
+        "episodes": tally.episodes,
+        "event_totals": dict(zip(event_names, tally.totals)),
+        "total_reward": tally.reward,
+    }
+
+
+def write_summary(path, schema, *, cumulative, hists, agent_snapshot) -> None:
     """Write a finished run's summary.json: its schema plus the run's totals."""
     summary = {
         **schema,
-        "episodes": cumulative.episodes,
-        "event_totals": {n: t for n, t in zip(schema["event_names"], cumulative.totals)},
-        "total_reward": total_reward,
+        **run_totals(cumulative, schema["event_names"]),
         "knob_histograms": hists,
         "agent_snapshot": agent_snapshot,
     }
     write_json(path, summary)
-    return summary
 
 
 def build_report(paths) -> dict:
@@ -224,15 +230,7 @@ def build_report(paths) -> dict:
             raise ReportError(
                 f"episode logs have different schemas: {first.path} vs {log.path}"
             )
-    runs = [
-        {
-            "path": log.path,
-            "episodes": len(log.records),
-            "event_totals": log.event_totals,
-            "total_reward": log.total_reward,
-        }
-        for log in logs
-    ]
+    runs = [{"path": log.path, **run_totals(log.tally(), log.event_names)} for log in logs]
     ratios = []
     for run in runs[1:]:
         entry = {}

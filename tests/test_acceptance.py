@@ -183,7 +183,7 @@ def test_criterion_6_reward_exactness(check):
         n = int(rng.integers(1, 9))
         counts = tuple(int(c) for c in rng.integers(0, 1000, size=n))
         multipliers = [float(m) for m in rng.uniform(-10, 10, size=n)]
-        events = [EventSpec(i, f"e{i}", m) for i, m in enumerate(multipliers)]
+        events = [EventSpec(f"e{i}", m) for i, m in enumerate(multipliers)]
         got = compute_reward(counts, events)
         # independently coded dot product, same left-to-right order
         expected = 0.0

@@ -1,9 +1,10 @@
 import argparse
 import itertools
 import json
+import operator
 import subprocess
 import sys
-from functools import partial
+from functools import partial, reduce
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,11 @@ from covsteer.rle import RleDut
 from conftest import scripted_server, step_reply, tcp_server
 
 SRC_DIR = str(Path(covsteer.__file__).resolve().parent.parent)
+
+
+def reward_fold(records) -> float:
+    """The records' rewards added left to right, whatever ``sum()`` does with floats."""
+    return reduce(operator.add, (rec.reward for rec in records), 0.0)
 
 
 def write_config(tmp_path, obj, name="cfg.json"):
@@ -77,7 +83,7 @@ class TestCmdRun:
             for i, name in enumerate(log.event_names)
         }
         assert summary["episodes"] == 80
-        assert summary["total_reward"] == sum(rec.reward for rec in log.records)
+        assert summary["total_reward"] == reward_fold(log.records)
         assert summary["agent_snapshot"]["kind"] == "cem"
         assert "out_dir" in summary["applied_defaults"]
 
@@ -132,7 +138,7 @@ class TestCmdRun:
         assert read_episode_log(out).records == whole[:4]
         run = cmd_report([out], tmp_path / "r.json")["runs"][0]
         assert run["episodes"] == 4
-        assert run["total_reward"] == sum(rec.reward for rec in whole[:4])
+        assert run["total_reward"] == reward_fold(whole[:4])
 
     def test_axi_run(self, tmp_path):
         cfg = build_config(

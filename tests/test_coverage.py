@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -6,7 +8,7 @@ from covsteer.coverage import CumulativeCoverage, EventSpec, compute_reward
 
 
 def events(*multipliers):
-    return [EventSpec(i, f"e{i}", m) for i, m in enumerate(multipliers)]
+    return [EventSpec(f"e{i}", m) for i, m in enumerate(multipliers)]
 
 
 class TestComputeReward:
@@ -68,29 +70,44 @@ class TestComputeReward:
 
 class TestCumulativeCoverage:
     def test_merge_identity(self):
-        cc = CumulativeCoverage(totals=(10, 0), episodes=3).merge((0, 0))
+        cc = CumulativeCoverage(totals=(10, 0), episodes=3, reward=2.5).merge((0, 0), 0.0)
         assert cc.totals == (10, 0)
         assert cc.episodes == 4
+        assert cc.reward == 2.5
 
     def test_merge_elementwise(self):
-        cc = CumulativeCoverage(totals=(1, 2), episodes=0).merge((3, 4))
+        cc = CumulativeCoverage(totals=(1, 2), episodes=0).merge((3, 4), 1.5)
         assert cc.totals == (4, 6)
+        assert cc.reward == 1.5
 
     def test_merge_commutes(self):
         zero = CumulativeCoverage.zero(3)
         c1, c2 = (1, 0, 5), (2, 2, 2)
-        assert zero.merge(c1).merge(c2).totals == zero.merge(c2).merge(c1).totals
+        one_two = zero.merge(c1, 1.0).merge(c2, 2.0)
+        two_one = zero.merge(c2, 2.0).merge(c1, 1.0)
+        assert one_two.totals == two_one.totals
 
     def test_merge_associates_on_totals(self):
         zero = CumulativeCoverage.zero(2)
-        parts = [(1, 2), (3, 4), (5, 6)]
+        parts = [((1, 2), 0.5), ((3, 4), 1.25), ((5, 6), -0.75)]
         left = zero
-        for p in parts:
-            left = left.merge(p)
+        for counts, reward in parts:
+            left = left.merge(counts, reward)
         assert left.totals == (9, 12)
         assert left.episodes == 3
+        assert left.reward == 1.0
+
+    def test_rewards_added_left_to_right(self):
+        # Compensated summation (math.fsum, and sum() from Python 3.12 on)
+        # keeps the 1.0 that a left-to-right fold loses to rounding.
+        rewards = (1e16, 1.0, -1e16)
+        tally = CumulativeCoverage.zero(1)
+        for reward in rewards:
+            tally = tally.merge((0,), reward)
+        assert math.fsum(rewards) == 1.0
+        assert tally.reward == 0.0
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            CumulativeCoverage.zero(2).merge((1, 2, 3))
+            CumulativeCoverage.zero(2).merge((1, 2, 3), 0.0)
 

@@ -112,7 +112,15 @@ class TestReport:
         (out / "episodes.csv").write_text("episode,x,a,b,c,reward" + header_end)
         (run,) = build_report([out])["runs"]
         assert (run["episodes"], run["total_reward"]) == (0, 0)
+        assert isinstance(run["total_reward"], float)
         assert run["event_totals"] == {"a": 0, "b": 0, "c": 0}
+
+    def test_total_reward_added_left_to_right(self, tmp_path):
+        # math.fsum, and sum() from Python 3.12 on, would give 1.0.
+        rewards = (1e16, 1.0, -1e16)
+        records = [EpisodeRecord(i, Action((0.5,)), (0, 0, 0), r) for i, r in enumerate(rewards)]
+        (run,) = build_report([write_run(tmp_path / "run", records)])["runs"]
+        assert run["total_reward"] == 0.0
 
     def test_wide_cells_stay_apart(self, tmp_path):
         rewards = [6134.400000000001, 11722.799999999999, 1e308]
