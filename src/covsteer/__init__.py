@@ -34,7 +34,6 @@ from .env import (
     stimulus_rng,
 )
 from .errors import (
-    BlockFormatError,
     BridgeDecodeError,
     BridgeError,
     BridgeProtocolError,
@@ -53,7 +52,6 @@ __all__ = [
     "Action",
     "ActionSpace",
     "Agent",
-    "BlockFormatError",
     "BridgeDecodeError",
     "BridgeError",
     "BridgeProtocolError",

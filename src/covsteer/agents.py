@@ -165,9 +165,13 @@ class TruncatedNormal:
     def __init__(self, knob: KnobSpec, batch_size: int, sigma_min_frac: float):
         span = knob.hi - knob.lo
         # lo + hi and a refit's sums over a batch of values and of squared
-        # deviations must stay finite, or draw spins.
+        # deviations must stay finite, or draw spins. An integer batch_size
+        # beyond the float range overflows the product itself.
         widest = max(abs(knob.lo), abs(knob.hi))
-        sums = (knob.lo + knob.hi, batch_size * widest, batch_size * span * span)
+        try:
+            sums = (knob.lo + knob.hi, batch_size * widest, batch_size * span * span)
+        except OverflowError:
+            sums = (math.inf,)
         if not all(map(math.isfinite, sums)):
             raise ValueError(f"knob {knob.name} too wide for batch_size {batch_size}")
         self.lo, self.hi = knob.lo, knob.hi

@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import bridge
 from .agents import CemAgent, RandomAgent
-from .config import AGENT_KINDS, DESIGNS, RunConfig, parse_config, parse_endpoint
+from .config import AGENT_KINDS, DESIGNS, RunConfig, make_design, parse_config, parse_endpoint
 from .env import Environment, run_campaign
 from .errors import CovsteerError
 from .reporting import (
@@ -39,18 +39,10 @@ from .reporting import (
 
 
 def make_dut(name: str, dut_params: dict | None = None):
-    """Instantiate a bundled design or connect to a bridged one."""
-    if name.startswith("bridge:"):
-        dut_cls, params_cls = None, None
-    elif name in DESIGNS:
-        dut_cls, _, params_cls = DESIGNS[name]
-    else:
-        raise CovsteerError(f"unknown dut {name!r}")
-    if params_cls is None and dut_params:
-        raise CovsteerError(f"dut {name!r} takes no dut_params")
-    if dut_cls is None:
+    """Instantiate a bundled design or connect to a bridged one, which takes no dut_params."""
+    if name.startswith("bridge:") and not dut_params:
         return bridge.connect_tcp(*parse_endpoint(name))
-    return dut_cls(params_cls(**dut_params or {})) if params_cls else dut_cls()
+    return make_design(name, dut_params)
 
 
 def make_agent(config: RunConfig, space):
@@ -60,13 +52,17 @@ def make_agent(config: RunConfig, space):
 
 
 def cmd_run(config: RunConfig, out_dir: str | Path | None = None) -> Path:
-    """Execute one campaign and write its artifacts; returns the output dir."""
+    """Execute one campaign and write its artifacts; returns the output dir.
+
+    The design, environment and agent are built before the output directory
+    is created, so a run refused at connect or at hello leaves none behind.
+    """
     out = Path(out_dir if out_dir is not None else config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     dut = make_dut(config.dut, config.dut_params)
     try:
         env = Environment(dut, config.multipliers)
         agent = make_agent(config, env.space)
+        out.mkdir(parents=True, exist_ok=True)
         actions = []
         schema = summary_schema(
             config_dict=config.to_json_dict(),

@@ -15,9 +15,20 @@ Schema (all keys optional except ``dut``):
       "out_dir": "runs/<dut>_<agent>_seed<seed>"
     }
 
-``DESIGNS`` is the one table of bundled designs, read by config,
-``cli.make_dut`` and ``covsteer serve``. A bridge port is 1-65535 in ASCII
-digits; ``parse_endpoint`` is the one parser of the endpoint.
+``DESIGNS`` is the one table of bundled designs: each name maps to the
+design's model class and to the dataclass its ``dut_params`` fill, or None
+for a design that takes none. ``make_design`` builds a design from that
+table for both ``build_config`` and ``cli.make_dut``, and ``covsteer serve``
+takes its choices from it. A bridge port is 1-65535 in ASCII digits;
+``parse_endpoint`` is the one parser of the endpoint.
+
+A bundled config is checked by building its run the way ``cli.cmd_run``
+does: the design from ``dut_params``, ``Environment(design, multipliers)``
+and ``CemAgent(env.space, **agent_params)``, whatever the agent kind. A
+``ValueError`` from any of them becomes a ``ConfigError`` led by its key,
+so what ``build_config`` accepts runs. A bridged design's knobs and events
+arrive with its hello, so its multiplier names and the per-knob agent
+checks wait for ``cmd_run``; config checks only ``check_cem_params``.
 
 Multiplier keys must name events of the chosen design; events left out get
 multiplier 0. Numbers must be finite: json parses ``NaN`` and ``Infinity``,
@@ -35,19 +46,21 @@ from __future__ import annotations
 
 import inspect
 import json
+from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from . import axi, rle
 from .actionspace import is_finite_real
 from .agents import CemAgent, check_cem_params
+from .env import DutModel, Environment
 from .errors import ConfigError
 
 AGENT_KINDS = ("random", "cem")
 
-# Bundled designs: name -> (model class, event names, dut_params dataclass or None).
+# Bundled designs: name -> (model class, dut_params dataclass or None).
 DESIGNS = {
-    "rle": (rle.RleDut, rle.EVENT_NAMES, None),
-    "axi": (axi.AxiDut, axi.EVENT_NAMES, axi.AxiConfig),
+    "rle": (rle.RleDut, None),
+    "axi": (axi.AxiDut, axi.AxiConfig),
 }
 
 # CemAgent's keyword defaults, in signature order.
@@ -101,6 +114,25 @@ def parse_endpoint(dut: str) -> tuple[str, int]:
     return host, int(port)
 
 
+def make_design(name: str, dut_params: dict | None = None) -> DutModel:
+    """Build the bundled design ``name``; its params class raises ValueError on bad ``dut_params``."""
+    dut_cls, params_cls = DESIGNS.get(name, (None, None))
+    if params_cls is None and dut_params:
+        raise ConfigError(f"dut {name!r} takes no dut_params")
+    if dut_cls is None:
+        raise ConfigError(f"unknown dut {name!r}")
+    return dut_cls(params_cls(**dut_params or {})) if params_cls else dut_cls()
+
+
+@contextmanager
+def _refused_as(prefix: str):
+    """Re-raise a constructor's ValueError as a ConfigError, its message led by ``prefix``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from None
+
+
 def build_config(raw: dict, overrides: dict | None = None) -> RunConfig:
     """Validate a raw mapping and apply defaults; overrides win over the file."""
     _require(isinstance(raw, dict), "config must be a JSON object")
@@ -150,10 +182,6 @@ def build_config(raw: dict, overrides: dict | None = None) -> RunConfig:
     _require(isinstance(multipliers, dict), "config key 'multipliers' must be an object")
     for name, value in multipliers.items():
         _require(is_finite_real(value), f"multiplier for {name!r} must be a finite number")
-    if not is_bridge:
-        bad = set(multipliers) - set(DESIGNS[dut][1])
-        if bad:
-            raise ConfigError(f"unknown event in multipliers: {sorted(bad)[0]!r}")
     multipliers = {str(k): float(v) for k, v in multipliers.items()}
 
     agent_params = dict(_CEM_DEFAULTS)
@@ -166,23 +194,27 @@ def build_config(raw: dict, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(f"unknown agent_params key: {sorted(bad)[0]!r}")
     defaulted.extend(f"agent_params.{k}" for k in _CEM_DEFAULTS if k not in given_params)
     agent_params.update(given_params)
-    try:
-        check_cem_params(**agent_params)
-    except ValueError as exc:
-        raise ConfigError(f"agent_params.{exc}") from None
 
     dut_params = given("dut_params")
     _require(isinstance(dut_params, dict), "config key 'dut_params' must be an object")
-    params_cls = None if is_bridge else DESIGNS[dut][2]
+    params_cls = None if is_bridge else DESIGNS[dut][1]
     allowed = {f.name for f in fields(params_cls)} if params_cls else set()
     bad = set(dut_params) - allowed
     if bad:
         raise ConfigError(f"unknown dut_params key for {dut!r}: {sorted(bad)[0]!r}")
-    if params_cls:
-        try:
-            params_cls(**dut_params)
-        except ValueError as exc:
-            raise ConfigError(f"dut_params.{exc}") from None
+
+    if is_bridge:
+        with _refused_as("agent_params."):
+            check_cem_params(**agent_params)
+    else:
+        # Build the run as cmd_run will; Environment's own message leads
+        # with the multipliers key.
+        with _refused_as("dut_params."):
+            design = make_design(dut, dut_params)
+        with _refused_as(""):
+            space = Environment(design, multipliers).space
+        with _refused_as("agent_params."):
+            CemAgent(space, **agent_params)
 
     out_dir = merged.get("out_dir")
     if out_dir is None:

@@ -262,7 +262,7 @@ class Environment:
         mult = dict(multipliers or {})
         unknown = set(mult) - set(names)
         if unknown:
-            raise ValueError(f"unknown event names in multipliers: {sorted(unknown)}")
+            raise ValueError(f"multipliers name unknown events: {sorted(unknown)}")
         self.events = tuple(EventSpec(n, float(mult.get(n, 0.0))) for n in names)
 
     def reset(self, seed: int) -> None:

@@ -21,10 +21,6 @@ class ScoreboardError(CovsteerError):
     """DUT output disagreed with its golden reference model."""
 
 
-class BlockFormatError(CovsteerError):
-    """Compressed block data cannot be decoded back to a word sequence."""
-
-
 class ReportError(CovsteerError):
     """Episode logs handed to the report command are unusable together."""
 

@@ -40,7 +40,6 @@ the zero mask, fields by ``divmod`` with the saturation value, and a
 packed bit stream; it takes words in the int64 range. It derives the
 event counts arithmetically from the run lengths and the count fields' bit
 positions, and ``RleDut.step`` compares counts and output every episode.
-``rle_decompress`` inverts the emitted output back to the input sequence.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ from . import env
 from .actionspace import Action, ActionSpace, KnobSpec
 from .coverage import CoverageCounts
 from .env import DutModel
-from .errors import BlockFormatError, ScoreboardError
+from .errors import ScoreboardError
 
 EVENT_NAMES = ("e0_word_full", "e1_zc_full", "e2_counter_mid", "e3_partial_count")
 
@@ -120,7 +119,7 @@ def rle_run(config: RleConfig, sequence) -> tuple[CoverageCounts, RleOutput]:
 
     ``layout`` records the emission order of count fields ('C') and stored
     words ('W'); block content alone does not pin down how zero runs
-    interleave with words, so the decompressor needs it. There is no
+    interleave with words, so decoding the output needs it. There is no
     end-of-input flush: a partial word vector, partial zero-count vector,
     and a non-zero counter all stay in the output's tail.
     """
@@ -271,72 +270,6 @@ def rle_golden(config: RleConfig, sequence) -> tuple[CoverageCounts, RleOutput]:
         tail_zc_used=tail_used,
         tail_counter=tail_counter,
     )
-
-
-def rle_decompress(output: RleOutput, config: RleConfig) -> tuple[int, ...]:
-    """Invert compressor output back into the original word sequence.
-
-    Count fields are read sequentially across block boundaries, which
-    reassembles straddled fields from the low bits at the end of one block
-    and the carried high bits at the start of the next. Raises
-    BlockFormatError when the emitted data is internally inconsistent.
-    """
-    cw = config.count_width
-    cap = ZC_CAPACITY_BITS
-    words = [w for block in output.word_blocks for w in block]
-    words.extend(output.tail_words)
-
-    n_fields = output.layout.count("C")
-    total_bits = cap * len(output.zc_blocks) + output.tail_zc_used
-    if n_fields * cw != total_bits:
-        raise BlockFormatError(
-            f"{n_fields} fields of {cw} bits cannot occupy {total_bits} emitted bits"
-        )
-
-    def block_bits(i: int) -> tuple[int, int]:
-        if i < len(output.zc_blocks):
-            return output.zc_blocks[i], cap
-        if i == len(output.zc_blocks):
-            return output.tail_zc_bits, output.tail_zc_used
-        raise BlockFormatError("count field extends past emitted data")
-
-    def read_field(k: int) -> int:
-        pos = k * cw
-        b, off = divmod(pos, cap)
-        bits, width = block_bits(b)
-        avail = width - off
-        if avail <= 0:
-            raise BlockFormatError("count field extends past emitted data")
-        value = (bits >> off) & ((1 << min(cw, avail)) - 1)
-        if avail < cw:
-            hi_bits, hi_width = block_bits(b + 1)
-            need = cw - avail
-            if hi_width < need:
-                raise BlockFormatError("straddled count field has no continuation")
-            value |= (hi_bits & ((1 << need) - 1)) << avail
-        return value
-
-    seq: list[int] = []
-    wi = 0
-    fi = 0
-    for token in output.layout:
-        if token == "W":
-            if wi >= len(words):
-                raise BlockFormatError("layout references more words than emitted")
-            seq.append(words[wi])
-            wi += 1
-        elif token == "C":
-            value = read_field(fi)
-            fi += 1
-            if value == 0:
-                raise BlockFormatError("zero-valued count field")
-            seq.extend([0] * value)
-        else:
-            raise BlockFormatError(f"unknown layout token {token!r}")
-    if wi != len(words):
-        raise BlockFormatError("emitted words not fully consumed by layout")
-    seq.extend([0] * output.tail_counter)
-    return tuple(seq)
 
 
 class RleDut(DutModel):

@@ -23,12 +23,12 @@ from covsteer.rle import (
     RleConfig,
     RleDut,
     decode_action,
-    rle_decompress,
     rle_golden,
     rle_run,
 )
 
 from conftest import tcp_server
+from rle_oracle import rle_decompress
 
 SEED_PAIRS = (101, 202, 303, 404, 505)
 NON_DIVISORS = (3, 5, 6, 7)

@@ -2,6 +2,7 @@ import argparse
 import itertools
 import json
 import operator
+import socket
 import subprocess
 import sys
 from functools import partial, reduce
@@ -336,6 +337,34 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith(error) and "Traceback" not in err
         assert not (out_dir / "episodes.csv").exists()
+
+    @pytest.mark.parametrize("config, error", [
+        ({"multipliers": {"e3_partial_count": 1}},
+         "error: multipliers name unknown events: ['e3_partial_count']"),
+        ({"agent": "cem", "agent_params": {"prob_floor": 0.5}},
+         "error: prob_floor 0.5 infeasible for knob count_width"),
+    ], ids=["unknown_event", "infeasible_prob_floor"])
+    def test_run_refused_at_hello_leaves_no_out_dir(self, tmp_path, capsys, config, error):
+        # A bridged config is checked against the design's hello, before any artifact.
+        events = ["e0_word_full", "e1_zc_full", "e2_counter_mid", "other"]
+        with scripted_server(events=events) as server:
+            cfg_path = write_config(
+                tmp_path, {"dut": f"bridge:127.0.0.1:{server.port}", "episodes": 5, **config}
+            )
+            out_dir = tmp_path / "out"
+            assert main(["run", "--config", str(cfg_path), "--out", str(out_dir)]) == 1
+        assert not out_dir.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(error) and "Traceback" not in err
+
+    def test_failed_connection_leaves_no_out_dir(self, tmp_path, capsys):
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            port = listener.getsockname()[1]
+        cfg_path = write_config(tmp_path, rle_config(episodes=5, dut=f"bridge:127.0.0.1:{port}"))
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out_dir)]) == 1
+        assert not out_dir.exists()
+        assert capsys.readouterr().err.startswith("error: cannot connect")
 
     def test_uncreatable_out_dir_exits_nonzero(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, rle_config(episodes=2))

@@ -1,15 +1,27 @@
 import json
+import tempfile
 from dataclasses import fields
+from datetime import timedelta
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from covsteer.agents import RandomAgent
-from covsteer.axi import AxiConfig
-from covsteer.config import _CEM_DEFAULTS, build_config, parse_config
+from covsteer.axi import MAX_CYCLES_PER_STEP, N_SLAVES, AxiConfig
+from covsteer.cli import cmd_run
+from covsteer.config import (
+    _CEM_DEFAULTS,
+    AGENT_KINDS,
+    DESIGNS,
+    build_config,
+    make_design,
+    parse_config,
+)
 from covsteer.env import Environment, run_campaign
 from covsteer.errors import ConfigError
+from covsteer.reporting import read_episode_log, run_totals
 from covsteer.rle import EVENT_NAMES, RleDut
 
 from conftest import json_values
@@ -146,11 +158,25 @@ class TestParseConfig:
             {"elite_frac": HUGE_INT},
             {"smoothing": -HUGE_INT},
             {"prob_floor": HUGE_INT},
+            # Beyond the float range, batch_size overflows the refit's bound.
+            {"batch_size": HUGE_INT},
         ],
     )
     def test_agent_params_out_of_range(self, tmp_path, params):
         with pytest.raises(ConfigError, match="agent_params"):
             parse_config(write(tmp_path, {"dut": "rle", "agent_params": params}))
+
+    @pytest.mark.parametrize(
+        "dut, params",
+        [("rle", {"prob_floor": 0.5}), ("axi", {"prob_floor": 1e300})],
+        ids=["rle_prob_floor", "axi_prob_floor"],
+    )
+    def test_agent_params_checked_against_the_designs_knobs(self, dut, params):
+        # Checked whatever the agent kind; a bridged design's knobs arrive at hello.
+        for agent in AGENT_KINDS:
+            with pytest.raises(ConfigError, match=r"^agent_params\."):
+                build_config({"dut": dut, "agent": agent, "agent_params": params})
+        build_config({"dut": "bridge:localhost:4000", "agent_params": params})
 
     @pytest.mark.parametrize(
         "value", [float("nan"), float("inf"), float("-inf"), pytest.param(HUGE_INT, id="10**400")]
@@ -259,3 +285,80 @@ def test_build_config_raises_only_config_errors(raw):
         build_config(raw)
     except ConfigError:
         pass
+
+
+# Configs of the bundled designs with every number at or near the edge of
+# what its check accepts, so that most of them are accepted and run.
+_MAX_REGION = (1 << 63) // N_SLAVES
+_EDGE_AGENT_PARAMS = st.fixed_dictionaries(
+    {},
+    optional={
+        "batch_size": st.integers(1, 70) | st.sampled_from([10**18, HUGE_INT]),
+        "elite_frac": st.floats(0.0, 1.0) | st.just(5e-324),
+        "smoothing": st.floats(0.0, 1.0),
+        "sigma_min_frac": st.floats(0.0, 0.5) | st.just(5e-324),
+        "prob_floor": st.floats(0.0, 1.0) | st.sampled_from([0.1, 0.125, 1e300]),
+    },
+)
+# cycles_per_step stays small but for one explicit example at the limit,
+# which alone costs a few hundred milliseconds an episode.
+_EDGE_DUT_PARAMS = {
+    "rle": st.just({}),
+    "axi": st.fixed_dictionaries(
+        {},
+        optional={
+            "fifo_depth": st.integers(0, 6) | st.just(HUGE_INT),
+            "region_size": st.integers(0, 4096) | st.sampled_from([_MAX_REGION, _MAX_REGION + 1]),
+            "cycles_per_step": st.integers(0, 120) | st.just(MAX_CYCLES_PER_STEP + 1),
+            "drain_period": st.integers(0, 5) | st.just(HUGE_INT),
+        },
+    ),
+}
+_MULTIPLIERS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [1e308, -1e308, 5e306]
+)
+
+
+@st.composite
+def bundled_configs(draw):
+    dut = draw(st.sampled_from(sorted(DESIGNS)))
+    events = make_design(dut).event_names() + ("e9",)
+    return {
+        "dut": dut,
+        "agent": draw(st.sampled_from(AGENT_KINDS)),
+        "episodes": draw(st.integers(1, 60)),
+        "seed": draw(st.integers(0, (1 << 64) - 1)),
+        "multipliers": draw(st.dictionaries(st.sampled_from(events), _MULTIPLIERS, max_size=3)),
+        "agent_params": draw(_EDGE_AGENT_PARAMS),
+        "dut_params": draw(_EDGE_DUT_PARAMS[dut]),
+    }
+
+
+@settings(max_examples=300, deadline=timedelta(seconds=5))
+@example({"dut": "rle", "agent": "cem", "episodes": 3, "agent_params": {"prob_floor": 0.5}})
+@example({"dut": "rle", "agent": "random", "episodes": 3, "agent_params": {"batch_size": HUGE_INT}})
+@example({"dut": "axi", "episodes": 1, "dut_params": {"cycles_per_step": MAX_CYCLES_PER_STEP}})
+@given(bundled_configs())
+def test_every_accepted_bundled_config_runs_clean(raw):
+    """What build_config accepts runs to its artifacts, or is refused for a non-finite reward."""
+    try:
+        config = build_config(raw)
+    except ConfigError as exc:
+        event(f"refused: {str(exc).split(maxsplit=1)[0]}")
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "run"
+        try:
+            cmd_run(config, out)
+        except ValueError as exc:
+            assert "not finite" in str(exc) and str(exc).startswith(("reward", "total reward"))
+            event("run refused: reward not finite")
+            return
+        event("run clean")
+        summary = json.loads((out / "summary.json").read_text())
+        log = read_episode_log(out)
+        totals = run_totals(log.tally(), log.event_names)
+        assert {key: summary[key] for key in totals} == totals
+        assert summary["episodes"] == config.episodes
+        for hist in summary["knob_histograms"].values():
+            assert sum(b["count"] for b in hist["bins"]) == config.episodes

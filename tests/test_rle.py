@@ -6,19 +6,19 @@ from hypothesis import strategies as st
 from covsteer.actionspace import Action, sample_uniform
 from covsteer.agents import RandomAgent
 from covsteer.env import Environment, run_campaign
-from covsteer.errors import BlockFormatError, ScoreboardError
+from covsteer.errors import ScoreboardError
 from covsteer.rle import (
     ACTION_SPACE,
     EVENT_NAMES,
     RleConfig,
     RleDut,
     decode_action,
-    rle_decompress,
     rle_golden,
     rle_run,
 )
 
 from conftest import exec_mutant
+from rle_oracle import BlockFormatError, rle_decompress
 
 DIVISORS = (1, 2, 4, 8)
 NON_DIVISORS = (3, 5, 6, 7)
