@@ -138,8 +138,9 @@ def check_cem_params(batch_size, elite_frac, smoothing, sigma_min_frac, prob_flo
     ``sigma_min_frac <= 0.5`` keeps every stddev at most (hi - lo)/2, which
     bounds the rejection loop in ``TruncatedNormal.draw``.
     """
-    if isinstance(batch_size, bool) or not isinstance(batch_size, Integral) or batch_size < 1:
-        raise ValueError("batch_size must be a positive integer")
+    # Bounded above so that the summary can print it and a refit's sums stay floats.
+    if isinstance(batch_size, bool) or not isinstance(batch_size, Integral) or not 0 < batch_size < 2**63:
+        raise ValueError("batch_size must be a positive integer below 2**63")
     reals = {
         "elite_frac": elite_frac,
         "smoothing": smoothing,
@@ -165,13 +166,9 @@ class TruncatedNormal:
     def __init__(self, knob: KnobSpec, batch_size: int, sigma_min_frac: float):
         span = knob.hi - knob.lo
         # lo + hi and a refit's sums over a batch of values and of squared
-        # deviations must stay finite, or draw spins. An integer batch_size
-        # beyond the float range overflows the product itself.
+        # deviations must stay finite, or draw spins.
         widest = max(abs(knob.lo), abs(knob.hi))
-        try:
-            sums = (knob.lo + knob.hi, batch_size * widest, batch_size * span * span)
-        except OverflowError:
-            sums = (math.inf,)
+        sums = (knob.lo + knob.hi, batch_size * widest, batch_size * span * span)
         if not all(map(math.isfinite, sums)):
             raise ValueError(f"knob {knob.name} too wide for batch_size {batch_size}")
         self.lo, self.hi = knob.lo, knob.hi

@@ -47,7 +47,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 
-from .actionspace import CONTINUOUS, Action, ActionSpace, KnobSpec, is_finite_real
+from .actionspace import CONTINUOUS, DISCRETE, Action, ActionSpace, KnobSpec, is_finite_real
 from .env import DutModel, Environment
 from .errors import (
     BridgeDecodeError,
@@ -104,12 +104,11 @@ class Error:
 
 BridgeMessage = Episode | Counts | Hello | Error
 
-_FIELDS = {
-    "episode": ("seed", "action"),
-    "counts": ("counts",),
-    "hello": ("protocol_version", "action_space", "events"),
-    "error": ("code", "detail"),
-}
+# The wire schema: each message's dataclass lists its fields, and each
+# knob's kind picks the KnobSpec fields its payload carries.
+_MESSAGES = {"hello": Hello, "episode": Episode, "counts": Counts, "error": Error}
+_TYPE_NAMES = {cls: name for name, cls in _MESSAGES.items()}
+_KNOB_FIELDS = {CONTINUOUS: ("name", "kind", "lo", "hi"), DISCRETE: ("name", "kind", "values")}
 
 
 def _wire_num(x: float):
@@ -122,99 +121,101 @@ def _wire_num(x: float):
     return x
 
 
-def _space_payload(space: ActionSpace) -> dict:
-    knobs = []
-    for k in space.knobs:
-        if k.kind == "continuous":
-            knobs.append(
-                {"name": k.name, "kind": k.kind, "lo": _wire_num(k.lo), "hi": _wire_num(k.hi)}
-            )
-        else:
-            knobs.append(
-                {"name": k.name, "kind": k.kind, "values": [_wire_num(v) for v in k.values]}
-            )
-    return {"knobs": knobs}
+def _wire_nums(xs) -> list:
+    return list(map(_wire_num, xs))
 
 
-def _space_from_payload(obj) -> ActionSpace:
-    if not isinstance(obj, dict) or set(obj) != {"knobs"} or not isinstance(obj["knobs"], list):
-        raise BridgeDecodeError("malformed action_space payload")
-    knobs = []
-    for item in obj["knobs"]:
-        if not isinstance(item, dict):
-            raise BridgeDecodeError("malformed knob payload")
-        kind = item.get("kind")
-        if not isinstance(item.get("name"), str):
-            raise BridgeDecodeError("knob name must be a string")
+def _check(what: str, ok, convert):
+    """The decoder that converts a JSON value ``ok`` accepts and refuses others as not ``what``."""
+
+    def check(x):
+        if not ok(x):
+            raise BridgeDecodeError(f"expected {what}, got {type(x).__name__}")
+        return convert(x)
+
+    return check
+
+
+def _list_of(check):
+    """The decoder of a JSON list into the tuple of its items, each decoded by ``check``."""
+
+    def check_list(xs):
+        if not isinstance(xs, list):
+            raise BridgeDecodeError(f"expected a list, got {type(xs).__name__}")
+        return tuple(map(check, xs))
+
+    return check_list
+
+
+_real = _check("a finite number", is_finite_real, float)
+_unsigned = _check("an unsigned integer", lambda x: type(x) is int and x >= 0, int)
+_string = _check("a string", lambda x: isinstance(x, str), str)
+
+
+def _knob(obj) -> KnobSpec:
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    if kind not in (CONTINUOUS, DISCRETE):
+        raise BridgeDecodeError("expected a knob of kind 'continuous' or 'discrete'")
+    return _record(KnobSpec, obj, _KNOB_FIELDS[kind])
+
+
+# Each wire field's (encode, check-and-decode) pair.
+_CODECS = {
+    "seed": (_unsigned, _unsigned),
+    "action": (_wire_nums, _list_of(_real)),
+    "counts": (lambda counts: [int(c) for c in counts], _list_of(_unsigned)),
+    "protocol_version": (int, _check("an integer", lambda x: type(x) is int, int)),
+    "action_space": (
+        lambda space: _payload(space, ActionSpace.__match_args__),
+        lambda obj: _record(ActionSpace, obj, ActionSpace.__match_args__),
+    ),
+    "events": (list, _list_of(_string)),
+    "code": (str, _string),
+    "detail": (str, _string),
+    "knobs": (lambda knobs: [_payload(k, _KNOB_FIELDS[k.kind]) for k in knobs], _list_of(_knob)),
+    "name": (str, _string),
+    "kind": (str, _string),
+    "lo": (_wire_num, _real),
+    "hi": (_wire_num, _real),
+    "values": (_wire_nums, _list_of(_real)),
+}
+
+
+def _payload(obj, names: tuple[str, ...], **tag) -> dict:
+    """``tag``, then the attributes ``names`` of ``obj``, each encoded by its codec."""
+    for name in names:
+        tag[name] = _CODECS[name][0](getattr(obj, name))
+    return tag
+
+
+def _record(cls, obj, names: tuple[str, ...], *tags: str):
+    """A ``cls`` from a JSON object of exactly ``tags`` and ``names``, each name decoded by its codec."""
+    if not isinstance(obj, dict):
+        raise BridgeDecodeError(f"expected an object, got {type(obj).__name__}")
+    expected = {*tags, *names}
+    if obj.keys() != expected:
+        missing = expected - obj.keys()
+        if missing:
+            raise BridgeDecodeError(f"missing field: {min(missing)}")
+        raise BridgeDecodeError(f"unknown field: {min(obj.keys() - expected)}")
+    decoded = {}
+    for name in names:
         try:
-            if kind == "continuous":
-                if set(item) != {"name", "kind", "lo", "hi"}:
-                    raise BridgeDecodeError("malformed continuous knob payload")
-                knobs.append(
-                    KnobSpec.continuous(item["name"], _real(item["lo"]), _real(item["hi"]))
-                )
-            elif kind == "discrete":
-                if set(item) != {"name", "kind", "values"}:
-                    raise BridgeDecodeError("malformed discrete knob payload")
-                knobs.append(KnobSpec.discrete(item["name"], _real_list(item["values"])))
-            else:
-                raise BridgeDecodeError("knob kind must be 'continuous' or 'discrete'")
-        except ValueError as exc:
-            raise BridgeDecodeError(f"invalid knob payload: {exc}") from exc
+            decoded[name] = _CODECS[name][1](obj[name])
+        except BridgeDecodeError as exc:
+            raise BridgeDecodeError(f"{name}: {exc}") from exc
     try:
-        return ActionSpace(knobs=tuple(knobs))
-    except ValueError as exc:
-        raise BridgeDecodeError(f"invalid action space: {exc}") from exc
-
-
-def _real(x) -> float:
-    if not is_finite_real(x):
-        raise BridgeDecodeError(f"expected a finite number, got {type(x).__name__}")
-    return float(x)
-
-
-def _real_list(xs) -> tuple[float, ...]:
-    if not isinstance(xs, list):
-        raise BridgeDecodeError(f"expected a list of numbers, got {type(xs).__name__}")
-    return tuple(_real(x) for x in xs)
-
-
-def _count_list(xs) -> tuple[int, ...]:
-    if not isinstance(xs, list):
-        raise BridgeDecodeError(f"expected a list of counts, got {type(xs).__name__}")
-    for x in xs:
-        if isinstance(x, bool) or not isinstance(x, int) or x < 0:
-            raise BridgeDecodeError("counts must be non-negative integers")
-    return tuple(xs)
-
-
-def _unsigned(x) -> int:
-    if isinstance(x, bool) or not isinstance(x, int) or x < 0:
-        raise BridgeDecodeError("expected an unsigned integer")
-    return x
+        return cls(**decoded)
+    except ValueError as exc:  # KnobSpec and ActionSpace check themselves
+        raise BridgeDecodeError(f"invalid {cls.__name__}: {exc}") from exc
 
 
 def encode(msg: BridgeMessage) -> bytes:
     """One message per line: compact JSON with the variant in ``type``."""
-    if isinstance(msg, Episode):
-        body = {
-            "type": "episode",
-            "seed": _unsigned(msg.seed),
-            "action": [_wire_num(x) for x in msg.action],
-        }
-    elif isinstance(msg, Counts):
-        body = {"type": "counts", "counts": [int(c) for c in msg.counts]}
-    elif isinstance(msg, Hello):
-        body = {
-            "type": "hello",
-            "protocol_version": int(msg.protocol_version),
-            "action_space": _space_payload(msg.action_space),
-            "events": list(msg.events),
-        }
-    elif isinstance(msg, Error):
-        body = {"type": "error", "code": str(msg.code), "detail": str(msg.detail)}
-    else:
+    name = _TYPE_NAMES.get(type(msg))
+    if name is None:
         raise TypeError(f"not a bridge message: {msg!r}")
+    body = _payload(msg, msg.__match_args__, type=name)
     return (json.dumps(body, separators=(",", ":")) + "\n").encode("utf-8")
 
 
@@ -234,42 +235,12 @@ def decode(line: bytes | str) -> BridgeMessage:
     if not isinstance(obj, dict):
         raise BridgeDecodeError("message must be a JSON object")
     mtype = obj.get("type")
-    if mtype is None:
-        raise BridgeDecodeError("missing field: type")
     if not isinstance(mtype, str):
-        raise BridgeDecodeError("type must be a string")
-    if mtype not in _FIELDS:
+        raise BridgeDecodeError("missing field: type, or not a string")
+    if mtype not in _MESSAGES:
         raise BridgeDecodeError(f"unknown type: {mtype!r}")
-    expected = set(_FIELDS[mtype])
-    got = set(obj) - {"type"}
-    missing = expected - got
-    if missing:
-        raise BridgeDecodeError(f"missing field: {sorted(missing)[0]}")
-    extra = got - expected
-    if extra:
-        raise BridgeDecodeError(f"unknown field: {sorted(extra)[0]}")
-
-    if mtype == "episode":
-        return Episode(seed=_unsigned(obj["seed"]), action=_real_list(obj["action"]))
-    if mtype == "counts":
-        return Counts(counts=_count_list(obj["counts"]))
-    if mtype == "hello":
-        version = obj["protocol_version"]
-        if isinstance(version, bool) or not isinstance(version, int):
-            raise BridgeDecodeError("protocol_version must be an integer")
-        events = obj["events"]
-        if not isinstance(events, list) or not all(isinstance(e, str) for e in events):
-            raise BridgeDecodeError("events must be a list of strings")
-        return Hello(
-            protocol_version=version,
-            action_space=_space_from_payload(obj["action_space"]),
-            events=tuple(events),
-        )
-    # error
-    code, detail = obj["code"], obj["detail"]
-    if not isinstance(code, str) or not isinstance(detail, str):
-        raise BridgeDecodeError("error code and detail must be strings")
-    return Error(code=code, detail=detail)
+    cls = _MESSAGES[mtype]
+    return _record(cls, obj, cls.__match_args__, "type")
 
 
 def longest_request(space: ActionSpace) -> int:
@@ -365,6 +336,25 @@ def _transport_error(exc: OSError) -> TransportError:
     return TransportError(f"transport failed: {exc}")
 
 
+def _read(rfile, expected: type, what: str) -> BridgeMessage:
+    """The serving side's next message, which must be an ``expected``, named ``what`` in errors.
+
+    A transport failure raises ``TransportError`` and an ``error`` reply ``RemoteDutError``.
+    """
+    try:
+        line = rfile.readline()
+    except OSError as exc:
+        raise _transport_error(exc) from exc
+    if not line:
+        raise TransportError(f"serving side closed the connection before {what}")
+    reply = decode(line)
+    if isinstance(reply, Error):
+        raise RemoteDutError(reply.code, reply.detail)
+    if not isinstance(reply, expected):
+        raise BridgeProtocolError(f"expected {what}, got {type(reply).__name__}")
+    return reply
+
+
 class DutProxy(DutModel):
     """Client-side design model backed by one bridge session.
 
@@ -407,18 +397,7 @@ class DutProxy(DutModel):
             pass  # the serving side is gone; the replies it sent first are still read
         except OSError as exc:
             raise _transport_error(exc) from exc
-        try:
-            line = self._rfile.readline()
-        except OSError as exc:
-            raise _transport_error(exc) from exc
-        if not line:
-            raise TransportError("serving side closed the connection")
-        reply = decode(line)
-        if isinstance(reply, Error):
-            raise RemoteDutError(reply.code, reply.detail)
-        if not isinstance(reply, Counts):
-            raise BridgeProtocolError(f"expected Counts, got {type(reply).__name__}")
-        return reply.counts
+        return _read(self._rfile, Counts, "Counts").counts
 
     def event_names(self):
         return self._hello.events
@@ -442,17 +421,7 @@ def _close_quietly(*files) -> None:
 
 def connect_dut(rfile, wfile, sock: socket.socket | None = None) -> DutProxy:
     """Attach to a serving side over an open stream pair; reads the hello."""
-    try:
-        line = rfile.readline()
-    except (TimeoutError, socket.timeout) as exc:
-        raise TransportError("timed out waiting for hello") from exc
-    if not line:
-        raise TransportError("stream closed before hello")
-    hello = decode(line)
-    if isinstance(hello, Error):
-        raise RemoteDutError(hello.code, hello.detail)
-    if not isinstance(hello, Hello):
-        raise BridgeProtocolError(f"expected hello, got {type(hello).__name__}")
+    hello = _read(rfile, Hello, "hello")
     if hello.protocol_version != PROTOCOL_VERSION:
         raise BridgeProtocolError(
             f"unsupported protocol_version {hello.protocol_version}, "
@@ -474,10 +443,11 @@ def connect_tcp(host: str, port: int, timeout: float = DEFAULT_TIMEOUT) -> DutPr
     sock.settimeout(timeout)
     # Requests sent ahead must not wait in Nagle's buffer for earlier acks.
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    rfile, wfile = sock.makefile("rb"), sock.makefile("wb")
     try:
-        return connect_dut(sock.makefile("rb"), sock.makefile("wb"), sock=sock)
-    except BridgeError:
-        sock.close()
+        return connect_dut(rfile, wfile, sock=sock)
+    except BridgeError:  # the files hold the socket open until they close too
+        _close_quietly(rfile, wfile, sock)
         raise
 
 

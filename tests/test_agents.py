@@ -294,6 +294,7 @@ class TestCemObserve:
             {"elite_frac": float("nan")},
             {"prob_floor": float("nan")},
             {"batch_size": 2.5},
+            {"batch_size": 10**400},  # beyond the float range, it would overflow a refit's sums
         ],
     )
     def test_non_finite_and_hanging_hyperparameters_rejected(self, params):
@@ -306,7 +307,6 @@ class TestCemObserve:
             (-8.9e307, 8.9e307, 10),  # the refit's mean overflows
             (1e308, 1.7e308, 1),  # the initial mean overflows
             (-1e160, 1e160, 1),  # the refit's squared deviations overflow
-            (0.0, 1.0, 10**400),  # batch_size itself is beyond the float range
         ],
     )
     def test_knob_too_wide_for_the_refit_rejected(self, lo, hi, batch_size):

@@ -1,8 +1,12 @@
+import gc
 import json
 import os
+import re
 import socket
+import struct
 import threading
 import time
+import warnings
 from collections import Counter, deque
 from contextlib import closing, contextmanager
 from functools import partial
@@ -12,6 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from covsteer import bridge
 from covsteer.actionspace import Action, ActionSpace, KnobSpec, sample_uniform
 from covsteer.agents import CemAgent, RandomAgent
 from covsteer.bridge import (
@@ -90,6 +95,19 @@ HOSTILE_LINES = [
     b'{"type":"counts","counts":3}\n',
     b'{"type":"episode","seed":-1,"action":[0.4,6,300]}\n',
     b'{"type":"error","code":1,"detail":"x"}\n',
+    b'{"type":"episode","seed":true,"action":[]}\n',
+    b'{"type":"episode","seed":0,"action":"x"}\n',
+    b'{"type":"counts","counts":[true]}\n',
+    b'{"type":"hello","protocol_version":3,"events":"e","action_space":{"knobs":['
+    + _KNOB_X + b"]}}\n",
+    b'{"type":"hello","protocol_version":3.0,"events":[],"action_space":{"knobs":['
+    + _KNOB_X + b"]}}\n",
+    b'{"type":"error","code":"decode","detail":null}\n',
+    _HELLO + b'{"knobs":[{"name":1,"kind":"continuous","lo":0,"hi":1}]}}\n',
+    _HELLO + b'{"knobs":[{"name":"x","kind":"continuous","lo":"0","hi":1}]}}\n',
+    _HELLO + b'{"knobs":[{"name":"x","kind":"discrete","values":[0],"unit":"ns"}]}}\n',
+    _HELLO + b'{"knobs":[' + _KNOB_X + b'],"units":[]}}\n',
+    _HELLO + b'{"knobs":[]}}\n',
 ]
 HOSTILE_IDS = [
     "type_list", "400_digits", "5000_digits", "nested_1e5", "knob_name_list",
@@ -98,6 +116,9 @@ HOSTILE_IDS = [
     "space_list", "knob_int", "continuous_with_values", "discrete_without_values",
     "kind_ordinal", "knob_named_twice", "values_int", "version_string", "event_int",
     "counts_int", "seed_negative", "error_code_int",
+    "seed_bool", "action_string", "count_bool", "events_string", "version_float",
+    "detail_null", "knob_name_int", "knob_lo_string", "knob_extra_field", "space_extra_field",
+    "space_empty",
 ]
 
 
@@ -107,6 +128,17 @@ class TestEncode:
         line = encode(Episode(seed=0, action=(0.4, 6.0, 300.0)))
         assert line == b'{"type":"episode","seed":0,"action":[0.4,6,300]}\n'
         assert encode(Counts(counts=(3, 0))) == b'{"type":"counts","counts":[3,0]}\n'
+
+    def test_hello_and_error_framing(self):
+        space = ActionSpace((KnobSpec.continuous("x", 0.0, 2.5), KnobSpec.discrete("mode", [1, 4.5, -2])))
+        assert encode(Hello(PROTOCOL_VERSION, space, ("a", "b"))) == (
+            b'{"type":"hello","protocol_version":3,"action_space":{"knobs":['
+            b'{"name":"x","kind":"continuous","lo":0,"hi":2.5},'
+            b'{"name":"mode","kind":"discrete","values":[1,4.5,-2]}]},"events":["a","b"]}\n'
+        )
+        assert encode(Error("dut_fault", 'RuntimeError: "boom"\n')) == (
+            b'{"type":"error","code":"dut_fault","detail":"RuntimeError: \\"boom\\"\\n"}\n'
+        )
 
     def test_reset_framing(self):
         # v3 has no reset message: the seed it carried is framed in the
@@ -189,6 +221,18 @@ def bridge_messages(draw):
 @given(bridge_messages())
 def test_encode_decode_roundtrip(msg):
     assert decode(encode(msg)) == msg
+
+
+def test_module_doc_lists_the_wire_schema():
+    # The message table in the module docstring: its rows lie between the
+    # second and third rule, one type per row, its fields in wire order.
+    rows = re.split(r"^=[= ]+$", bridge.__doc__, flags=re.M)[2].strip().splitlines()
+    documented = {}
+    for row in rows:
+        mtype, names, _direction = re.split(r"\s{2,}", row.strip())
+        documented[mtype] = tuple(names.split(", "))
+    schema = {mtype: cls.__match_args__ for mtype, cls in bridge._MESSAGES.items()}
+    assert documented == schema
 
 
 _KNOB_PAYLOADS = st.fixed_dictionaries(
@@ -574,6 +618,14 @@ class TestProxy:
             with pytest.raises(BridgeProtocolError, match="expected Counts"):
                 proxy.step(Action(ACTION), 0)
 
+    def test_reset_before_hello_is_transport_error(self):
+        class ResetStream:
+            def readline(self):
+                raise ConnectionResetError(104, "Connection reset by peer")
+
+        with pytest.raises(TransportError):
+            connect_dut(ResetStream(), None)
+
     def test_closed_before_hello(self):
         client, server = socket.socketpair()
         server.close()
@@ -783,6 +835,25 @@ class TestTcp:
             assert proxy.lookahead == WINDOW
             records = campaign_records(proxy, RandomAgent, episodes=WINDOW)
         assert records == campaign_records(RleDut(), RandomAgent, episodes=WINDOW)
+
+    def test_reset_before_hello_closes_the_socket(self):
+        # The server accepts and resets the connection, most likely while
+        # the client waits for hello; a reset that comes sooner is refused
+        # as a failed connect. Either way no socket is left open.
+        def accept_then_reset(on_bound):
+            with socket.create_server(("127.0.0.1", 0)) as listener:
+                on_bound(listener.getsockname()[1])
+                conn, _ = listener.accept()
+            with conn:
+                time.sleep(0.05)
+                conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+
+        with tcp_server(accept_then_reset) as server, warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(TransportError):
+                connect_tcp("127.0.0.1", server.port, timeout=10)
+            gc.collect()  # the raised error's frames held the socket until now
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_connect_refused(self):
         with pytest.raises(TransportError):

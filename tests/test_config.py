@@ -27,6 +27,7 @@ from covsteer.rle import EVENT_NAMES, RleDut
 from conftest import json_values
 
 HUGE_INT = 10**400  # an integer beyond the float range
+DIGITS_INT = 10**5000  # too many digits to print, so no config file carries it
 
 
 def write(tmp_path, obj, name="cfg.json"):
@@ -158,13 +159,20 @@ class TestParseConfig:
             {"elite_frac": HUGE_INT},
             {"smoothing": -HUGE_INT},
             {"prob_floor": HUGE_INT},
-            # Beyond the float range, batch_size overflows the refit's bound.
+            # A batch_size the summary could not print, or that overflows a refit.
             {"batch_size": HUGE_INT},
+            {"batch_size": DIGITS_INT},
         ],
     )
     def test_agent_params_out_of_range(self, tmp_path, params):
-        with pytest.raises(ConfigError, match="agent_params"):
-            parse_config(write(tmp_path, {"dut": "rle", "agent_params": params}))
+        (name,) = params
+        for dut in ("rle", "axi"):
+            with pytest.raises(ConfigError, match=rf"^agent_params\.{name} ") as exc:
+                build_config({"dut": dut, "agent": "cem", "agent_params": params})
+            assert len(str(exc.value)) < 100  # the value itself is never printed
+        if params[name] is not DIGITS_INT:
+            with pytest.raises(ConfigError, match="agent_params"):
+                parse_config(write(tmp_path, {"dut": "rle", "agent_params": params}))
 
     @pytest.mark.parametrize(
         "dut, params",
