@@ -31,7 +31,9 @@ the serving side sends), ``invalid_action`` (action outside the served
 space), ``dut_fault`` (design model raised), ``busy`` (sent in place of
 ``hello`` by a TCP server already serving ``MAX_CONCURRENT_SESSIONS``
 sessions; the connection is then closed). A TCP session whose peer sends
-nothing for ``SESSION_IDLE_TIMEOUT_S`` seconds is closed.
+nothing for ``SESSION_IDLE_TIMEOUT_S`` seconds is closed. The client
+reads at most ``MAX_LINE_BYTES`` of a reply line too: a longer ``hello``,
+``counts`` or ``error`` line raises ``BridgeDecodeError``.
 
 Stimulus randomness lives on the serving side, built from the request's
 seed; the wire carries the seed and knob values only. That makes a
@@ -60,7 +62,7 @@ from .errors import (
 
 PROTOCOL_VERSION = 3
 DEFAULT_TIMEOUT = 30.0
-# The longest request line served, newline included.
+# The longest line either side reads, newline included.
 MAX_LINE_BYTES = 1 << 20
 # serve_tcp's bounds: sessions served at once, and how long a session's
 # peer may stay silent before the server closes it.
@@ -342,11 +344,13 @@ def _read(rfile, expected: type, what: str) -> BridgeMessage:
     A transport failure raises ``TransportError`` and an ``error`` reply ``RemoteDutError``.
     """
     try:
-        line = rfile.readline()
+        line = rfile.readline(MAX_LINE_BYTES + 1)
     except OSError as exc:
         raise _transport_error(exc) from exc
     if not line:
         raise TransportError(f"serving side closed the connection before {what}")
+    if len(line) > MAX_LINE_BYTES:
+        raise BridgeDecodeError(f"{what} line longer than {MAX_LINE_BYTES} bytes")
     reply = decode(line)
     if isinstance(reply, Error):
         raise RemoteDutError(reply.code, reply.detail)

@@ -1,10 +1,12 @@
 """Cycle-level model of a run-length-encoding compressor for sparse streams.
 
-The compressor consumes a stream of non-negative words. Non-zero words
-are appended to a 16-entry word vector; runs of zeros are counted in a
-``counter`` register and written as fixed-width count fields into a 64-bit
-zero-count vector. Four registers hold the compressor's internal state
-(they are not reported; an episode reports event counts only):
+The compressor consumes a stream of 8-bit words, one ``bytes`` value per
+episode: ``decode_action`` draws it, and the model and its scoreboard read
+that same value. Non-zero words are appended to a 16-entry word vector;
+runs of zeros are counted in a ``counter`` register and written as
+fixed-width count fields into a 64-bit zero-count vector. Four registers
+hold the compressor's internal state (they are not reported; an episode
+reports event counts only):
 
 * word counter     -- occupancy of the word vector,
 * zero counter     -- bits consumed in the zero-count vector,
@@ -37,7 +39,7 @@ Tracked events:
 ``rle_run`` is the model: one loop iteration per input word. ``rle_golden``
 is the scoreboard, written without a state machine: numpy run lengths of
 the zero mask, fields by ``divmod`` with the saturation value, and a
-packed bit stream; it takes words in the int64 range. It derives the
+packed bit stream, all over a ``uint8`` view of the words. It derives the
 event counts arithmetically from the run lengths and the count fields' bit
 positions, and ``RleDut.step`` compares counts and output every episode.
 """
@@ -62,12 +64,13 @@ EVENT_NAMES = ("e0_word_full", "e1_zc_full", "e2_counter_mid", "e3_partial_count
 WORD_CAPACITY = 16
 ZC_CAPACITY_BITS = 64
 MAX_WORD = 255
+COUNT_WIDTHS = range(1, 9)
 
 # Knobs: probability of a zero word, count field width, stimulus length.
 ACTION_SPACE = ActionSpace(
     knobs=(
         KnobSpec.continuous("zero_prob", 0.0, 1.0),
-        KnobSpec.discrete("count_width", range(1, 9)),
+        KnobSpec.discrete("count_width", COUNT_WIDTHS),
         KnobSpec.discrete("seq_length", range(100, 1001, 100)),
     )
 )
@@ -78,8 +81,9 @@ class RleConfig:
     count_width: int
 
     def __post_init__(self):
-        if not 1 <= self.count_width <= 8:
-            raise ValueError(f"count_width must be in 1..8, got {self.count_width}")
+        if self.count_width not in COUNT_WIDTHS:
+            lo, hi = COUNT_WIDTHS[0], COUNT_WIDTHS[-1]
+            raise ValueError(f"count_width must be in {lo}..{hi}, got {self.count_width}")
 
 
 @dataclass(frozen=True)
@@ -95,27 +99,22 @@ class RleOutput:
     tail_counter: int
 
 
-@dataclass(frozen=True)
-class RleStimulus:
-    sequence: np.ndarray  # int64 words
-    count_width: int
-
-
-def decode_action(action: Action, rng: np.random.Generator) -> RleStimulus:
-    """Expand (zero_prob, count_width, seq_length) into a concrete word stream.
+def decode_action(action: Action, rng: np.random.Generator) -> tuple[RleConfig, bytes]:
+    """Expand (zero_prob, count_width, seq_length) into the episode's config and words.
 
     Each word is 0 with probability zero_prob, otherwise uniform on
-    [1, 255].
+    [1, 255]; the words are one byte each.
     """
     zero_prob, count_width, seq_length = action.values
     n = int(seq_length)
     zero_mask = rng.random(n) < zero_prob
     words = rng.integers(1, MAX_WORD + 1, size=n)
-    return RleStimulus(sequence=np.where(zero_mask, 0, words), count_width=int(count_width))
+    words[zero_mask] = 0
+    return RleConfig(int(count_width)), words.astype(np.uint8).tobytes()
 
 
-def rle_run(config: RleConfig, sequence) -> tuple[CoverageCounts, RleOutput]:
-    """Fold the compressor over a word sequence, one word per cycle.
+def rle_run(config: RleConfig, words: bytes) -> tuple[CoverageCounts, RleOutput]:
+    """Fold the compressor over the words, one word per cycle.
 
     ``layout`` records the emission order of count fields ('C') and stored
     words ('W'); block content alone does not pin down how zero runs
@@ -135,15 +134,13 @@ def rle_run(config: RleConfig, sequence) -> tuple[CoverageCounts, RleOutput]:
     layout: list[str] = []
     emit = layout.append
     e0 = e1 = e2 = e3 = 0
-    for word in sequence:
+    for word in words:
         if word == 0:
             counter += 1
             if counter == mid:
                 e2 += 1
             if counter < saturation:
                 continue
-        elif word < 0:
-            raise ValueError("words must be non-negative")
         # A saturated counter, or a word after a zero run, writes the
         # counter as one count field, low bits first.
         if counter:
@@ -180,25 +177,24 @@ def rle_run(config: RleConfig, sequence) -> tuple[CoverageCounts, RleOutput]:
     )
 
 
-def rle_golden(config: RleConfig, sequence) -> tuple[CoverageCounts, RleOutput]:
+def rle_golden(config: RleConfig, words: bytes) -> tuple[CoverageCounts, RleOutput]:
     """Reference compressor: numpy run lengths instead of a state machine.
 
-    Reads the sequence into an int64 array (words must fit in int64), finds
-    the maximal zero runs from the edges of the zero mask, and splits each
-    run into saturated fields and a remainder with ``divmod`` by the
-    saturation value. A saturated field is written at the zero that
-    saturates it, a remainder at the word ending its run (a trailing
-    remainder is the tail counter), so each input position emits at most
-    one field and then at most one word; the layout and the field order
-    follow from those positions. The fields' bit stream is packed into
-    64-bit blocks with ``np.packbits``. The event counts come from
+    Views the words as a ``uint8`` array, finds the maximal zero runs from
+    the edges of the zero mask, and splits each run into saturated fields and
+    a remainder with ``divmod`` by the saturation value. A saturated field is
+    written at the zero that saturates it, a remainder at the word ending its
+    run (a trailing remainder is the tail counter), so each input position
+    emits at most one field and then at most one word; the layout and the
+    field order follow from those positions. The fields' bit stream is packed
+    into 64-bit blocks with ``np.packbits``. The event counts come from
     arithmetic over the run lengths and the fields' absolute bit positions.
     Produces counts and output identical to ``rle_run``.
     """
     cw = config.count_width
     cap = ZC_CAPACITY_BITS
     saturation = (1 << cw) - 1
-    seq = np.asarray(sequence, dtype=np.int64)
+    seq = np.frombuffer(words, np.uint8)
     n = len(seq)
     # The zero mask, padded with a non-zero on each side so that every zero
     # run has a rising and a falling edge.
@@ -230,14 +226,14 @@ def rle_golden(config: RleConfig, sequence) -> tuple[CoverageCounts, RleOutput]:
     field_pos = field_at.nonzero()[0]
     word_pos = (~padded[1:-1]).nonzero()[0]
     fields = field_at[field_pos]
-    words = seq[word_pos]
+    stored = seq[word_pos]
     tokens = np.full(len(field_pos) + len(word_pos), ord("C"), dtype=np.uint8)
     word_index = field_pos.searchsorted(word_pos, "right") + np.arange(len(word_pos))
     tokens[word_index] = ord("W")
 
-    n_blocks, n_tail = divmod(len(words), WORD_CAPACITY)
-    split = len(words) - n_tail
-    word_blocks = words[:split].reshape(n_blocks, WORD_CAPACITY).tolist()
+    n_blocks, n_tail = divmod(len(stored), WORD_CAPACITY)
+    split = len(stored) - n_tail
+    word_blocks = stored[:split].reshape(n_blocks, WORD_CAPACITY).tolist()
 
     # Field k holds stream bits [k * cw, (k + 1) * cw), low bits first, and
     # zero-count block b holds stream bits [64 b, 64 b + 64).
@@ -265,7 +261,7 @@ def rle_golden(config: RleConfig, sequence) -> tuple[CoverageCounts, RleOutput]:
         word_blocks=tuple(map(tuple, word_blocks)),
         zc_blocks=tuple(blocks[:n_zc]),
         layout=tokens.tobytes().decode("ascii"),
-        tail_words=tuple(words[split:].tolist()),
+        tail_words=tuple(stored[split:].tolist()),
         tail_zc_bits=blocks[n_zc] if tail_used else 0,
         tail_zc_used=tail_used,
         tail_counter=tail_counter,
@@ -281,19 +277,18 @@ class RleDut(DutModel):
     """
 
     def step(self, action: Action, seed: int) -> CoverageCounts:
-        stim = decode_action(action, env.stimulus_rng(seed))
-        config = RleConfig(count_width=stim.count_width)
-        counts, output = rle_run(config, stim.sequence.tolist())
-        golden_counts, golden_output = rle_golden(config, stim.sequence)
+        config, words = decode_action(action, env.stimulus_rng(seed))
+        counts, output = rle_run(config, words)
+        golden_counts, golden_output = rle_golden(config, words)
         if golden_output != output:
             raise ScoreboardError(
                 f"compressor output diverged from golden model for "
-                f"count_width={stim.count_width}, length={len(stim.sequence)}"
+                f"count_width={config.count_width}, length={len(words)}"
             )
         if golden_counts != counts:
             raise ScoreboardError(
                 f"event counts {counts} diverged from golden {golden_counts} for "
-                f"count_width={stim.count_width}, length={len(stim.sequence)}"
+                f"count_width={config.count_width}, length={len(words)}"
             )
         return counts
 

@@ -77,17 +77,21 @@ class StreamThenFault(RleDut):
         return super().step(action, seed)
 
 
-def exec_mutant(monkeypatch, module, name, line, mutation):
-    """Monkeypatch ``module.name`` with its source's one ``line`` replaced by ``mutation``.
+def exec_in_module(module, source, name):
+    """Exec ``source`` in a copy of ``module``'s namespace and return its ``name``.
 
-    The mutated source is exec'd in the module's namespace, so it calls
-    the same helpers as the original.
+    The exec'd function calls the same helpers as the module's own.
     """
+    namespace = dict(vars(module))
+    exec(source, namespace)
+    return namespace[name]
+
+
+def exec_mutant(monkeypatch, module, name, line, mutation):
+    """Monkeypatch ``module.name`` with its source's one ``line`` replaced by ``mutation``."""
     source = inspect.getsource(getattr(module, name))
     assert source.count(line) == 1
-    namespace = dict(vars(module))
-    exec(source.replace(line, mutation), namespace)
-    monkeypatch.setattr(module, name, namespace[name])
+    monkeypatch.setattr(module, name, exec_in_module(module, source.replace(line, mutation), name))
 
 
 # Every served session's bounds: how long one end waits for the other, and

@@ -2,7 +2,7 @@
 
 No run calls it: ``RleDut.step``'s scoreboard is ``rle_golden``. The tests
 use it to check that the emitted blocks, layout and tail registers carry
-the whole input sequence.
+the whole input.
 """
 
 from __future__ import annotations
@@ -12,11 +12,11 @@ from covsteer.rle import ZC_CAPACITY_BITS, RleConfig, RleOutput
 
 
 class BlockFormatError(CovsteerError):
-    """Compressed block data cannot be decoded back to a word sequence."""
+    """Compressed block data cannot be decoded back to the words."""
 
 
-def rle_decompress(output: RleOutput, config: RleConfig) -> tuple[int, ...]:
-    """Invert compressor output back into the original word sequence.
+def rle_decompress(output: RleOutput, config: RleConfig) -> bytes:
+    """Invert compressor output back into the original words.
 
     Count fields are read sequentially across block boundaries, which
     reassembles straddled fields from the low bits at the end of one block
@@ -78,4 +78,4 @@ def rle_decompress(output: RleOutput, config: RleConfig) -> tuple[int, ...]:
     if wi != len(words):
         raise BlockFormatError("emitted words not fully consumed by layout")
     seq.extend([0] * output.tail_counter)
-    return tuple(seq)
+    return bytes(seq)

@@ -126,14 +126,14 @@ def test_criterion_3_divisor_property(check):
         for _ in range(200):
             n = int(rng.integers(0, 1001))
             p = float(rng.random())
-            seq = np.where(rng.random(n) < p, 0, rng.integers(1, 256, size=n)).tolist()
-            counts, _ = rle_run(RleConfig(cw), seq)
+            seq = np.where(rng.random(n) < p, 0, rng.integers(1, 256, size=n))
+            counts, _ = rle_run(RleConfig(cw), seq.astype(np.uint8).tobytes())
             if counts[3] != 0:
                 violations += 1
     missing = 0
     for cw in NON_DIVISORS:
         length = 2 * 64 * ((1 << cw) - 1) // cw
-        counts, _ = rle_run(RleConfig(cw), [0] * length)
+        counts, _ = rle_run(RleConfig(cw), bytes(length))
         if counts[3] < 1:
             missing += 1
     check(
@@ -204,11 +204,9 @@ def test_criterion_7_scoreboard_cleanliness(check):
     rle_mismatches = 0
     roundtrip_failures = 0
     for _ in range(10_000):
-        stim = decode_action(sample_uniform(RLE_SPACE, rng), rng)
-        config = RleConfig(stim.count_width)
-        words = tuple(stim.sequence.tolist())
+        config, words = decode_action(sample_uniform(RLE_SPACE, rng), rng)
         counts, out = rle_run(config, words)
-        if rle_golden(config, stim.sequence) != (counts, out):
+        if rle_golden(config, words) != (counts, out):
             rle_mismatches += 1
         if rle_decompress(out, config) != words:
             roundtrip_failures += 1

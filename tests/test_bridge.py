@@ -48,6 +48,7 @@ from covsteer.errors import (
 from covsteer.rle import RleDut
 
 from conftest import (
+    CLIENT_TIMEOUT_S,
     JOIN_DEADLINE_S,
     StreamThenFault,
     action_spaces,
@@ -620,7 +621,7 @@ class TestProxy:
 
     def test_reset_before_hello_is_transport_error(self):
         class ResetStream:
-            def readline(self):
+            def readline(self, size=-1):
                 raise ConnectionResetError(104, "Connection reset by peer")
 
         with pytest.raises(TransportError):
@@ -658,7 +659,7 @@ class ScriptedServer:
             self.most_unanswered = max(self.most_unanswered, len(self.requests) - self.read)
         return len(data)
 
-    def readline(self):
+    def readline(self, size=-1):
         self.read += 1
         return self.lines.popleft()
 
@@ -854,6 +855,35 @@ class TestTcp:
                 connect_tcp("127.0.0.1", server.port, timeout=10)
             gc.collect()  # the raised error's frames held the socket until now
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+    @pytest.mark.parametrize("after", ["connect", "hello"])
+    def test_over_long_reply_line_is_a_decode_error_at_once(self, after):
+        # The server sends a line one byte past the bound with no newline
+        # and keeps the connection open; an unbounded read would wait for
+        # the newline until the client's timeout.
+        def flood(on_bound):
+            with socket.create_server(("127.0.0.1", 0)) as listener:
+                on_bound(listener.getsockname()[1])
+                conn, _ = listener.accept()
+            with conn:
+                conn.settimeout(CLIENT_TIMEOUT_S)
+                if after == "hello":
+                    dut = RleDut()
+                    conn.sendall(encode(Hello(PROTOCOL_VERSION, dut.action_space(), dut.event_names())))
+                    conn.recv(4096)  # the episode request
+                conn.sendall(b"9" * (MAX_LINE_BYTES + 2))
+                while conn.recv(4096):  # until the client closes
+                    pass
+
+        bound = f"longer than {MAX_LINE_BYTES} bytes"
+        with tcp_server(flood) as server:
+            if after == "connect":
+                with pytest.raises(BridgeDecodeError, match=f"hello line {bound}"):
+                    connect_tcp("127.0.0.1", server.port, timeout=2)
+            else:
+                with closing(connect_tcp("127.0.0.1", server.port, timeout=2)) as proxy:
+                    with pytest.raises(BridgeDecodeError, match=f"Counts line {bound}"):
+                        proxy.step(Action(ACTION), 0)
 
     def test_connect_refused(self):
         with pytest.raises(TransportError):

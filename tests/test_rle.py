@@ -27,19 +27,19 @@ NON_DIVISORS = (3, 5, 6, 7)
 def random_sequence(rng, max_len=300):
     n = int(rng.integers(0, max_len))
     p = float(rng.random())
-    return np.where(rng.random(n) < p, 0, rng.integers(1, 256, size=n)).tolist()
+    return np.where(rng.random(n) < p, 0, rng.integers(1, 256, size=n)).astype(np.uint8).tobytes()
 
 
 class TestDecodeAction:
     def test_zero_probability_means_all_nonzero(self):
-        stim = decode_action(Action((0.0, 4, 100)), np.random.default_rng(0))
-        assert len(stim.sequence) == 100
-        assert all(1 <= w <= 255 for w in stim.sequence)
-        assert stim.count_width == 4
+        config, words = decode_action(Action((0.0, 4, 100)), np.random.default_rng(0))
+        assert len(words) == 100
+        assert all(1 <= w <= 255 for w in words)
+        assert config == RleConfig(4)
 
     def test_probability_one_means_all_zero(self):
-        stim = decode_action(Action((1.0, 4, 100)), np.random.default_rng(0))
-        assert stim.sequence.tolist() == [0] * 100
+        _, words = decode_action(Action((1.0, 4, 100)), np.random.default_rng(0))
+        assert words == bytes(100)
 
     def test_zero_fraction_statistics(self):
         # Single episode: zero fraction of a 300-word draw at p=0.4 stays in
@@ -47,21 +47,21 @@ class TestDecodeAction:
         # estimates p within +/-0.01.
         fractions = []
         for seed in range(10_000):
-            stim = decode_action(Action((0.4, 6, 300)), np.random.default_rng(seed))
-            fractions.append(np.count_nonzero(stim.sequence == 0) / 300)
+            _, words = decode_action(Action((0.4, 6, 300)), np.random.default_rng(seed))
+            fractions.append(words.count(0) / 300)
         assert 0.3 <= fractions[0] <= 0.5
         assert abs(np.mean(fractions) - 0.4) <= 0.01
 
     def test_deterministic_given_seed(self):
         a = decode_action(Action((0.4, 6, 300)), np.random.default_rng(5))
         b = decode_action(Action((0.4, 6, 300)), np.random.default_rng(5))
-        assert a.sequence.dtype == np.int64
-        assert np.array_equal(a.sequence, b.sequence) and a.count_width == b.count_width
+        assert isinstance(a[1], bytes)
+        assert a == b
 
 
 class TestStepSemantics:
     def test_three_zeros_then_word(self):
-        counts, out = rle_run(RleConfig(3), [0, 0, 0, 5])
+        counts, out = rle_run(RleConfig(3), bytes([0, 0, 0, 5]))
         assert out.layout == "CW"
         assert out.tail_words == (5,)
         assert out.tail_zc_bits == 3  # one 3-bit field holding the value 3
@@ -71,39 +71,39 @@ class TestStepSemantics:
     def test_straddle_at_eleventh_saturation(self):
         # count_width 6: 693 zeros saturate the counter 11 times; fields
         # 1..10 use 60 bits, field 11 splits 4/2 across the 64-bit boundary.
-        counts, out = rle_run(RleConfig(6), [0] * 693)
+        counts, out = rle_run(RleConfig(6), bytes(693))
         e0, e1, e2, e3 = counts
         assert (e1, e3) == (1, 1)
         assert len(out.zc_blocks) == 1
         assert out.tail_zc_used == 2
 
     def test_empty_sequence(self):
-        counts, out = rle_run(RleConfig(5), [])
+        counts, out = rle_run(RleConfig(5), b"")
         assert counts == (0, 0, 0, 0)
         assert out.word_blocks == () and out.zc_blocks == ()
         assert out.layout == ""
 
     def test_no_zeros_no_count_fields(self):
-        counts, out = rle_run(RleConfig(4), [1, 2])
+        counts, out = rle_run(RleConfig(4), bytes([1, 2]))
         assert out.tail_words == (1, 2)
         assert out.layout == "WW"
         assert out.tail_zc_used == 0
 
     def test_word_block_flush_at_16(self):
-        counts, out = rle_run(RleConfig(4), list(range(1, 18)))
+        counts, out = rle_run(RleConfig(4), bytes(range(1, 18)))
         assert counts[0] == 1
         assert out.word_blocks == (tuple(range(1, 17)),)
         assert out.tail_words == (17,)
 
     def test_count_width_one_saturates_every_zero(self):
-        counts, out = rle_run(RleConfig(1), [0] * 64)
+        counts, out = rle_run(RleConfig(1), bytes(64))
         # each zero saturates immediately: 64 one-bit fields fill one block
         assert counts == (0, 1, 0, 0)
         assert out.zc_blocks == ((1 << 64) - 1,)
 
     def test_counter_never_reaches_saturation_value(self):
         cw = 3
-        seq = [0] * 100 + list(range(1, 41))
+        seq = bytes(100) + bytes(range(1, 41))
         for end in range(len(seq) + 1):
             _, out = rle_run(RleConfig(cw), seq[:end])
             assert out.tail_counter < (1 << cw) - 1
@@ -131,7 +131,7 @@ class TestDivisorProperty:
     @pytest.mark.parametrize("cw", NON_DIVISORS)
     def test_non_divisor_widths_straddle_on_long_zero_runs(self, cw):
         length = 2 * 64 * ((1 << cw) - 1) // cw
-        counts, _ = rle_run(RleConfig(cw), [0] * length)
+        counts, _ = rle_run(RleConfig(cw), bytes(length))
         assert counts[3] >= 1
 
     def test_campaign_partition_by_count_width(self):
@@ -156,18 +156,18 @@ class TestGoldenAndRoundtrip:
             cfg = RleConfig(cw)
             counts, out = rle_run(cfg, seq)
             assert rle_golden(cfg, seq) == (counts, out)
-            assert rle_decompress(out, cfg) == tuple(seq)
+            assert rle_decompress(out, cfg) == seq
 
     @given(
         st.integers(1, 8),
-        st.lists(st.integers(0, 255), max_size=400),
+        st.binary(max_size=400),
     )
     @settings(max_examples=200)
     def test_property_golden_matches_and_roundtrips(self, cw, seq):
         cfg = RleConfig(cw)
         counts, out = rle_run(cfg, seq)
         assert rle_golden(cfg, seq) == (counts, out)
-        assert rle_decompress(out, cfg) == tuple(seq)
+        assert rle_decompress(out, cfg) == seq
 
     @pytest.mark.parametrize("cw", range(1, 9))
     @given(
@@ -176,11 +176,11 @@ class TestGoldenAndRoundtrip:
     )
     @settings(max_examples=40, deadline=None)
     def test_property_zero_run_heavy_golden_matches_and_roundtrips(self, cw, runs, trailing):
-        seq = [w for zeros, word in runs for w in [0] * zeros + [word]] + [0] * trailing
+        seq = b"".join(bytes(zeros) + bytes([word]) for zeros, word in runs) + bytes(trailing)
         cfg = RleConfig(cw)
         counts, out = rle_run(cfg, seq)
         assert rle_golden(cfg, seq) == (counts, out)
-        assert rle_decompress(out, cfg) == tuple(seq)
+        assert rle_decompress(out, cfg) == seq
 
     @pytest.mark.parametrize(
         "cw, seq, tail_counter, tail_zc_used",
@@ -197,37 +197,30 @@ class TestGoldenAndRoundtrip:
         ],
     )
     def test_pinned_golden_cases(self, cw, seq, tail_counter, tail_zc_used):
+        seq = bytes(seq)
         cfg = RleConfig(cw)
         counts, out = rle_golden(cfg, seq)
         assert (counts, out) == rle_run(cfg, seq)
         assert (out.tail_counter, out.tail_zc_used) == (tail_counter, tail_zc_used)
-        assert rle_decompress(out, cfg) == tuple(seq)
-
-    def test_sequence_types_agree(self):
-        seq = [0] * 40 + [7, 0, 0, 200] * 10 + [0] * 9
-        cfg = RleConfig(6)
-        expected = rle_run(cfg, seq)
-        for as_type in (tuple, list, np.array):
-            assert rle_run(cfg, as_type(seq)) == expected
-            assert rle_golden(cfg, as_type(seq)) == expected
+        assert rle_decompress(out, cfg) == seq
 
     def test_all_nonzero_roundtrip_is_identity(self):
         cfg = RleConfig(6)
-        seq = list(range(1, 41))
+        seq = bytes(range(1, 41))
         _, out = rle_run(cfg, seq)
-        assert rle_decompress(out, cfg) == tuple(seq)
+        assert rle_decompress(out, cfg) == seq
 
     def test_straddle_case_roundtrips(self):
         cfg = RleConfig(6)
-        seq = [0] * 693 + [9]
+        seq = bytes(693) + bytes([9])
         _, out = rle_run(cfg, seq)
-        assert rle_decompress(out, cfg) == tuple(seq)
+        assert rle_decompress(out, cfg) == seq
 
     def test_e1_monotone_in_all_zero_length(self):
         cfg = RleConfig(5)
         previous = 0
         for n in range(0, 4000, 250):
-            counts, _ = rle_run(cfg, [0] * n)
+            counts, _ = rle_run(cfg, bytes(n))
             assert counts[1] >= previous
             previous = counts[1]
 
@@ -235,7 +228,7 @@ class TestGoldenAndRoundtrip:
 class TestDecompressValidation:
     def make_output(self, cw=6, seq=(0, 0, 0, 7, 7)):
         cfg = RleConfig(cw)
-        _, out = rle_run(cfg, list(seq))
+        _, out = rle_run(cfg, bytes(seq))
         return cfg, out
 
     def test_missing_field_token_detected(self):
@@ -258,7 +251,7 @@ class TestDecompressValidation:
 
     def test_truncated_straddle_detected(self):
         cfg = RleConfig(6)
-        _, out = rle_run(cfg, [0] * 693)
+        _, out = rle_run(cfg, bytes(693))
         # drop the carried high bits of the straddled field
         broken = out.__class__(**{**out.__dict__, "tail_zc_bits": 0, "tail_zc_used": 0})
         with pytest.raises(BlockFormatError):
@@ -283,7 +276,7 @@ class TestRleDut:
         dut = RleDut()
         real = rle_mod.rle_golden
         monkeypatch.setattr(
-            rle_mod, "rle_golden", lambda cfg, seq: real(cfg, list(seq) + [1])
+            rle_mod, "rle_golden", lambda cfg, words: real(cfg, words + bytes([1]))
         )
         with pytest.raises(ScoreboardError):
             dut.step(Action((0.4, 6, 300)), 0)
@@ -293,8 +286,8 @@ class TestRleDut:
 
         real = rle_mod.rle_run
 
-        def miscounted(config, sequence):
-            (e0, e1, e2, e3), output = real(config, sequence)
+        def miscounted(config, words):
+            (e0, e1, e2, e3), output = real(config, words)
             return (e0, e1, e2 + 1, e3), output
 
         monkeypatch.setattr(rle_mod, "rle_run", miscounted)
