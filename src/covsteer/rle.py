@@ -8,7 +8,7 @@ fixed-width count fields into a 64-bit zero-count vector. Four registers
 hold the compressor's internal state (they are not reported; an episode
 reports event counts only):
 
-* word counter     -- occupancy of the word vector,
+* word counter     -- words stored so far (a multiple of 16 flushes a block),
 * zero counter     -- bits consumed in the zero-count vector,
 * counter          -- length of the current zero run,
 * next count       -- carry bits of a count field split across vectors.
@@ -36,18 +36,23 @@ Tracked events:
   (undefined for count_width 1, where it never fires),
 * ``e3_partial_count`` -- a count field straddled the vector boundary.
 
-``rle_run`` is the model: one loop iteration per input word. ``rle_golden``
-is the scoreboard, written without a state machine: numpy run lengths of
-the zero mask, fields by ``divmod`` with the saturation value, and a
-packed bit stream, all over a ``uint8`` view of the words. It derives the
-event counts arithmetically from the run lengths and the count fields' bit
-positions, and ``RleDut.step`` compares counts and output every episode.
+The output is the stored words as one ``bytes`` value, the zero-count
+blocks, one mark per count field (the number of words stored before it)
+and the tail registers. ``rle_run`` is the model: one loop iteration per
+input word. ``rle_golden`` is the scoreboard, written without a state
+machine: numpy run lengths of the zero mask, fields by ``divmod`` with the
+saturation value, and a packed bit stream, all over a ``uint8`` view of
+the words; it places the fields among the words by their input positions.
+It derives the event counts arithmetically from the run lengths and the
+count fields' bit positions, and ``RleDut.step`` compares counts and
+output every episode.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from numbers import Integral
 
 import numpy as np
 
@@ -81,19 +86,26 @@ class RleConfig:
     count_width: int
 
     def __post_init__(self):
-        if self.count_width not in COUNT_WIDTHS:
+        cw = self.count_width
+        if isinstance(cw, bool) or not isinstance(cw, Integral) or cw not in COUNT_WIDTHS:
             lo, hi = COUNT_WIDTHS[0], COUNT_WIDTHS[-1]
-            raise ValueError(f"count_width must be in {lo}..{hi}, got {self.count_width}")
+            raise ValueError(f"count_width must be an integer in {lo}..{hi}, got {cw!r}")
 
 
 @dataclass(frozen=True)
 class RleOutput:
-    """Everything the compressor emitted plus the residual (unflushed) state."""
+    """Everything the compressor emitted plus the residual (unflushed) state.
 
-    word_blocks: tuple[tuple[int, ...], ...]
+    ``stored`` holds every stored word in arrival order: its 16-byte slices
+    are the flushed word blocks and the rest is the word vector's tail.
+    ``field_marks[k]`` is how many words were stored before count field k
+    was written; block content alone does not pin down how zero runs
+    interleave with words, so decoding the output needs the marks.
+    """
+
+    stored: bytes
+    field_marks: tuple[int, ...]
     zc_blocks: tuple[int, ...]
-    layout: str
-    tail_words: tuple[int, ...]
     tail_zc_bits: int
     tail_zc_used: int
     tail_counter: int
@@ -116,23 +128,21 @@ def decode_action(action: Action, rng: np.random.Generator) -> tuple[RleConfig, 
 def rle_run(config: RleConfig, words: bytes) -> tuple[CoverageCounts, RleOutput]:
     """Fold the compressor over the words, one word per cycle.
 
-    ``layout`` records the emission order of count fields ('C') and stored
-    words ('W'); block content alone does not pin down how zero runs
-    interleave with words, so decoding the output needs it. There is no
-    end-of-input flush: a partial word vector, partial zero-count vector,
-    and a non-zero counter all stay in the output's tail.
+    The loop steps the word counter and marks each count field with it;
+    the word vector holds just the non-zero words in arrival order, so the
+    stored words are read once from the input. There is no end-of-input
+    flush: a partial word vector, partial zero-count vector, and a non-zero
+    counter all stay in the output's tail.
     """
     cw = config.count_width
     cap = ZC_CAPACITY_BITS
     saturation = (1 << cw) - 1
     # Width 1 has no midpoint; the counter is at least 1 when compared.
     mid = 1 << (cw - 2) if cw >= 2 else 0
-    word_vec: list[int] = []
-    zc_bits = zc_used = counter = 0
-    word_blocks: list[tuple[int, ...]] = []
+    n_stored = zc_bits = zc_used = counter = 0
     zc_blocks: list[int] = []
-    layout: list[str] = []
-    emit = layout.append
+    field_marks: list[int] = []
+    mark = field_marks.append
     e0 = e1 = e2 = e3 = 0
     for word in words:
         if word == 0:
@@ -144,7 +154,7 @@ def rle_run(config: RleConfig, words: bytes) -> tuple[CoverageCounts, RleOutput]
         # A saturated counter, or a word after a zero run, writes the
         # counter as one count field, low bits first.
         if counter:
-            emit("C")
+            mark(n_stored)
             free = cap - zc_used
             if free > cw:
                 zc_bits |= counter << zc_used
@@ -160,17 +170,13 @@ def rle_run(config: RleConfig, words: bytes) -> tuple[CoverageCounts, RleOutput]
                     e3 += 1
             counter = 0
         if word:
-            word_vec.append(word)
-            emit("W")
-            if len(word_vec) == WORD_CAPACITY:
+            n_stored += 1
+            if n_stored % WORD_CAPACITY == 0:
                 e0 += 1
-                word_blocks.append(tuple(word_vec))
-                word_vec = []
     return (e0, e1, e2, e3), RleOutput(
-        word_blocks=tuple(word_blocks),
+        stored=words.replace(b"\0", b""),
+        field_marks=tuple(field_marks),
         zc_blocks=tuple(zc_blocks),
-        layout="".join(layout),
-        tail_words=tuple(word_vec),
         tail_zc_bits=zc_bits,
         tail_zc_used=zc_used,
         tail_counter=counter,
@@ -185,8 +191,8 @@ def rle_golden(config: RleConfig, words: bytes) -> tuple[CoverageCounts, RleOutp
     a remainder with ``divmod`` by the saturation value. A saturated field is
     written at the zero that saturates it, a remainder at the word ending its
     run (a trailing remainder is the tail counter), so each input position
-    emits at most one field and then at most one word; the layout and the
-    field order follow from those positions. The fields' bit stream is packed
+    emits at most one field and then at most one word; a field's mark is the
+    number of words at earlier positions. The fields' bit stream is packed
     into 64-bit blocks with ``np.packbits``. The event counts come from
     arithmetic over the run lengths and the fields' absolute bit positions.
     Produces counts and output identical to ``rle_run``.
@@ -220,20 +226,11 @@ def rle_golden(config: RleConfig, words: bytes) -> tuple[CoverageCounts, RleOutp
     closed = slice(None, -1) if trailing else slice(None)
     field_at[ends[closed]] = rem[closed]
 
-    # Each position writes at most one field, then at most one word, so a
-    # word's place in the layout is its index among the words plus the
-    # number of fields written at or before its position.
+    # Each position writes at most one field, then at most one word, so the
+    # words stored before a field are those at earlier positions.
     field_pos = field_at.nonzero()[0]
     word_pos = (~padded[1:-1]).nonzero()[0]
     fields = field_at[field_pos]
-    stored = seq[word_pos]
-    tokens = np.full(len(field_pos) + len(word_pos), ord("C"), dtype=np.uint8)
-    word_index = field_pos.searchsorted(word_pos, "right") + np.arange(len(word_pos))
-    tokens[word_index] = ord("W")
-
-    n_blocks, n_tail = divmod(len(stored), WORD_CAPACITY)
-    split = len(stored) - n_tail
-    word_blocks = stored[:split].reshape(n_blocks, WORD_CAPACITY).tolist()
 
     # Field k holds stream bits [k * cw, (k + 1) * cw), low bits first, and
     # zero-count block b holds stream bits [64 b, 64 b + 64).
@@ -250,7 +247,7 @@ def rle_golden(config: RleConfig, words: bytes) -> tuple[CoverageCounts, RleOutp
     # divide, that is all but every (cw / gcd(cw, 64))-th one.
     boundaries = max(field_bits - 1, 0) // cap
     counts = (
-        n_blocks,
+        len(word_pos) // WORD_CAPACITY,
         n_zc,
         # The counter passes 2**(cw - 2) once per saturation and once more
         # in a remainder that reaches it; width 1 has no midpoint.
@@ -258,10 +255,9 @@ def rle_golden(config: RleConfig, words: bytes) -> tuple[CoverageCounts, RleOutp
         boundaries - boundaries // (cw // gcd(cw, cap)),
     )
     return counts, RleOutput(
-        word_blocks=tuple(map(tuple, word_blocks)),
+        stored=seq[word_pos].tobytes(),
+        field_marks=tuple(word_pos.searchsorted(field_pos).tolist()),
         zc_blocks=tuple(blocks[:n_zc]),
-        layout=tokens.tobytes().decode("ascii"),
-        tail_words=tuple(stored[split:].tolist()),
         tail_zc_bits=blocks[n_zc] if tail_used else 0,
         tail_zc_used=tail_used,
         tail_counter=tail_counter,
@@ -281,8 +277,9 @@ class RleDut(DutModel):
         counts, output = rle_run(config, words)
         golden_counts, golden_output = rle_golden(config, words)
         if golden_output != output:
+            field = next(k for k, v in vars(output).items() if v != getattr(golden_output, k))
             raise ScoreboardError(
-                f"compressor output diverged from golden model for "
+                f"compressor output diverged from golden model in {field} for "
                 f"count_width={config.count_width}, length={len(words)}"
             )
         if golden_counts != counts:

@@ -1,8 +1,8 @@
 """A bit-exact decompressor for the ``rle`` model's output, used as a test oracle.
 
 No run calls it: ``RleDut.step``'s scoreboard is ``rle_golden``. The tests
-use it to check that the emitted blocks, layout and tail registers carry
-the whole input.
+use it to check that the stored words, field marks, zero-count blocks and
+tail registers carry the whole input.
 """
 
 from __future__ import annotations
@@ -18,17 +18,18 @@ class BlockFormatError(CovsteerError):
 def rle_decompress(output: RleOutput, config: RleConfig) -> bytes:
     """Invert compressor output back into the original words.
 
-    Count fields are read sequentially across block boundaries, which
-    reassembles straddled fields from the low bits at the end of one block
-    and the carried high bits at the start of the next. Raises
-    BlockFormatError when the emitted data is internally inconsistent.
+    Count field k expands to its zero run after the first
+    ``field_marks[k]`` stored words. Fields are read sequentially across
+    block boundaries, which reassembles straddled fields from the low bits
+    at the end of one block and the carried high bits at the start of the
+    next. Raises BlockFormatError when the emitted data is internally
+    inconsistent.
     """
     cw = config.count_width
     cap = ZC_CAPACITY_BITS
-    words = [w for block in output.word_blocks for w in block]
-    words.extend(output.tail_words)
+    stored = output.stored
 
-    n_fields = output.layout.count("C")
+    n_fields = len(output.field_marks)
     total_bits = cap * len(output.zc_blocks) + output.tail_zc_used
     if n_fields * cw != total_bits:
         raise BlockFormatError(
@@ -58,24 +59,16 @@ def rle_decompress(output: RleOutput, config: RleConfig) -> bytes:
             value |= (hi_bits & ((1 << need) - 1)) << avail
         return value
 
-    seq: list[int] = []
-    wi = 0
-    fi = 0
-    for token in output.layout:
-        if token == "W":
-            if wi >= len(words):
-                raise BlockFormatError("layout references more words than emitted")
-            seq.append(words[wi])
-            wi += 1
-        elif token == "C":
-            value = read_field(fi)
-            fi += 1
-            if value == 0:
-                raise BlockFormatError("zero-valued count field")
-            seq.extend([0] * value)
-        else:
-            raise BlockFormatError(f"unknown layout token {token!r}")
-    if wi != len(words):
-        raise BlockFormatError("emitted words not fully consumed by layout")
-    seq.extend([0] * output.tail_counter)
-    return bytes(seq)
+    seq = bytearray()
+    done = 0
+    for k, mark in enumerate(output.field_marks):
+        if mark < done:
+            raise BlockFormatError(f"field mark {mark} follows mark {done}")
+        if mark > len(stored):
+            raise BlockFormatError(f"field mark {mark} is past the {len(stored)} stored words")
+        value = read_field(k)
+        if value == 0:
+            raise BlockFormatError("zero-valued count field")
+        seq += stored[done:mark] + bytes(value)
+        done = mark
+    return bytes(seq + stored[done:] + bytes(output.tail_counter))

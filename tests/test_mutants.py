@@ -145,11 +145,11 @@ EQUIVALENT = {
     "rle": {
         "14 mid = 1 << cw - 2 if cw >= 2 else 0 -> mid = 1 << cw - 2 if cw >= 2 else -1":
             "at width 1 the counter is at least 1 when compared, so it meets neither 0 nor -1",
-        "23 if word == 0: -> if word <= 0:": "a byte is never negative",
-        "27 if counter < saturation: -> if counter != saturation:":
+        "21 if word == 0: -> if word <= 0:": "a byte is never negative",
+        "25 if counter < saturation: -> if counter != saturation:":
             "the counter clears when it saturates, so it never passes saturation",
-        "50 if len(word_vec) == WORD_CAPACITY: -> if len(word_vec) >= WORD_CAPACITY:":
-            "the word vector flushes at 16 entries, so it never holds more",
+        "47 if n_stored % WORD_CAPACITY == 0: -> if n_stored % WORD_CAPACITY <= 0:":
+            "the word counter is never negative, so neither is its remainder",
     },
     "axi": {
         "13 if not 0 <= a_min < a_max <= N_SLAVES * config.region_size: -> "
@@ -179,9 +179,10 @@ CRASHED = {
             "width 1 shifts by -1: ValueError",
         "14 mid = 1 << cw - 2 if cw >= 2 else 0 -> mid = 1 << cw - 3 if cw >= 2 else 0":
             "width 2 shifts by -1: ValueError",
-        "16 zc_bits = zc_used = counter = 0 -> zc_bits = zc_used = counter = -1":
+        "15 n_stored = zc_bits = zc_used = counter = 0 -> "
+        "n_stored = zc_bits = zc_used = counter = -1":
             "the first field shifts by zc_used -1: ValueError",
-        "36 zc_used += cw -> zc_used -= cw": "the second field shifts by a negative count: ValueError",
+        "34 zc_used += cw -> zc_used -= cw": "the second field shifts by a negative count: ValueError",
     },
     "axi": {
         "13 if not 0 <= a_min < a_max <= N_SLAVES * config.region_size: -> "

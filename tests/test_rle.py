@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -62,8 +64,8 @@ class TestDecodeAction:
 class TestStepSemantics:
     def test_three_zeros_then_word(self):
         counts, out = rle_run(RleConfig(3), bytes([0, 0, 0, 5]))
-        assert out.layout == "CW"
-        assert out.tail_words == (5,)
+        assert out.field_marks == (0,)
+        assert out.stored == bytes([5])
         assert out.tail_zc_bits == 3  # one 3-bit field holding the value 3
         assert out.tail_zc_used == 3
         assert counts == (0, 0, 1, 0)  # counter crossed 2^(3-2)=2 once
@@ -80,20 +82,19 @@ class TestStepSemantics:
     def test_empty_sequence(self):
         counts, out = rle_run(RleConfig(5), b"")
         assert counts == (0, 0, 0, 0)
-        assert out.word_blocks == () and out.zc_blocks == ()
-        assert out.layout == ""
+        assert out.stored == b"" and out.zc_blocks == ()
+        assert out.field_marks == ()
 
     def test_no_zeros_no_count_fields(self):
         counts, out = rle_run(RleConfig(4), bytes([1, 2]))
-        assert out.tail_words == (1, 2)
-        assert out.layout == "WW"
+        assert out.stored == bytes([1, 2])
+        assert out.field_marks == ()
         assert out.tail_zc_used == 0
 
     def test_word_block_flush_at_16(self):
         counts, out = rle_run(RleConfig(4), bytes(range(1, 18)))
         assert counts[0] == 1
-        assert out.word_blocks == (tuple(range(1, 17)),)
-        assert out.tail_words == (17,)
+        assert out.stored == bytes(range(1, 18))
 
     def test_count_width_one_saturates_every_zero(self):
         counts, out = rle_run(RleConfig(1), bytes(64))
@@ -105,10 +106,29 @@ class TestStepSemantics:
         cw = 3
         seq = bytes(100) + bytes(range(1, 41))
         for end in range(len(seq) + 1):
-            _, out = rle_run(RleConfig(cw), seq[:end])
+            counts, out = rle_run(RleConfig(cw), seq[:end])
             assert out.tail_counter < (1 << cw) - 1
             assert out.tail_zc_used < 64
-            assert len(out.tail_words) < 16
+            assert counts[0] == len(out.stored) // 16
+
+    def test_output_pinned_over_fixed_episodes(self):
+        # sha256 of rle_run's counts and output over 100 uniform episodes and
+        # 100 at the action CEM converges to, recorded when the output still
+        # held word blocks and a C/W layout string (a mark is the number of W
+        # before its C), so the two forms are the same output.
+        rng = np.random.default_rng(24)
+        actions = [sample_uniform(ACTION_SPACE, rng) for _ in range(100)]
+        actions += [Action((0.5, 7, 1000))] * 100
+        digest = hashlib.sha256()
+        for seed, action in enumerate(actions):
+            config, words = decode_action(action, np.random.default_rng(seed))
+            counts, out = rle_run(config, words)
+            assert rle_golden(config, words) == (counts, out)
+            digest.update(repr((counts, out.stored, out.field_marks, out.zc_blocks,
+                                out.tail_zc_bits, out.tail_zc_used, out.tail_counter)).encode())
+        assert digest.hexdigest() == (
+            "0ed5f6712721b94a5f43943ed51864dc5c4a96f6a7578f15fdb043f2e5555c92"
+        )
 
     def test_event_counts_match_arithmetic_oracle(self):
         rng = np.random.default_rng(7)
@@ -231,22 +251,29 @@ class TestDecompressValidation:
         _, out = rle_run(cfg, bytes(seq))
         return cfg, out
 
-    def test_missing_field_token_detected(self):
+    def test_missing_field_mark_detected(self):
         cfg, out = self.make_output()
-        broken = out.__class__(**{**out.__dict__, "layout": out.layout.replace("C", "", 1)})
-        with pytest.raises(BlockFormatError):
+        broken = out.__class__(**{**out.__dict__, "field_marks": ()})
+        with pytest.raises(BlockFormatError, match="cannot occupy"):
             rle_decompress(broken, cfg)
 
-    def test_extra_word_token_detected(self):
+    def test_extra_field_mark_detected(self):
         cfg, out = self.make_output()
-        broken = out.__class__(**{**out.__dict__, "layout": out.layout + "W"})
-        with pytest.raises(BlockFormatError):
+        broken = out.__class__(**{**out.__dict__, "field_marks": out.field_marks + (2,)})
+        with pytest.raises(BlockFormatError, match="cannot occupy"):
             rle_decompress(broken, cfg)
 
-    def test_unconsumed_words_detected(self):
+    def test_marks_out_of_order_detected(self):
+        cfg, out = self.make_output(seq=(7, 0, 0, 7, 0, 7))
+        assert out.field_marks == (1, 2)
+        broken = out.__class__(**{**out.__dict__, "field_marks": (2, 1)})
+        with pytest.raises(BlockFormatError, match="follows mark"):
+            rle_decompress(broken, cfg)
+
+    def test_mark_past_stored_words_detected(self):
         cfg, out = self.make_output()
-        broken = out.__class__(**{**out.__dict__, "layout": out.layout[:-1]})
-        with pytest.raises(BlockFormatError):
+        broken = out.__class__(**{**out.__dict__, "field_marks": (len(out.stored) + 1,)})
+        with pytest.raises(BlockFormatError, match="past the 2 stored words"):
             rle_decompress(broken, cfg)
 
     def test_truncated_straddle_detected(self):
@@ -304,7 +331,8 @@ class TestRleDut:
         import covsteer.rle as rle_mod
 
         exec_mutant(monkeypatch, rle_mod, "rle_run", "zc_bits = counter >> free", "zc_bits = 0")
-        with pytest.raises(ScoreboardError, match="output diverged"):
+        diverged = "output diverged from golden model in tail_zc_bits "
+        with pytest.raises(ScoreboardError, match=diverged):
             RleDut().step(Action((1.0, 6, 1000)), 0)
 
     @pytest.mark.parametrize(
@@ -329,3 +357,8 @@ class TestRleDut:
             RleConfig(0)
         with pytest.raises(ValueError):
             RleConfig(9)
+        # A float or bool width would reach the model's shifts.
+        for width in (7.0, True):
+            with pytest.raises(ValueError, match="integer"):
+                RleConfig(width)
+        assert RleConfig(np.int64(7)).count_width == 7
