@@ -50,7 +50,7 @@ def main():
     for knob, idx in (("lower_slave", 0), ("upper_slave", 1)):
         print(f"{knob} choices (last half):")
         for label, records in (("random", random_records), ("steered", cem_records)):
-            hist = Counter(int(r.action.values[idx]) for r in records[half:])
+            hist = Counter(int(r.action[idx]) for r in records[half:])
             row = " ".join(f"{hist.get(s, 0):>4}" for s in range(10))
             print(f"  {label:>8}: {row}")
     print("\nboth address knobs collapse onto slave 4's region: the agent has "

@@ -55,7 +55,7 @@ def main():
     print("count_width choices (last half of each campaign):")
     half = EPISODES // 2
     for label, records in (("random", random_records), ("steered", cem_records)):
-        hist = Counter(int(r.action.values[1]) for r in records[half:])
+        hist = Counter(int(r.action[1]) for r in records[half:])
         scale = max(hist.values()) / 30
         print(f"  {label}:")
         for cw in range(1, 9):

@@ -2,21 +2,24 @@
 
 An action space is an ordered list of knobs. Each knob is either a
 continuous interval [lo, hi] or a finite set of discrete values, and one
-concrete action assigns one real number to every knob. Knob values
-parameterize stimulus generation; the agents never transform them, so
-discrete values round-trip exactly.
+concrete action is a plain tuple with one float per knob, in the space's
+order. Knob values parameterize stimulus generation; the agents never
+transform them, so discrete values round-trip exactly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numbers import Real
 
 import numpy as np
 
 CONTINUOUS = "continuous"
 DISCRETE = "discrete"
+
+# One concrete knob assignment: one float per knob, in the space's order.
+Action = tuple[float, ...]
 
 
 def is_finite_real(value) -> bool:
@@ -99,16 +102,6 @@ class ActionSpace:
 
 
 @dataclass(frozen=True)
-class Action:
-    """Concrete knob assignment, positionally matched to a space's knobs."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-
-
-@dataclass(frozen=True)
 class Violation:
     """One failed membership check; knob is None for a length mismatch."""
 
@@ -118,15 +111,10 @@ class Violation:
 
 def validate(space: ActionSpace, action: Action) -> list[Violation]:
     """Check an action against a space; an empty list means the action is valid."""
-    if len(action.values) != len(space):
-        return [
-            Violation(
-                None,
-                f"action has {len(action.values)} values, space has {len(space)} knobs",
-            )
-        ]
+    if len(action) != len(space):
+        return [Violation(None, f"action has {len(action)} values, space has {len(space)} knobs")]
     out: list[Violation] = []
-    for i, (knob, v) in enumerate(zip(space.knobs, action.values)):
+    for i, (knob, v) in enumerate(zip(space.knobs, action)):
         if knob.kind == CONTINUOUS:
             if not (knob.lo <= v <= knob.hi):
                 out.append(
@@ -148,4 +136,4 @@ def sample_uniform(space: ActionSpace, rng: np.random.Generator) -> Action:
             vals.append(float(rng.uniform(knob.lo, knob.hi)))
         else:
             vals.append(knob.values[int(rng.integers(len(knob.values)))])
-    return Action(tuple(vals))
+    return tuple(vals)

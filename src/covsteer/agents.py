@@ -1,6 +1,7 @@
 """Stimulus-selection policies.
 
-Two agents share one interface: ``propose(rng)`` emits an action,
+Two agents share one interface: ``propose(rng)`` returns an action, a
+tuple with one float per knob in the space's order,
 ``observe(action, reward)`` feeds the outcome back, ``snapshot()`` dumps
 the internal state for reports, and ``observes_until_update()`` says how
 far ahead proposals may be drawn before their rewards are observed.
@@ -272,14 +273,10 @@ class CemAgent(Agent):
             for knob in space.knobs
         )
         self._buffer: list[tuple[Action, float]] = []
-        self._refits = 0
-
-    @property
-    def refits(self) -> int:
-        return self._refits
+        self.refits = 0
 
     def propose(self, rng):
-        return Action(tuple([dist.draw(rng) for dist in self.dists]))
+        return tuple([dist.draw(rng) for dist in self.dists])
 
     def observe(self, action, reward):
         self._buffer.append((action, float(reward)))
@@ -294,9 +291,9 @@ class CemAgent(Agent):
         chosen = elite_indices([r for _, r in batch], self.elite_frac)
         elite = [batch[i][0] for i in chosen]
         for k, dist in enumerate(self.dists):
-            dist.refit(np.array([act.values[k] for act in elite], dtype=float), self.smoothing)
+            dist.refit(np.array([act[k] for act in elite], dtype=float), self.smoothing)
         self._buffer = []
-        self._refits += 1
+        self.refits += 1
 
     def snapshot(self):
         return {
@@ -305,7 +302,7 @@ class CemAgent(Agent):
             "elite_frac": self.elite_frac,
             "smoothing": self.smoothing,
             "prob_floor": self.prob_floor,
-            "refits": self._refits,
+            "refits": self.refits,
             "buffered": len(self._buffer),
             "knobs": [
                 {"name": knob.name, "kind": knob.kind, **dist.snapshot()}

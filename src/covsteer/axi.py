@@ -151,7 +151,7 @@ class TraceViolation:
 
 def decode_action(action: Action, config: AxiConfig) -> tuple[int, int]:
     """Map the two chosen slave indices to an address range [a_min, a_max)."""
-    lo_choice, hi_choice = (int(v) for v in action.values)
+    lo_choice, hi_choice = (int(v) for v in action)
     lo = min(lo_choice, hi_choice)
     hi = max(lo_choice, hi_choice)
     return lo * config.region_size, (hi + 1) * config.region_size

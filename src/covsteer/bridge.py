@@ -83,7 +83,7 @@ REPLY_HOLD_S = 0.05
 @dataclass(frozen=True)
 class Episode:
     seed: int
-    action: tuple[float, ...]
+    action: Action
 
 
 @dataclass(frozen=True)
@@ -264,7 +264,7 @@ def _answer(env: Environment, line: bytes) -> BridgeMessage:
     try:
         msg = decode(line)
         if isinstance(msg, Episode):
-            return Counts(env.step(Action(msg.action), msg.seed).counts)
+            return Counts(env.step(msg.action, msg.seed).counts)
         return Error("protocol", f"unexpected message type {type(msg).__name__}")
     except BridgeDecodeError as exc:
         return Error("decode", str(exc))
@@ -387,10 +387,10 @@ class DutProxy(DutModel):
     def hint(self, action: Action, seed: int) -> None:
         if len(self._in_flight) >= self.lookahead:
             raise BridgeProtocolError(f"more than {self.lookahead} requests in flight")
-        self._queue(Episode(int(seed), tuple(action.values)))
+        self._queue(Episode(int(seed), tuple(action)))
 
     def step(self, action: Action, seed: int) -> tuple[int, ...]:
-        request = Episode(int(seed), tuple(action.values))
+        request = Episode(int(seed), tuple(action))
         if not self._in_flight:
             self._queue(request)
         if self._in_flight.popleft() != request:

@@ -70,7 +70,7 @@ class _SeedBlock(NamedTuple):
     campaign_seed: int
     first: int
     seeds: list[int]  # episode_seed(campaign_seed, first + j)
-    rows: dict[int, int]  # seed -> its row of ``states``, for every seed >= 2**32
+    rows: dict[int, int]  # seed -> its row of ``states``
     states: np.ndarray  # (_SEED_BLOCK, 4) uint64: SeedSequence(seed).generate_state(4, np.uint64)
 
 
@@ -145,12 +145,11 @@ def _seed_block(campaign_seed: int, first: int) -> _SeedBlock:
     lows = np.arange(low, low + _SEED_BLOCK, dtype=np.uint32)
     entropy = [*_uint32_words(campaign_seed), _EPISODE_TAG, lows, *high]
     seeds = _generate_state(entropy, _SEED_BLOCK, 1)[0]
-    # A seed below 2**32 is one word of entropy, not two; stimulus_rng derives its stream itself.
     lo = (seeds & np.uint64(_MASK32)).astype(np.uint32)
     hi = (seeds >> np.uint64(32)).astype(np.uint32)
     states = np.ascontiguousarray(_generate_state([lo, hi], _SEED_BLOCK, 4).T)
     seeds = seeds.tolist()
-    rows = {seed: row for row, seed in enumerate(seeds) if seed > _MASK32}
+    rows = {seed: row for row, seed in enumerate(seeds)}
     return _SeedBlock(campaign_seed, first, seeds, rows, states)
 
 

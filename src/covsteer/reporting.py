@@ -16,11 +16,12 @@ Output is data, not images.
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
-from .actionspace import CONTINUOUS, Action, ActionSpace
+from .actionspace import CONTINUOUS, ActionSpace
 from .coverage import CumulativeCoverage
 from .env import EpisodeRecord
 from .errors import ReportError
@@ -61,7 +62,7 @@ class EpisodeCsvWriter:
 
     def write(self, record: EpisodeRecord) -> None:
         row = [str(record.episode)]
-        row.extend(format_real(v) for v in record.action.values)
+        row.extend(format_real(v) for v in record.action)
         row.extend(str(int(c)) for c in record.counts)
         row.append(format_real(record.reward))
         self._fh.write(",".join(row) + "\n")
@@ -100,7 +101,9 @@ def read_episode_log(path) -> EpisodeLog:
 
     The knob and event columns are the ones the run's summary.json names.
     A last row without its line break is dropped: the writer ends every
-    row with one, so that row is an episode whose write was cut off.
+    row with one, so that row is an episode whose write was cut off. A
+    row with a wrong cell count, a negative count, or a non-finite knob
+    value or reward is refused: the campaign never writes one.
     """
     p = Path(path)
     if p.is_dir():
@@ -130,11 +133,14 @@ def read_episode_log(path) -> EpisodeLog:
     records = []
     for ln in rows:
         cells = ln.split(",")
-        if len(cells) != len(columns):
-            raise ReportError(f"malformed row in {p}: {ln!r}")
-        action = Action(tuple(map(float, cells[1 : 1 + n_knobs])))
-        counts = tuple(map(int, cells[1 + n_knobs : -1]))
-        records.append(EpisodeRecord(int(cells[0]), action, counts, float(cells[-1])))
+        if len(cells) == len(columns):
+            action = tuple(map(float, cells[1 : 1 + n_knobs]))
+            counts = tuple(map(int, cells[1 + n_knobs : -1]))
+            reward = float(cells[-1])
+            if min(counts, default=0) >= 0 and all(map(math.isfinite, (*action, reward))):
+                records.append(EpisodeRecord(int(cells[0]), action, counts, reward))
+                continue
+        raise ReportError(f"malformed row in {p}: {ln!r}")
     return EpisodeLog(str(p), knob_names, ev_names, tuple(records))
 
 
@@ -142,7 +148,7 @@ def knob_histograms(space: ActionSpace, actions) -> dict:
     """Value frequencies per knob: exact values for discrete, 10 bins for continuous."""
     hists = {}
     for k, knob in enumerate(space.knobs):
-        values = [a.values[k] for a in actions]
+        values = [a[k] for a in actions]
         if knob.kind == CONTINUOUS:
             width = (knob.hi - knob.lo) / CONTINUOUS_BINS
             los = [knob.lo + b * width for b in range(CONTINUOUS_BINS)]
@@ -219,7 +225,9 @@ def build_report(paths) -> dict:
     """Aggregate several logs of the same design into one comparison table.
 
     Ratios divide the first run's event totals by each later run's, so
-    ``report <steered> <baseline>`` reads as the improvement factor.
+    ``report <steered> <baseline>`` reads as the improvement factor. A run
+    whose rewards sum past the float range is refused, as the campaign
+    refused it.
     """
     if not paths:
         raise ReportError("report needs at least one episode log")
@@ -231,6 +239,9 @@ def build_report(paths) -> dict:
                 f"episode logs have different schemas: {first.path} vs {log.path}"
             )
     runs = [{"path": log.path, **run_totals(log.tally(), log.event_names)} for log in logs]
+    for run in runs:
+        if not math.isfinite(run["total_reward"]):
+            raise ReportError(f"total reward of {run['path']} is not finite")
     ratios = []
     for run in runs[1:]:
         entry = {}

@@ -117,7 +117,7 @@ def decode_action(action: Action, rng: np.random.Generator) -> tuple[RleConfig, 
     Each word is 0 with probability zero_prob, otherwise uniform on
     [1, 255]; the words are one byte each.
     """
-    zero_prob, count_width, seq_length = action.values
+    zero_prob, count_width, seq_length = action
     n = int(seq_length)
     zero_mask = rng.random(n) < zero_prob
     words = rng.integers(1, MAX_WORD + 1, size=n)

@@ -9,7 +9,7 @@ from itertools import islice
 import hypothesis
 from hypothesis import strategies as st
 
-from covsteer.actionspace import Action, ActionSpace, KnobSpec
+from covsteer.actionspace import ActionSpace, KnobSpec
 from covsteer.bridge import (
     PROTOCOL_VERSION,
     Counts,
@@ -196,7 +196,7 @@ def tcp_server(serve=partial(serve_tcp, RleDut, max_sessions=1)):
 
 def step_reply(i, dut, request):
     """The design's own reply: the counts of the request's episode."""
-    return dut.step(Action(request.action), request.seed)
+    return dut.step(request.action, request.seed)
 
 
 def scripted_server(reply=step_reply, requests=None, nodelay=False, events=None):

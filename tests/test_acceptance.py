@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from covsteer.actionspace import Action, sample_uniform
+from covsteer.actionspace import sample_uniform
 from covsteer.agents import CemAgent, RandomAgent
 from covsteer.axi import ACTION_SPACE as AXI_SPACE
 from covsteer.axi import AxiConfig, AxiDut, golden_check, simulate_step
@@ -108,7 +108,7 @@ def test_criterion_2_rle_action_concentration(check, rle_campaigns):
     fractions = []
     for seed in SEED_PAIRS:
         tail = runs[("cem", seed)][500:]
-        hits = sum(1 for r in tail if int(r.action.values[1]) in NON_DIVISORS)
+        hits = sum(1 for r in tail if int(r.action[1]) in NON_DIVISORS)
         fractions.append(hits / len(tail))
     med = median(fractions)
     check(
@@ -163,7 +163,7 @@ def test_criterion_5_axi_targeting(check, axi_campaigns):
         tail = runs[("cem", seed)][500:]
         good = 0
         for r in tail:
-            lo, hi = sorted(int(v) for v in r.action.values)
+            lo, hi = sorted(int(v) for v in r.action)
             if lo <= 4 <= hi and hi - lo + 1 <= 3:
                 good += 1
         fractions.append(good / len(tail))
@@ -215,7 +215,7 @@ def test_criterion_7_scoreboard_cleanliness(check):
     axi_violations = 0
     for _ in range(10_000):
         action = sample_uniform(AXI_SPACE, rng)
-        lo, hi = sorted(int(v) for v in action.values)
+        lo, hi = sorted(int(v) for v in action)
         addr_range = (lo * axi_config.region_size, (hi + 1) * axi_config.region_size)
         counts, trace = simulate_step(axi_config, addr_range, rng)
         axi_violations += len(golden_check(trace, counts, axi_config))
@@ -307,7 +307,7 @@ def test_criterion_9_cem_bandit_sanity(check):
         reached = False
         while agent.refits < 20 and not reached:
             action = agent.propose(rng)
-            agent.observe(action, 1.0 if action.values[0] == target else 0.0)
+            agent.observe(action, 1.0 if action[0] == target else 0.0)
             if not agent._buffer and agent.dists[0].probs[target_idx] > 0.9:
                 reached = True
         if reached:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from covsteer.actionspace import Action, ActionSpace, KnobSpec, sample_uniform, validate
+from covsteer.actionspace import ActionSpace, KnobSpec, sample_uniform, validate
 from covsteer.rle import ACTION_SPACE as RLE_SPACE
 
 from conftest import action_spaces
@@ -56,30 +56,30 @@ class TestActionSpace:
 
 class TestValidate:
     def test_valid_action(self):
-        assert validate(RLE_SPACE, Action((0.4, 6, 300))) == []
+        assert validate(RLE_SPACE, (0.4, 6, 300)) == []
 
     def test_continuous_bound_violation(self):
-        violations = validate(RLE_SPACE, Action((1.5, 6, 300)))
+        violations = validate(RLE_SPACE, (1.5, 6, 300))
         assert len(violations) == 1
         assert violations[0].knob == 0
 
     def test_discrete_membership_violation(self):
-        violations = validate(RLE_SPACE, Action((0.4, 9, 300)))
+        violations = validate(RLE_SPACE, (0.4, 9, 300))
         assert len(violations) == 1
         assert violations[0].knob == 1
 
     def test_length_mismatch_is_its_own_violation(self):
-        violations = validate(RLE_SPACE, Action((0.4, 6)))
+        violations = validate(RLE_SPACE, (0.4, 6))
         assert len(violations) == 1
         assert violations[0].knob is None
         assert "3 knobs" in violations[0].message
 
     def test_multiple_violations_reported(self):
-        violations = validate(RLE_SPACE, Action((-0.1, 9, 300)))
+        violations = validate(RLE_SPACE, (-0.1, 9, 300))
         assert [v.knob for v in violations] == [0, 1]
 
     def test_pure_function(self):
-        action = Action((2.0, 6, 300))
+        action = (2.0, 6, 300)
         first = validate(RLE_SPACE, action)
         second = validate(RLE_SPACE, action)
         assert first == second
@@ -89,7 +89,7 @@ class TestSampleUniform:
     def test_singleton_discrete_always_its_value(self):
         space = ActionSpace(knobs=(KnobSpec.discrete("only", [5]),))
         rng = np.random.default_rng(0)
-        assert all(sample_uniform(space, rng).values == (5.0,) for _ in range(20))
+        assert all(sample_uniform(space, rng) == (5.0,) for _ in range(20))
 
     def test_seed_determinism(self):
         a = sample_uniform(RLE_SPACE, np.random.default_rng(42))
@@ -101,7 +101,7 @@ class TestSampleUniform:
         # binomial stddev ~0.0033, so [0.10, 0.15] is a ~7.5 sigma band.
         space = ActionSpace(knobs=(KnobSpec.discrete("w", range(1, 9)),))
         rng = np.random.default_rng(1234)
-        draws = [sample_uniform(space, rng).values[0] for _ in range(10_000)]
+        draws = [sample_uniform(space, rng)[0] for _ in range(10_000)]
         for v in range(1, 9):
             freq = draws.count(float(v)) / 10_000
             assert 0.10 <= freq <= 0.15, (v, freq)

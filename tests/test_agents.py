@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from covsteer.actionspace import CONTINUOUS, Action, ActionSpace, KnobSpec, validate
+from covsteer.actionspace import CONTINUOUS, ActionSpace, KnobSpec, validate
 from covsteer.agents import (
     CemAgent,
     RandomAgent,
@@ -133,7 +133,7 @@ class TestCemPropose:
         agent.dists[0].refit(np.array([1.0]), 1.0)
         assert agent.dists[0].probs[0] == pytest.approx(1 - 7 * 0.01)
         rng = np.random.default_rng(2)
-        draws = [agent.propose(rng).values[0] for _ in range(10_000)]
+        draws = [agent.propose(rng)[0] for _ in range(10_000)]
         freq = draws.count(1.0) / 10_000
         # Binomial stddev at p=0.93 over 10k draws is ~0.0026; 0.92 is >3.8
         # sigma below the mean.
@@ -145,7 +145,7 @@ class TestCemPropose:
         dist.mu = 0.5
         dist.sigma = dist.sigma_min  # 0.05
         rng = np.random.default_rng(3)
-        draws = np.array([agent.propose(rng).values[0] for _ in range(10_000)])
+        draws = np.array([agent.propose(rng)[0] for _ in range(10_000)])
         assert draws.std() <= 2 * dist.sigma_min
         assert abs(draws.mean() - 0.5) < 0.01
 
@@ -161,7 +161,7 @@ class TestCemPropose:
         agent = CemAgent(space)
         rng = np.random.default_rng(4)
         for _ in range(2_000):
-            v = agent.propose(rng).values[0]
+            v = agent.propose(rng)[0]
             assert -2.0 <= v <= 3.0
 
 
@@ -177,7 +177,7 @@ def reference_propose(agent, rng):
                     break
         else:
             vals.append(knob.values[int(rng.choice(len(knob.values), p=dist.probs))])
-    return Action(tuple(vals))
+    return tuple(vals)
 
 
 class TestCategoricalDraw:
@@ -207,7 +207,7 @@ class TestCategoricalDraw:
         for _ in range(300):
             action = agent.propose(ours)
             assert action == reference_propose(agent, ref)
-            agent.observe(action, action.values[1] * action.values[2])
+            agent.observe(action, action[1] * action[2])
         assert agent.refits == 30
 
 
@@ -231,8 +231,8 @@ class TestCemObserve:
                          sigma_min_frac=0.01)
         dist = agent.dists[0]
         dist.sigma_min = 0.1
-        agent.observe(Action((2.0,)), 1.0)
-        agent.observe(Action((4.0,)), 0.0)
+        agent.observe((2.0,), 1.0)
+        agent.observe((4.0,), 0.0)
         assert agent.refits == 1
         assert dist.mu == pytest.approx(3.0)
         assert dist.sigma == pytest.approx(1.0)
@@ -320,7 +320,7 @@ class TestCemObserve:
         rng = np.random.default_rng(0)
         for _ in range(50):
             action = agent.propose(rng)
-            assert -1e150 <= action.values[0] <= 1e150
+            assert -1e150 <= action[0] <= 1e150
             agent.observe(action, float(rng.random()))
         knob = agent.snapshot()["knobs"][0]
         assert np.isfinite([knob["mu"], knob["sigma"]]).all()
@@ -328,7 +328,7 @@ class TestCemObserve:
     def test_widest_stddev_floor_still_proposes(self):
         agent = CemAgent(UNIT, sigma_min_frac=0.5)
         rng = np.random.default_rng(0)
-        assert all(0.0 <= agent.propose(rng).values[0] <= 1.0 for _ in range(100))
+        assert all(0.0 <= agent.propose(rng)[0] <= 1.0 for _ in range(100))
 
 
 class BanditEnv:
@@ -338,7 +338,7 @@ class BanditEnv:
         self.target = float(target)
 
     def reward(self, action):
-        return 1.0 if action.values[0] == self.target else 0.0
+        return 1.0 if action[0] == self.target else 0.0
 
 
 def run_bandit(seed, target=6.0, refit_limit=20):
@@ -390,8 +390,8 @@ def pinned_digests():
     proposals, snapshots = hashlib.sha256(), hashlib.sha256()
     for _ in range(300):
         action = agent.propose(rng)
-        proposals.update(struct.pack("3d", *action.values))
-        x, w, v = action.values
+        proposals.update(struct.pack("3d", *action))
+        x, w, v = action
         agent.observe(action, float(noise.normal()) + x + 2.0 * (w == 6) + (v == 7.5))
         if agent.observes_until_update() == agent.batch_size:
             snapshots.update(json.dumps(agent.snapshot(), sort_keys=True).encode())

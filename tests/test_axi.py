@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covsteer.actionspace import Action
 from covsteer.axi import (
     ACTION_SPACE,
     EVENT_NAMES,
@@ -27,7 +26,7 @@ CFG = AxiConfig()
 
 def run_episode(action, seed, config=CFG):
     """One episode's simulation: the counts and trace AxiDut.step checks."""
-    addr_range = decode_action(Action(action), config)
+    addr_range = decode_action(action, config)
     return simulate_step(config, addr_range, np.random.default_rng(seed))
 
 
@@ -97,13 +96,13 @@ PINNED_TRACES = [
 
 class TestDecode:
     def test_reversed_choices_normalize(self):
-        assert decode_action(Action((7, 3)), CFG) == (0x3000, 0x8000)
+        assert decode_action((7, 3), CFG) == (0x3000, 0x8000)
 
     def test_degenerate_range(self):
-        assert decode_action(Action((4, 4)), CFG) == (0x4000, 0x5000)
+        assert decode_action((4, 4), CFG) == (0x4000, 0x5000)
 
     def test_extremes_cover_full_map(self):
-        assert decode_action(Action((0, 9)), CFG) == (0x0000, 0xA000)
+        assert decode_action((0, 9), CFG) == (0x0000, 0xA000)
 
     def test_address_decoding(self):
         for addr, slave in ((0x4800, 4), (0x0, 0), (0x9FFF, 9), (0x1000, 1), (0x0FFF, 0)):
@@ -120,8 +119,8 @@ class TestDecode:
         assert routed_to(0, cfg) == 0 and routed_to(10 * cfg.region_size - 1, cfg) == 9
         dut = AxiDut(cfg)
         for seed in range(5):
-            dut.step(Action((0, 9)), seed)
-            dut.step(Action((9, 9)), seed)
+            dut.step((0, 9), seed)
+            dut.step((9, 9), seed)
 
 
 class TestSimulation:
@@ -195,7 +194,7 @@ class TestSimulation:
     def test_dut_step_reports_the_simulated_counts_every_episode(self):
         dut = AxiDut()
         for _ in range(2):  # no state carries over between episodes
-            counts = dut.step(Action((4, 5)), 3)
+            counts = dut.step((4, 5), 3)
             assert counts == run_episode((4, 5), seed=3)[0]
 
 
@@ -359,7 +358,7 @@ class TestAxiDut:
         monkeypatch.setattr(axi_mod, "simulate_step", corrupted)
         dut = AxiDut()
         with pytest.raises(ScoreboardError, match="fifo_order"):
-            dut.step(Action((4, 4)), 0)
+            dut.step((4, 4), 0)
 
     def test_scoreboard_catches_miscounted_full_cycles(self, monkeypatch):
         import covsteer.axi as axi_mod
@@ -374,7 +373,7 @@ class TestAxiDut:
         dut = AxiDut()
         rng = np.random.default_rng(29)
         for _ in range(50):
-            action = Action(tuple(int(v) for v in rng.integers(0, 10, size=2)))
+            action = tuple(int(v) for v in rng.integers(0, 10, size=2))
             with pytest.raises(ScoreboardError, match="full_counts"):
                 dut.step(action, int(rng.integers(1 << 30)))
 
@@ -390,7 +389,7 @@ class TestAxiDut:
         dut = AxiDut()
         rng = np.random.default_rng(23)
         for _ in range(50):
-            action = Action(tuple(int(v) for v in rng.integers(0, 10, size=2)))
+            action = tuple(int(v) for v in rng.integers(0, 10, size=2))
             with pytest.raises(ScoreboardError, match="routing"):
                 dut.step(action, int(rng.integers(1 << 30)))
 
@@ -427,7 +426,7 @@ class TestAxiDut:
 
         exec_mutant(monkeypatch, axi_mod, "simulate_step", line, mutation)
         with pytest.raises(ScoreboardError, match=kinds):
-            AxiDut().step(Action(action), 0)
+            AxiDut().step(action, 0)
 
     def test_config_is_pinned_to_paper_instance(self):
         with pytest.raises(TypeError):

@@ -17,7 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from covsteer import bridge
-from covsteer.actionspace import Action, ActionSpace, KnobSpec, sample_uniform
+from covsteer.actionspace import ActionSpace, KnobSpec, sample_uniform
 from covsteer.agents import CemAgent, RandomAgent
 from covsteer.bridge import (
     MAX_LINE_BYTES,
@@ -331,7 +331,7 @@ class TestServeSession:
     def test_bridged_step_matches_in_process(self, session):
         seed = 123
         reply = session.request(Episode(seed, ACTION))
-        assert reply == Counts(RleDut().step(Action(ACTION), seed))
+        assert reply == Counts(RleDut().step(ACTION, seed))
 
     def test_garbage_line_then_normal_continuation(self, session):
         session.send_raw(b"garbage not json\n")
@@ -376,12 +376,12 @@ class TestServeSession:
             assert isinstance(fault, Error) and fault.code == "dut_fault"
             reply = s.request(fault)
             assert isinstance(reply, Error) and reply.code == "protocol"
-            assert s.request(Episode(4, ACTION)) == Counts(RleDut().step(Action(ACTION), 4))
+            assert s.request(Episode(4, ACTION)) == Counts(RleDut().step(ACTION, 4))
 
     def test_retry_after_dut_fault_replays_the_episode(self):
         with dut_session(StreamThenFault) as s:
             assert s.request(Episode(4, ACTION)).code == "dut_fault"
-            expected = Counts(RleDut().step(Action(ACTION), 4))
+            expected = Counts(RleDut().step(ACTION, 4))
             # the retry, and a repeat after it, reproduce a fresh episode
             assert s.request(Episode(4, ACTION)) == expected
             assert s.request(Episode(4, ACTION)) == expected
@@ -397,9 +397,9 @@ class TestServeSession:
             + encode(Episode(3, ACTION))
         )
         replies = [session.read() for _ in range(5)]
-        assert replies[0] == Counts(RleDut().step(Action(ACTION), 1))
+        assert replies[0] == Counts(RleDut().step(ACTION, 1))
         assert [r.code for r in replies[1:4]] == ["decode", "invalid_action", "protocol"]
-        assert replies[4] == Counts(RleDut().step(Action(ACTION), 3))
+        assert replies[4] == Counts(RleDut().step(ACTION, 3))
 
     @pytest.mark.parametrize("line", HOSTILE_LINES, ids=HOSTILE_IDS)
     def test_hostile_line_then_normal_episode(self, session, line):
@@ -458,12 +458,12 @@ class TestBursts:
     def test_lone_request_is_answered_before_the_next_arrives(self, session):
         # The serving side flushes before it blocks on its next read.
         session.send_raw(encode(Episode(7, ACTION)))
-        assert session.read() == Counts(RleDut().step(Action(ACTION), 7))
+        assert session.read() == Counts(RleDut().step(ACTION, 7))
 
     def test_last_line_without_newline_is_answered_at_eof(self, session):
         session.send_raw(encode(Episode(7, ACTION))[:-1])
         session.sock.shutdown(socket.SHUT_WR)
-        assert session.read() == Counts(RleDut().step(Action(ACTION), 7))
+        assert session.read() == Counts(RleDut().step(ACTION, 7))
         assert session.rfile.readline() == b""
 
     def test_over_long_line_in_a_burst_ends_the_session_after_the_replies_before_it(
@@ -476,7 +476,7 @@ class TestBursts:
             + encode(Episode(4, ACTION))
         )
         replies = [session.read() for _ in range(4)]
-        assert replies[:3] == [Counts(RleDut().step(Action(ACTION), r.seed)) for r in requests]
+        assert replies[:3] == [Counts(RleDut().step(ACTION, r.seed)) for r in requests]
         assert isinstance(replies[3], Error) and replies[3].code == "decode"
         assert "longer than" in replies[3].detail
         assert read_until_closed(session) == b""
@@ -554,7 +554,7 @@ class TestProxy:
     def test_remote_error_raises(self):
         with proxy_session() as proxy:
             with pytest.raises(RemoteDutError) as exc:
-                proxy.step(Action((9.0, 6.0, 300.0)), 0)
+                proxy.step((9.0, 6.0, 300.0), 0)
             assert exc.value.code == "invalid_action"
 
     def test_server_close_mid_session_is_transport_error(self):
@@ -566,7 +566,7 @@ class TestProxy:
 
         with proxy_session(serve_then_die) as proxy:
             with pytest.raises(TransportError):
-                proxy.step(Action(ACTION), 0)
+                proxy.step(ACTION, 0)
 
     def test_version_gate(self):
         # v1 sent observations; v2 split each episode into a reset and a step
@@ -617,7 +617,7 @@ class TestProxy:
 
         with proxy_session(hello_twice) as proxy:
             with pytest.raises(BridgeProtocolError, match="expected Counts"):
-                proxy.step(Action(ACTION), 0)
+                proxy.step(ACTION, 0)
 
     def test_reset_before_hello_is_transport_error(self):
         class ResetStream:
@@ -655,7 +655,7 @@ class ScriptedServer:
         for line in data.splitlines(keepends=True):
             msg = decode(line)
             self.requests.append((msg, self.read))
-            self.lines.append(encode(Counts(self.dut.step(Action(msg.action), msg.seed))))
+            self.lines.append(encode(Counts(self.dut.step(msg.action, msg.seed))))
             self.most_unanswered = max(self.most_unanswered, len(self.requests) - self.read)
         return len(data)
 
@@ -676,7 +676,7 @@ class WideDut(DutModel):
     SPACE = ActionSpace(tuple(KnobSpec.continuous(f"k{i}", -1e6, 1e6) for i in range(200)))
 
     def step(self, action, seed):
-        return (int(sum(action.values) > 0), seed % 7)
+        return (int(sum(action) > 0), seed % 7)
 
     def event_names(self):
         return ("positive", "seed_mod_7")
@@ -728,7 +728,7 @@ class TestPipelining:
             def propose(self, rng):
                 action = super().propose(rng)
                 self.proposed += 1
-                return Action((9.0,) + action.values[1:]) if self.proposed == 6 else action
+                return (9.0,) + action[1:] if self.proposed == 6 else action
 
         server = ScriptedServer(RleDut())
         proxy = connect_dut(server, server)
@@ -742,20 +742,20 @@ class TestPipelining:
     def test_step_must_match_the_oldest_request_in_flight(self):
         server = ScriptedServer(RleDut())
         proxy = connect_dut(server, server)
-        proxy.hint(Action(ACTION), 1)
+        proxy.hint(ACTION, 1)
         with pytest.raises(BridgeProtocolError, match="oldest"):
-            proxy.step(Action(ACTION), 2)
+            proxy.step(ACTION, 2)
 
     def test_hint_beyond_the_window_is_refused(self):
         server = ScriptedServer(RleDut())
         proxy = connect_dut(server, server)
         assert proxy.lookahead == WINDOW
         for seed in range(WINDOW):
-            proxy.hint(Action(ACTION), seed)
+            proxy.hint(ACTION, seed)
         with pytest.raises(BridgeProtocolError, match="in flight"):
-            proxy.hint(Action(ACTION), WINDOW)
+            proxy.hint(ACTION, WINDOW)
         assert len(server.requests) == WINDOW
-        assert proxy.step(Action(ACTION), 0) == RleDut().step(Action(ACTION), 0)
+        assert proxy.step(ACTION, 0) == RleDut().step(ACTION, 0)
 
     def test_replies_sent_before_the_server_left_are_still_read(self):
         # The serving side answers two requests and closes before the
@@ -766,15 +766,15 @@ class TestPipelining:
         with server, server.makefile("wb") as wfile:
             wfile.write(encode(Hello(PROTOCOL_VERSION, dut.action_space(), dut.event_names())))
             for seed in (1, 2):
-                wfile.write(encode(Counts(dut.step(Action(ACTION), seed))))
+                wfile.write(encode(Counts(dut.step(ACTION, seed))))
         proxy = connect_dut(client.makefile("rb"), client.makefile("wb"), sock=client)
         try:
             for seed in (1, 2, 3):
-                proxy.hint(Action(ACTION), seed)
+                proxy.hint(ACTION, seed)
             for seed in (1, 2):
-                assert proxy.step(Action(ACTION), seed) == dut.step(Action(ACTION), seed)
+                assert proxy.step(ACTION, seed) == dut.step(ACTION, seed)
             with pytest.raises(TransportError):
-                proxy.step(Action(ACTION), 3)
+                proxy.step(ACTION, 3)
         finally:
             proxy.close()
 
@@ -782,7 +782,7 @@ class TestPipelining:
 @given(action_spaces(), st.integers(0, 2**64 - 1), st.integers(0, 2**32 - 1))
 def test_longest_request_bounds_every_valid_request(space, seed, draw_seed):
     ends = [k.values[-1] if k.values else k.lo for k in space.knobs]
-    actions = [sample_uniform(space, np.random.default_rng(draw_seed)).values, tuple(ends)]
+    actions = [sample_uniform(space, np.random.default_rng(draw_seed)), tuple(ends)]
     for values in actions:
         assert len(encode(Episode(seed, values))) <= longest_request(space)
 
@@ -883,7 +883,7 @@ class TestTcp:
             else:
                 with closing(connect_tcp("127.0.0.1", server.port, timeout=2)) as proxy:
                     with pytest.raises(BridgeDecodeError, match=f"Counts line {bound}"):
-                        proxy.step(Action(ACTION), 0)
+                        proxy.step(ACTION, 0)
 
     def test_connect_refused(self):
         with pytest.raises(TransportError):
@@ -902,9 +902,9 @@ class TestTcp:
                 with pytest.raises(RemoteDutError, match="busy"):
                     connect_tcp("127.0.0.1", port, timeout=10)
                 # Both admitted sessions still serve episodes.
-                local = RleDut().step(Action(ACTION), 3)
-                assert first.step(Action(ACTION), 3) == local
-                assert second.step(Action(ACTION), 3) == local
+                local = RleDut().step(ACTION, 3)
+                assert first.step(ACTION, 3) == local
+                assert second.step(ACTION, 3) == local
                 # Once a session ends its slot is free again; the refused
                 # connection did not count towards max_sessions.
                 first.close()
@@ -916,7 +916,7 @@ class TestTcp:
                     except RemoteDutError:
                         assert time.monotonic() < deadline
                         time.sleep(0.01)
-                assert proxies[-1].step(Action(ACTION), 3) == local
+                assert proxies[-1].step(ACTION, 3) == local
             finally:
                 for proxy in proxies:
                     proxy.close()
@@ -926,13 +926,13 @@ class TestTcp:
             first = connect_tcp("127.0.0.1", server.port, timeout=10)
             second = connect_tcp("127.0.0.1", server.port, timeout=10)
             try:
-                local = RleDut().step(Action(ACTION), 3)
-                assert first.step(Action(ACTION), 3) == local
+                local = RleDut().step(ACTION, 3)
+                assert first.step(ACTION, 3) == local
                 first.close()
                 # Both sessions were admitted, but the second still serves.
                 server.thread.join(timeout=0.5)
                 assert server.thread.is_alive()
-                assert second.step(Action(ACTION), 3) == local
+                assert second.step(ACTION, 3) == local
             finally:
                 first.close()
                 second.close()
@@ -942,8 +942,8 @@ class TestTcp:
 
         monkeypatch.setattr(bridge, "SESSION_IDLE_TIMEOUT_S", 0.2)
         with tcp_server() as server, closing(connect_tcp("127.0.0.1", server.port, timeout=10)) as proxy:
-            assert proxy.step(Action(ACTION), 3) == RleDut().step(Action(ACTION), 3)
+            assert proxy.step(ACTION, 3) == RleDut().step(ACTION, 3)
             # The server closes the silent session, which ends serve_tcp.
             server.join()
             with pytest.raises(TransportError):
-                proxy.step(Action(ACTION), 3)
+                proxy.step(ACTION, 3)

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 import covsteer
-from covsteer.actionspace import Action
 from covsteer.bridge import connect_dut, serve_tcp
 from covsteer.cli import _build_parser, cmd_report, cmd_run, main, make_agent, make_dut
 from covsteer.config import AGENT_KINDS, DESIGNS, build_config
@@ -235,6 +234,18 @@ class TestMainEntry:
         captured = capsys.readouterr()
         assert "e3_partial_count" in captured.out
 
+    def test_report_of_a_poisoned_log_exits_nonzero(self, tmp_path, capsys):
+        out_dir = cmd_run(build_config(rle_config(episodes=3)), tmp_path / "out")
+        log = out_dir / "episodes.csv"
+        header, first, *rest = log.read_text().splitlines(keepends=True)
+        cells = first.rstrip("\n").split(",")
+        cells[-2], cells[-1] = "-7", "nan"
+        log.write_text("".join([header, ",".join(cells) + "\n", *rest]))
+        report_path = tmp_path / "rep.json"
+        assert main(["report", str(out_dir), "--out", str(report_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: malformed row")
+        assert not report_path.exists()
+
     def test_flag_overrides_apply(self, tmp_path):
         cfg_path = write_config(tmp_path, rle_config(episodes=50, agent="cem"))
         out_dir = tmp_path / "out"
@@ -410,7 +421,7 @@ class TestServeStdio:
         )
         try:
             proxy = connect_dut(proc.stdout, proc.stdin)
-            seed, action = 42, Action((0.4, 6.0, 300.0))
+            seed, action = 42, (0.4, 6.0, 300.0)
             assert proxy.step(action, seed) == RleDut().step(action, seed)
         finally:
             proc.stdin.close()
@@ -435,7 +446,7 @@ class TestServeTcpCli:
             proxy = connect_tcp("127.0.0.1", port, timeout=10)
             try:
                 assert proxy.event_names()[4] == "fifo_full_slave_4"
-                counts = proxy.step(Action((4.0, 4.0)), 1)
+                counts = proxy.step((4.0, 4.0), 1)
                 assert counts[4] == 65
             finally:
                 proxy.close()

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from covsteer.actionspace import Action, ActionSpace, KnobSpec
+from covsteer.actionspace import ActionSpace, KnobSpec
 from covsteer.agents import CemAgent, RandomAgent
 from covsteer.coverage import compute_reward
 from covsteer.env import DutModel, Environment, episode_seed, run_campaign, stimulus_rng
@@ -25,47 +25,47 @@ class TestReset:
 class TestStep:
     def test_reward_equals_selected_count(self):
         env = rle_env({"e3_partial_count": 1.0})
-        result = env.step(Action((0.4, 6, 300)), seed=5)
+        result = env.step((0.4, 6, 300), seed=5)
         assert result.reward == result.counts[3]
 
     def test_zero_multipliers_zero_reward(self):
         env = rle_env()
-        result = env.step(Action((0.9, 6, 1000)), seed=5)
+        result = env.step((0.9, 6, 1000), seed=5)
         assert result.reward == 0.0
         assert sum(result.counts) > 0
 
     def test_reward_consistent_with_counts(self):
         env = rle_env({"e0_word_full": 2.0, "e2_counter_mid": -0.5})
-        result = env.step(Action((0.5, 4, 500)), seed=8)
+        result = env.step((0.5, 4, 500), seed=8)
         assert result.reward == compute_reward(result.counts, env.events)
 
     def test_replay_identical(self):
         results = []
         for _ in range(2):
             env = rle_env({"e3_partial_count": 1.0})
-            results.append(env.step(Action((0.4, 6, 300)), seed=77))
+            results.append(env.step((0.4, 6, 300), seed=77))
         assert results[0] == results[1]
 
     def test_step_after_done(self):
         # an episode is a function of its seed and action: a second step replays it
         env = rle_env({"e3_partial_count": 1.0})
-        first = env.step(Action((0.4, 6, 300)), seed=0)
-        assert env.step(Action((0.4, 6, 300)), seed=0) == first
+        first = env.step((0.4, 6, 300), seed=0)
+        assert env.step((0.4, 6, 300), seed=0) == first
 
     def test_invalid_action_leaves_episode_usable(self):
         env = rle_env()
         with pytest.raises(InvalidActionError):
-            env.step(Action((1.5, 6, 300)), seed=0)
+            env.step((1.5, 6, 300), seed=0)
         fresh = rle_env()
-        assert env.step(Action((0.4, 6, 300)), 0) == fresh.step(Action((0.4, 6, 300)), 0)
+        assert env.step((0.4, 6, 300), 0) == fresh.step((0.4, 6, 300), 0)
 
     def test_retried_step_after_fault_replays_the_episode(self):
         env = Environment(StreamThenFault())
         with pytest.raises(RuntimeError, match="transient fault"):
-            env.step(Action((0.4, 6, 300)), seed=4)
+            env.step((0.4, 6, 300), seed=4)
         # the faulted step drew from its own stream; the retry builds a fresh one
         fresh = rle_env()
-        assert env.step(Action((0.4, 6, 300)), 4) == fresh.step(Action((0.4, 6, 300)), 4)
+        assert env.step((0.4, 6, 300), 4) == fresh.step((0.4, 6, 300), 4)
 
     def test_design_that_never_draws_gets_no_stream_and_no_reset(self, monkeypatch):
         import covsteer.env as env_mod
@@ -87,7 +87,7 @@ class TestStep:
                 return ActionSpace(knobs=(KnobSpec.continuous("x", 0.0, 1.0),))
 
         env = Environment(Constant(), {"one": 2.0})
-        assert env.step(Action((0.5,)), seed=3).counts == (1, 3)
+        assert env.step((0.5,), seed=3).counts == (1, 3)
         assert built == []
 
     def test_unknown_multiplier_rejected(self):
@@ -159,7 +159,7 @@ class TestRunCampaign:
 
             def step(self, action, seed):
                 calls.append(("step", action, seed))
-                return (int(action.values[1]),)
+                return (int(action[1]),)
 
             def event_names(self):
                 return ("b",)
@@ -245,9 +245,29 @@ class TestSeeding:
         import covsteer.env as env_mod
 
         seed = episode_seed(campaign_seed, episode)
-        # A seed of two or more words is built from the block's cached words.
-        assert seed < 2**32 or any(seed in block.rows for block in env_mod._blocks)
+        # Every seed of a cached block is built from the block's words.
+        assert any(seed in block.rows for block in env_mod._blocks)
         assert same_stream(stimulus_rng(seed), np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("seed", [0, 1, 5, 2**31, 123456789, 2**32 - 1])
+    def test_block_words_of_a_one_word_seed_are_default_rng(self, monkeypatch, seed):
+        # A block seed falls below 2**32 with odds 2**-32, so one is planted:
+        # SeedSequence pads its entropy with zero words, so [seed, 0] mixes as [seed].
+        import covsteer.env as env_mod
+
+        derive = env_mod._generate_state
+
+        def plant(entropy, lanes, n_words):
+            state = derive(entropy, lanes, n_words)
+            if n_words == 1:
+                state[0, 7] = seed
+            return state
+
+        monkeypatch.setattr(env_mod, "_generate_state", plant)
+        block = env_mod._seed_block(3, 0)
+        assert block.seeds[7] == seed and block.rows[seed] == 7
+        words = env_mod._StateWords(block.states[7])
+        assert same_stream(np.random.Generator(np.random.PCG64(words)), np.random.default_rng(seed))
 
     @given(st.integers(0, 2**64 - 1) | st.integers(0, 2**32 - 1) | st.just(0))
     def test_stimulus_rng_of_an_unseen_seed_is_default_rng(self, seed):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from covsteer.actionspace import Action, ActionSpace, KnobSpec
+from covsteer.actionspace import ActionSpace, KnobSpec
 from covsteer.env import EpisodeRecord
 from covsteer.errors import ReportError
 from covsteer.reporting import (
@@ -23,7 +23,7 @@ from covsteer.reporting import (
 
 def histogram(lo, hi, values):
     space = ActionSpace(knobs=(KnobSpec.continuous("x", lo, hi),))
-    return knob_histograms(space, [Action((v,)) for v in values])["x"]["bins"]
+    return knob_histograms(space, [(v,) for v in values])["x"]["bins"]
 
 
 class TestKnobHistograms:
@@ -60,7 +60,7 @@ def write_run(out: Path, records, knob_names=("x",), event_names=("a", "b", "c")
 
 
 def records_of(*counts):
-    return [EpisodeRecord(i, Action((0.5,)), c, float(sum(c))) for i, c in enumerate(counts)]
+    return [EpisodeRecord(i, (0.5,), c, float(sum(c))) for i, c in enumerate(counts)]
 
 
 EXTREME_REALS = [5e-324, 1.7976931348623157e308, -1.7976931348623157e308, -0.0]
@@ -73,7 +73,7 @@ def logged_campaigns(draw):
     record = st.builds(
         EpisodeRecord,
         st.integers(0, 2**63),
-        st.lists(reals, min_size=n_knobs, max_size=n_knobs).map(lambda v: Action(tuple(v))),
+        st.lists(reals, min_size=n_knobs, max_size=n_knobs).map(tuple),
         st.lists(st.integers(0, 2**64), min_size=n_events, max_size=n_events).map(tuple),
         reals,
     )
@@ -118,15 +118,21 @@ class TestReport:
     def test_total_reward_added_left_to_right(self, tmp_path):
         # math.fsum, and sum() from Python 3.12 on, would give 1.0.
         rewards = (1e16, 1.0, -1e16)
-        records = [EpisodeRecord(i, Action((0.5,)), (0, 0, 0), r) for i, r in enumerate(rewards)]
+        records = [EpisodeRecord(i, (0.5,), (0, 0, 0), r) for i, r in enumerate(rewards)]
         (run,) = build_report([write_run(tmp_path / "run", records)])["runs"]
         assert run["total_reward"] == 0.0
+
+    def test_total_reward_beyond_the_float_range_refused(self, tmp_path):
+        records = [EpisodeRecord(i, (0.5,), (0, 0, 0), 1e308) for i in range(2)]
+        out = write_run(tmp_path / "run", records)
+        with pytest.raises(ReportError, match="total reward of .* is not finite"):
+            build_report([out])
 
     def test_wide_cells_stay_apart(self, tmp_path):
         rewards = [6134.400000000001, 11722.799999999999, 1e308]
         counts = [(2**64, 0, 7), (0, 12345678901234567, 7), (1, 1, 7)]
         runs = [
-            write_run(tmp_path / f"run{j}", [EpisodeRecord(0, Action((0.5,)), c, r)])
+            write_run(tmp_path / f"run{j}", [EpisodeRecord(0, (0.5,), c, r)])
             for j, (c, r) in enumerate(zip(counts, rewards))
         ]
         lines = render_report_text(build_report(runs)).splitlines()
@@ -169,4 +175,19 @@ class TestReadEpisodeLogRefusals:
         lines[2] = "1,0.5,2,0,2.0\n"
         (out / "episodes.csv").write_text("".join(lines))
         with pytest.raises(ReportError, match="malformed row .*'1,0.5,2,0,2.0'"):
+            read_episode_log(out)
+
+    @pytest.mark.parametrize(
+        "row",
+        ["1,0.5,2,0,0,nan", "1,0.5,2,0,0,inf", "1,0.5,2,0,0,-inf", "1,inf,2,0,0,2.0",
+         "1,nan,2,0,0,2.0", "1,0.5,-7,0,0,-7.0"],
+        ids=["nan_reward", "inf_reward", "minus_inf_reward", "inf_action", "nan_action",
+             "negative_count"],
+    )
+    def test_poisoned_row_refused(self, tmp_path, row):
+        out = write_run(tmp_path / "run", records_of((1, 0, 0), (2, 0, 0), (3, 0, 0)))
+        lines = (out / "episodes.csv").read_text().splitlines(keepends=True)
+        lines[2] = row + "\n"
+        (out / "episodes.csv").write_text("".join(lines))
+        with pytest.raises(ReportError, match=f"malformed row .*'{row}'"):
             read_episode_log(out)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covsteer.actionspace import Action, sample_uniform
+from covsteer.actionspace import sample_uniform
 from covsteer.agents import RandomAgent
 from covsteer.env import Environment, run_campaign
 from covsteer.errors import ScoreboardError
@@ -34,13 +34,13 @@ def random_sequence(rng, max_len=300):
 
 class TestDecodeAction:
     def test_zero_probability_means_all_nonzero(self):
-        config, words = decode_action(Action((0.0, 4, 100)), np.random.default_rng(0))
+        config, words = decode_action((0.0, 4, 100), np.random.default_rng(0))
         assert len(words) == 100
         assert all(1 <= w <= 255 for w in words)
         assert config == RleConfig(4)
 
     def test_probability_one_means_all_zero(self):
-        _, words = decode_action(Action((1.0, 4, 100)), np.random.default_rng(0))
+        _, words = decode_action((1.0, 4, 100), np.random.default_rng(0))
         assert words == bytes(100)
 
     def test_zero_fraction_statistics(self):
@@ -49,14 +49,14 @@ class TestDecodeAction:
         # estimates p within +/-0.01.
         fractions = []
         for seed in range(10_000):
-            _, words = decode_action(Action((0.4, 6, 300)), np.random.default_rng(seed))
+            _, words = decode_action((0.4, 6, 300), np.random.default_rng(seed))
             fractions.append(words.count(0) / 300)
         assert 0.3 <= fractions[0] <= 0.5
         assert abs(np.mean(fractions) - 0.4) <= 0.01
 
     def test_deterministic_given_seed(self):
-        a = decode_action(Action((0.4, 6, 300)), np.random.default_rng(5))
-        b = decode_action(Action((0.4, 6, 300)), np.random.default_rng(5))
+        a = decode_action((0.4, 6, 300), np.random.default_rng(5))
+        b = decode_action((0.4, 6, 300), np.random.default_rng(5))
         assert isinstance(a[1], bytes)
         assert a == b
 
@@ -118,7 +118,7 @@ class TestStepSemantics:
         # before its C), so the two forms are the same output.
         rng = np.random.default_rng(24)
         actions = [sample_uniform(ACTION_SPACE, rng) for _ in range(100)]
-        actions += [Action((0.5, 7, 1000))] * 100
+        actions += [(0.5, 7, 1000)] * 100
         digest = hashlib.sha256()
         for seed, action in enumerate(actions):
             config, words = decode_action(action, np.random.default_rng(seed))
@@ -159,10 +159,10 @@ class TestDivisorProperty:
         records = []
         run_campaign(env, RandomAgent(env.space), 1000, seed=21, on_record=records.append)
         for rec in records:
-            cw = int(rec.action.values[1])
+            cw = int(rec.action[1])
             if cw in DIVISORS:
                 assert rec.counts[3] == 0, (cw, rec.counts)
-        hit = {int(r.action.values[1]) for r in records if r.counts[3] > 0}
+        hit = {int(r.action[1]) for r in records if r.counts[3] > 0}
         assert hit <= set(NON_DIVISORS)
         assert hit  # straddles do occur
 
@@ -306,7 +306,7 @@ class TestRleDut:
             rle_mod, "rle_golden", lambda cfg, words: real(cfg, words + bytes([1]))
         )
         with pytest.raises(ScoreboardError):
-            dut.step(Action((0.4, 6, 300)), 0)
+            dut.step((0.4, 6, 300), 0)
 
     def test_scoreboard_catches_miscounted_events(self, monkeypatch):
         import covsteer.rle as rle_mod
@@ -333,7 +333,7 @@ class TestRleDut:
         exec_mutant(monkeypatch, rle_mod, "rle_run", "zc_bits = counter >> free", "zc_bits = 0")
         diverged = "output diverged from golden model in tail_zc_bits "
         with pytest.raises(ScoreboardError, match=diverged):
-            RleDut().step(Action((1.0, 6, 1000)), 0)
+            RleDut().step((1.0, 6, 1000), 0)
 
     @pytest.mark.parametrize(
         "line,mutation,action,message",
@@ -350,7 +350,7 @@ class TestRleDut:
 
         exec_mutant(monkeypatch, rle_mod, "rle_run", line, mutation)
         with pytest.raises(ScoreboardError, match=message):
-            RleDut().step(Action(action), 0)
+            RleDut().step(action, 0)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
