@@ -48,8 +48,8 @@ def main():
     try:
         proxy = connect_dut(proc.stdout, proc.stdin)
         print("hello received:")
-        print(f"  events: {', '.join(proxy.event_names())}")
-        print(f"  knobs:  {', '.join(proxy.action_space().names)}\n")
+        print(f"  events: {', '.join(proxy.event_names)}")
+        print(f"  knobs:  {', '.join(proxy.action_space.names)}\n")
 
         bridged_totals, bridged_records = campaign(proxy)
         local_totals, local_records = campaign(RleDut())

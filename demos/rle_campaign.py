@@ -44,7 +44,7 @@ def main():
     random_totals, random_records = campaign("random")
     cem_totals, cem_records = campaign("cem")
 
-    names = RleDut().event_names()
+    names = RleDut.event_names
     print(f"{'event':<18}{'random':>10}{'steered':>10}")
     for i, name in enumerate(names):
         print(f"{name:<18}{random_totals.totals[i]:>10}{cem_totals.totals[i]:>10}")

@@ -11,7 +11,9 @@ learner, and a line-delimited JSON bridge for out-of-process designs.
 from .actionspace import (
     Action,
     ActionSpace,
+    Interval,
     KnobSpec,
+    ValueSet,
     Violation,
     sample_uniform,
     validate,
@@ -64,6 +66,7 @@ __all__ = [
     "Environment",
     "EpisodeRecord",
     "EventSpec",
+    "Interval",
     "InvalidActionError",
     "KnobSpec",
     "RandomAgent",
@@ -72,6 +75,7 @@ __all__ = [
     "ScoreboardError",
     "StepResult",
     "TransportError",
+    "ValueSet",
     "Violation",
     "agent_rng",
     "compute_reward",

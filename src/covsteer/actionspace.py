@@ -1,22 +1,20 @@
 """Knob-based action spaces.
 
-An action space is an ordered list of knobs. Each knob is either a
-continuous interval [lo, hi] or a finite set of discrete values, and one
-concrete action is a plain tuple with one float per knob, in the space's
-order. Knob values parameterize stimulus generation; the agents never
-transform them, so discrete values round-trip exactly.
+An action space is an ordered list of knobs. Each knob is an ``Interval``
+[lo, hi] or a ``ValueSet`` of finite discrete values; its ``kind`` field
+names its class on the wire and in reports. One concrete action is a
+plain tuple with one float per knob, in the space's order. Knob values
+parameterize stimulus generation; the agents never transform them, so
+discrete values round-trip exactly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from numbers import Real
 
 import numpy as np
-
-CONTINUOUS = "continuous"
-DISCRETE = "discrete"
 
 # One concrete knob assignment: one float per knob, in the space's order.
 Action = tuple[float, ...]
@@ -33,49 +31,51 @@ def is_finite_real(value) -> bool:
 
 
 @dataclass(frozen=True)
-class KnobSpec:
-    """One factor of the action space: an interval or a finite value set."""
+class Interval:
+    """A knob that takes any float in [lo, hi]."""
 
     name: str
-    kind: str
-    lo: float = 0.0
-    hi: float = 1.0
-    values: tuple[float, ...] = ()
+    kind: str = field(default="continuous", init=False)
+    lo: float
+    hi: float
 
     def __post_init__(self):
         if not self.name:
             raise ValueError("knob name must be a non-empty string")
-        if self.kind == CONTINUOUS:
-            lo, hi = float(self.lo), float(self.hi)
-            if not (np.isfinite(lo) and np.isfinite(hi)):
-                raise ValueError(f"knob {self.name!r}: bounds must be finite")
-            if not lo < hi:
-                raise ValueError(f"knob {self.name!r}: lo must be < hi")
-            # Agents sample and histogram over the width, so it must be a float too.
-            if not math.isfinite(hi - lo):
-                raise ValueError(f"knob {self.name!r}: hi - lo must be finite")
-            object.__setattr__(self, "lo", lo)
-            object.__setattr__(self, "hi", hi)
-            object.__setattr__(self, "values", ())
-        elif self.kind == DISCRETE:
-            vals = tuple(float(v) for v in self.values)
-            if not vals:
-                raise ValueError(f"knob {self.name!r}: discrete value set is empty")
-            if len(set(vals)) != len(vals):
-                raise ValueError(f"knob {self.name!r}: duplicate discrete values")
-            object.__setattr__(self, "values", vals)
-            object.__setattr__(self, "lo", 0.0)
-            object.__setattr__(self, "hi", 0.0)
-        else:
-            raise ValueError(f"knob {self.name!r}: unknown kind {self.kind!r}")
+        lo, hi = float(self.lo), float(self.hi)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"knob {self.name!r}: bounds must be finite")
+        if not lo < hi:
+            raise ValueError(f"knob {self.name!r}: lo must be < hi")
+        # Agents sample and histogram over the width, so it must be a float too.
+        if not math.isfinite(hi - lo):
+            raise ValueError(f"knob {self.name!r}: hi - lo must be finite")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
-    @classmethod
-    def continuous(cls, name: str, lo: float, hi: float) -> "KnobSpec":
-        return cls(name=name, kind=CONTINUOUS, lo=lo, hi=hi)
 
-    @classmethod
-    def discrete(cls, name: str, values) -> "KnobSpec":
-        return cls(name=name, kind=DISCRETE, values=tuple(values))
+@dataclass(frozen=True)
+class ValueSet:
+    """A knob that takes one of a finite list of distinct values, kept in order."""
+
+    name: str
+    kind: str = field(default="discrete", init=False)
+    values: tuple[float, ...]
+
+    def __post_init__(self):
+        if not self.name:
+            raise ValueError("knob name must be a non-empty string")
+        vals = tuple(float(v) for v in self.values)
+        if not vals:
+            raise ValueError(f"knob {self.name!r}: discrete value set is empty")
+        if not all(map(math.isfinite, vals)):
+            raise ValueError(f"knob {self.name!r}: discrete values must be finite")
+        if len(set(vals)) != len(vals):
+            raise ValueError(f"knob {self.name!r}: duplicate discrete values")
+        object.__setattr__(self, "values", vals)
+
+
+KnobSpec = Interval | ValueSet
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,7 @@ def validate(space: ActionSpace, action: Action) -> list[Violation]:
         return [Violation(None, f"action has {len(action)} values, space has {len(space)} knobs")]
     out: list[Violation] = []
     for i, (knob, v) in enumerate(zip(space.knobs, action)):
-        if knob.kind == CONTINUOUS:
+        if isinstance(knob, Interval):
             if not (knob.lo <= v <= knob.hi):
                 out.append(
                     Violation(i, f"knob {i} ({knob.name}): {v!r} not in [{knob.lo}, {knob.hi}]")
@@ -132,7 +132,7 @@ def sample_uniform(space: ActionSpace, rng: np.random.Generator) -> Action:
     """Draw one action uniformly: U[lo, hi] per interval, equiprobable per value set."""
     vals = []
     for knob in space.knobs:
-        if knob.kind == CONTINUOUS:
+        if isinstance(knob, Interval):
             vals.append(float(rng.uniform(knob.lo, knob.hi)))
         else:
             vals.append(knob.values[int(rng.integers(len(knob.values)))])

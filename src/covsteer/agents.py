@@ -11,8 +11,8 @@ space, observe is a no-op.
 
 ``CemAgent`` is a cross-entropy-method optimizer over the knob
 distributions. It keeps one distribution object per knob, chosen once from
-the knob's kind (``TruncatedNormal`` on an interval knob,
-``FlooredCategorical`` on a value set), buffers a batch of (action,
+the knob's class (``TruncatedNormal`` on an ``Interval``,
+``FlooredCategorical`` on a ``ValueSet``), buffers a batch of (action,
 reward) pairs, and on every full batch refits each distribution toward
 the elite fraction of the batch with exponential smoothing. Floors on the
 stddevs and on the category probabilities keep exploration alive forever.
@@ -27,7 +27,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .actionspace import CONTINUOUS, Action, ActionSpace, KnobSpec, is_finite_real, sample_uniform
+from .actionspace import Action, ActionSpace, Interval, ValueSet, is_finite_real, sample_uniform
 
 
 class Agent(ABC):
@@ -164,7 +164,7 @@ def check_cem_params(batch_size, elite_frac, smoothing, sigma_min_frac, prob_flo
 class TruncatedNormal:
     """An interval knob's normal, truncated to [lo, hi] by rejection, stddev floored."""
 
-    def __init__(self, knob: KnobSpec, batch_size: int, sigma_min_frac: float):
+    def __init__(self, knob: Interval, batch_size: int, sigma_min_frac: float):
         span = knob.hi - knob.lo
         # lo + hi and a refit's sums over a batch of values and of squared
         # deviations must stay finite, or draw spins.
@@ -198,7 +198,7 @@ class TruncatedNormal:
 class FlooredCategorical:
     """A value-set knob's category probabilities, floored, drawn through their CDF."""
 
-    def __init__(self, knob: KnobSpec, prob_floor: float):
+    def __init__(self, knob: ValueSet, prob_floor: float):
         n = len(knob.values)
         if prob_floor * n >= 1.0:
             raise ValueError(f"prob_floor {prob_floor} infeasible for knob {knob.name} ({n} values)")
@@ -268,7 +268,7 @@ class CemAgent(Agent):
         self.prob_floor = float(prob_floor)
         self.dists = tuple(
             TruncatedNormal(knob, batch_size, sigma_min_frac)
-            if knob.kind == CONTINUOUS
+            if isinstance(knob, Interval)
             else FlooredCategorical(knob, prob_floor)
             for knob in space.knobs
         )

@@ -39,7 +39,7 @@ import numpy as np
 # Designs call env.stimulus_rng through the module, so a rebinding of it
 # (as the benchmark tracer does) reaches every episode.
 from . import env
-from .actionspace import Action, ActionSpace, KnobSpec
+from .actionspace import Action, ActionSpace, ValueSet
 from .env import DutModel
 from .errors import ScoreboardError
 
@@ -54,8 +54,8 @@ EVENT_NAMES = tuple(f"fifo_full_slave_{i}" for i in range(N_SLAVES))
 
 ACTION_SPACE = ActionSpace(
     knobs=(
-        KnobSpec.discrete("lower_slave", range(N_SLAVES)),
-        KnobSpec.discrete("upper_slave", range(N_SLAVES)),
+        ValueSet("lower_slave", range(N_SLAVES)),
+        ValueSet("upper_slave", range(N_SLAVES)),
     )
 )
 
@@ -302,6 +302,9 @@ class AxiDut(DutModel):
     Every step starts from empty FIFOs, so there is nothing to reset.
     """
 
+    event_names = EVENT_NAMES
+    action_space = ACTION_SPACE
+
     def __init__(self, config: AxiConfig | None = None):
         self.config = config or AxiConfig()
 
@@ -316,9 +319,3 @@ class AxiDut(DutModel):
                 f"{first.cycle}: {first.kind} ({first.detail})"
             )
         return counts
-
-    def event_names(self):
-        return EVENT_NAMES
-
-    def action_space(self):
-        return ACTION_SPACE

@@ -47,9 +47,9 @@ import json
 import socket
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from .actionspace import CONTINUOUS, DISCRETE, Action, ActionSpace, KnobSpec, is_finite_real
+from .actionspace import Action, ActionSpace, Interval, KnobSpec, is_finite_real
 from .env import DutModel, Environment
 from .errors import (
     BridgeDecodeError,
@@ -106,11 +106,11 @@ class Error:
 
 BridgeMessage = Episode | Counts | Hello | Error
 
-# The wire schema: each message's dataclass lists its fields, and each
-# knob's kind picks the KnobSpec fields its payload carries.
+# The wire schema: each message's dataclass lists its fields, and so does
+# each knob's, whose ``kind`` field names its class on the wire.
 _MESSAGES = {"hello": Hello, "episode": Episode, "counts": Counts, "error": Error}
 _TYPE_NAMES = {cls: name for name, cls in _MESSAGES.items()}
-_KNOB_FIELDS = {CONTINUOUS: ("name", "kind", "lo", "hi"), DISCRETE: ("name", "kind", "values")}
+_KNOBS = {cls.kind: cls for cls in KnobSpec.__args__}
 
 
 def _wire_num(x: float):
@@ -156,9 +156,10 @@ _string = _check("a string", lambda x: isinstance(x, str), str)
 
 def _knob(obj) -> KnobSpec:
     kind = obj.get("kind") if isinstance(obj, dict) else None
-    if kind not in (CONTINUOUS, DISCRETE):
-        raise BridgeDecodeError("expected a knob of kind 'continuous' or 'discrete'")
-    return _record(KnobSpec, obj, _KNOB_FIELDS[kind])
+    if not isinstance(kind, str) or kind not in _KNOBS:
+        raise BridgeDecodeError(f"expected a knob of kind {' or '.join(map(repr, _KNOBS))}")
+    cls = _KNOBS[kind]
+    return _record(cls, obj, cls.__match_args__, "kind")
 
 
 # Each wire field's (encode, check-and-decode) pair.
@@ -174,7 +175,7 @@ _CODECS = {
     "events": (list, _list_of(_string)),
     "code": (str, _string),
     "detail": (str, _string),
-    "knobs": (lambda knobs: [_payload(k, _KNOB_FIELDS[k.kind]) for k in knobs], _list_of(_knob)),
+    "knobs": (lambda knobs: [_payload(k, [f.name for f in fields(k)]) for k in knobs], _list_of(_knob)),
     "name": (str, _string),
     "kind": (str, _string),
     "lo": (_wire_num, _real),
@@ -208,7 +209,7 @@ def _record(cls, obj, names: tuple[str, ...], *tags: str):
             raise BridgeDecodeError(f"{name}: {exc}") from exc
     try:
         return cls(**decoded)
-    except ValueError as exc:  # KnobSpec and ActionSpace check themselves
+    except ValueError as exc:  # knobs and ActionSpace check themselves
         raise BridgeDecodeError(f"invalid {cls.__name__}: {exc}") from exc
 
 
@@ -249,7 +250,7 @@ def longest_request(space: ActionSpace) -> int:
     """Bytes in the longest ``episode`` line that a valid action of the space encodes to."""
     length = len(encode(Episode(2**64 - 1, ())))
     for k in space.knobs:
-        if k.kind == CONTINUOUS:
+        if isinstance(k, Interval):
             # A fraction prints in at most 24 characters (-2.2250738585072014e-308);
             # an integral value as an int no longer than an endpoint's.
             width = max(24, len(str(int(k.lo))), len(str(int(k.hi))))
@@ -296,7 +297,7 @@ def serve_dut(dut: DutModel, rfile, wfile) -> None:
     env = Environment(dut)
     unfinished = bytearray()  # the start of a line whose newline has not arrived
     try:
-        wfile.write(encode(Hello(PROTOCOL_VERSION, env.space, dut.event_names())))
+        wfile.write(encode(Hello(PROTOCOL_VERSION, env.space, dut.event_names)))
         while True:
             wfile.flush()
             chunk = rfile.read1()
@@ -372,8 +373,9 @@ class DutProxy(DutModel):
     def __init__(self, rfile, wfile, hello: Hello, sock: socket.socket | None = None):
         self._rfile = rfile
         self._wfile = wfile
-        self._hello = hello
         self._sock = sock
+        self.event_names = hello.events
+        self.action_space = hello.action_space
         self.lookahead = min(WINDOW, WINDOW_BYTES // longest_request(hello.action_space))
         self._in_flight: deque[Episode] = deque()
 
@@ -402,12 +404,6 @@ class DutProxy(DutModel):
         except OSError as exc:
             raise _transport_error(exc) from exc
         return _read(self._rfile, Counts, "Counts").counts
-
-    def event_names(self):
-        return self._hello.events
-
-    def action_space(self):
-        return self._hello.action_space
 
     def close(self) -> None:
         _close_quietly(self._rfile, self._wfile, self._sock)

@@ -30,6 +30,7 @@ from .reporting import (
     EpisodeCsvWriter,
     build_report,
     knob_histograms,
+    log_columns,
     render_report_text,
     summary_schema,
     write_histograms_csv,
@@ -54,26 +55,25 @@ def make_agent(config: RunConfig, space):
 def cmd_run(config: RunConfig, out_dir: str | Path | None = None) -> Path:
     """Execute one campaign and write its artifacts; returns the output dir.
 
-    The design, environment and agent are built before the output directory
-    is created, so a run refused at connect or at hello leaves none behind.
+    The design, environment, agent and log columns are built before the output
+    directory is created, so a run refused at connect or at hello leaves none.
     """
     out = Path(out_dir if out_dir is not None else config.out_dir)
     dut = make_dut(config.dut, config.dut_params)
     try:
         env = Environment(dut, config.multipliers)
         agent = make_agent(config, env.space)
-        out.mkdir(parents=True, exist_ok=True)
-        actions = []
         schema = summary_schema(
             config_dict=config.to_json_dict(),
             defaulted=config.defaulted,
             knob_names=env.space.names,
             event_names=[e.name for e in env.events],
         )
+        columns = log_columns(schema["knob_names"], schema["event_names"])
+        out.mkdir(parents=True, exist_ok=True)
+        actions = []
 
-        with EpisodeCsvWriter(
-            out / "episodes.csv", schema["knob_names"], schema["event_names"]
-        ) as writer:
+        with EpisodeCsvWriter(out / "episodes.csv", columns) as writer:
             # The schema goes next to the log before its first row, so a
             # partial log that an aborted run keeps can still be reported;
             # an earlier run's histograms would not describe that log.

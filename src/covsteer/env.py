@@ -225,10 +225,16 @@ class EpisodeRecord:
 class DutModel(ABC):
     """Behavioral contract any design model (local or bridged) satisfies.
 
-    ``step`` must be a pure function of the action and the seed: a design
-    that keeps state resets it at the top of ``step``.
+    A design declares its ``event_names`` and ``action_space`` as
+    attributes and implements ``step``, which must be a pure function of
+    the action and the seed: a design that keeps state resets it at the
+    top of ``step``.
     """
 
+    # Names of the tracked events, in id order. Multipliers come from config.
+    event_names: tuple[str, ...]
+    # The knob space this design is driven from.
+    action_space: ActionSpace
     # How many hinted episodes may wait for their step; 0 means none are hinted.
     lookahead = 0
 
@@ -242,22 +248,14 @@ class DutModel(ABC):
     def step(self, action: Action, seed: int) -> CoverageCounts:
         """Expand the action into stimulus from ``stimulus_rng(seed)``, simulate, count events."""
 
-    @abstractmethod
-    def event_names(self) -> tuple[str, ...]:
-        """Names of the tracked events, in id order. Multipliers come from config."""
-
-    @abstractmethod
-    def action_space(self) -> ActionSpace:
-        """The knob space this design is driven from."""
-
 
 class Environment:
     """Binds a design model to an event/multiplier list and runs its episodes."""
 
     def __init__(self, dut: DutModel, multipliers: Mapping[str, float] | None = None):
         self.dut = dut
-        self.space = dut.action_space()
-        names = dut.event_names()
+        self.space = dut.action_space
+        names = dut.event_names
         mult = dict(multipliers or {})
         unknown = set(mult) - set(names)
         if unknown:

@@ -21,12 +21,12 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
-from .actionspace import CONTINUOUS, ActionSpace
+from .actionspace import ActionSpace, Interval
 from .coverage import CumulativeCoverage
 from .env import EpisodeRecord
 from .errors import ReportError
 
-CONTINUOUS_BINS = 10
+INTERVAL_BINS = 10
 
 
 def format_real(x: float) -> str:
@@ -35,29 +35,28 @@ def format_real(x: float) -> str:
 
 
 def log_columns(knob_names, event_names) -> list[str]:
-    """The episode log's columns, in order: ``episode``, the knobs, the events, ``reward``."""
-    return ["episode", *knob_names, *event_names, "reward"]
+    """The episode log's columns, in order: ``episode``, the knobs, the events, ``reward``.
+
+    Raises ``ReportError`` when a column name repeats or holds a comma or a
+    line break: the log could not be read back column by column.
+    """
+    columns = ["episode", *knob_names, *event_names, "reward"]
+    seen = set()
+    for name in columns:
+        if name in seen:
+            raise ReportError(f"column {name!r} appears twice in the episode log header")
+        if any(c in name for c in ",\r\n"):
+            raise ReportError(f"column name {name!r} holds a comma or a line break")
+        seen.add(name)
+    return columns
 
 
 class EpisodeCsvWriter:
-    """Streams episode records to disk; each row is flushed as written.
+    """Streams episode records under the header ``log_columns`` gave; each row is flushed as written."""
 
-    Raises ``ReportError``, before the file is opened, when a column name
-    repeats or holds a comma or a line break: the log could not be read
-    back column by column.
-    """
-
-    def __init__(self, path, knob_names, event_names):
-        header = log_columns(knob_names, event_names)
-        seen = set()
-        for name in header:
-            if name in seen:
-                raise ReportError(f"column {name!r} appears twice in the episode log header")
-            if any(c in name for c in ",\r\n"):
-                raise ReportError(f"column name {name!r} holds a comma or a line break")
-            seen.add(name)
+    def __init__(self, path, columns):
         self._fh = open(path, "w", encoding="utf-8", newline="")
-        self._fh.write(",".join(header) + "\n")
+        self._fh.write(",".join(columns) + "\n")
         self._fh.flush()
 
     def write(self, record: EpisodeRecord) -> None:
@@ -102,8 +101,9 @@ def read_episode_log(path) -> EpisodeLog:
     The knob and event columns are the ones the run's summary.json names.
     A last row without its line break is dropped: the writer ends every
     row with one, so that row is an episode whose write was cut off. A
-    row with a wrong cell count, a negative count, or a non-finite knob
-    value or reward is refused: the campaign never writes one.
+    row with a wrong cell count, a cell that is not a number of its
+    column's type, a negative count, or a non-finite knob value or reward
+    is refused: the campaign never writes one.
     """
     p = Path(path)
     if p.is_dir():
@@ -133,33 +133,36 @@ def read_episode_log(path) -> EpisodeLog:
     records = []
     for ln in rows:
         cells = ln.split(",")
-        if len(cells) == len(columns):
+        try:
+            if len(cells) != len(columns):
+                raise ValueError("wrong cell count")
             action = tuple(map(float, cells[1 : 1 + n_knobs]))
             counts = tuple(map(int, cells[1 + n_knobs : -1]))
             reward = float(cells[-1])
-            if min(counts, default=0) >= 0 and all(map(math.isfinite, (*action, reward))):
-                records.append(EpisodeRecord(int(cells[0]), action, counts, reward))
-                continue
-        raise ReportError(f"malformed row in {p}: {ln!r}")
+            if min(counts, default=0) < 0 or not all(map(math.isfinite, (*action, reward))):
+                raise ValueError("value out of range")
+            records.append(EpisodeRecord(int(cells[0]), action, counts, reward))
+        except ValueError:
+            raise ReportError(f"malformed row in {p}: {ln!r}") from None
     return EpisodeLog(str(p), knob_names, ev_names, tuple(records))
 
 
 def knob_histograms(space: ActionSpace, actions) -> dict:
-    """Value frequencies per knob: exact values for discrete, 10 bins for continuous."""
+    """Value frequencies per knob: exact values for a value set, 10 bins for an interval."""
     hists = {}
     for k, knob in enumerate(space.knobs):
         values = [a[k] for a in actions]
-        if knob.kind == CONTINUOUS:
-            width = (knob.hi - knob.lo) / CONTINUOUS_BINS
-            los = [knob.lo + b * width for b in range(CONTINUOUS_BINS)]
+        if isinstance(knob, Interval):
+            width = (knob.hi - knob.lo) / INTERVAL_BINS
+            los = [knob.lo + b * width for b in range(INTERVAL_BINS)]
             # A value belongs to the last bin whose lo it reaches; the printed
             # hi (lo + width) can miss the next lo by an ulp, so it is not an edge.
-            counts = [0] * CONTINUOUS_BINS
+            counts = [0] * INTERVAL_BINS
             for v in values:
                 if knob.lo <= v <= knob.hi:
                     counts[bisect_right(los, v) - 1] += 1
             bins = [
-                {"lo": lo, "hi": knob.hi if b == CONTINUOUS_BINS - 1 else lo + width, "count": n}
+                {"lo": lo, "hi": knob.hi if b == INTERVAL_BINS - 1 else lo + width, "count": n}
                 for b, (lo, n) in enumerate(zip(los, counts))
             ]
             hists[knob.name] = {"kind": knob.kind, "bins": bins}

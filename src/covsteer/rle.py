@@ -59,7 +59,7 @@ import numpy as np
 # Designs call env.stimulus_rng through the module, so a rebinding of it
 # (as the benchmark tracer does) reaches every episode.
 from . import env
-from .actionspace import Action, ActionSpace, KnobSpec
+from .actionspace import Action, ActionSpace, Interval, ValueSet
 from .coverage import CoverageCounts
 from .env import DutModel
 from .errors import ScoreboardError
@@ -74,9 +74,9 @@ COUNT_WIDTHS = range(1, 9)
 # Knobs: probability of a zero word, count field width, stimulus length.
 ACTION_SPACE = ActionSpace(
     knobs=(
-        KnobSpec.continuous("zero_prob", 0.0, 1.0),
-        KnobSpec.discrete("count_width", COUNT_WIDTHS),
-        KnobSpec.discrete("seq_length", range(100, 1001, 100)),
+        Interval("zero_prob", 0.0, 1.0),
+        ValueSet("count_width", COUNT_WIDTHS),
+        ValueSet("seq_length", range(100, 1001, 100)),
     )
 )
 
@@ -272,6 +272,9 @@ class RleDut(DutModel):
     step also starts a fresh compressor, so there is nothing to reset.
     """
 
+    event_names = EVENT_NAMES
+    action_space = ACTION_SPACE
+
     def step(self, action: Action, seed: int) -> CoverageCounts:
         config, words = decode_action(action, env.stimulus_rng(seed))
         counts, output = rle_run(config, words)
@@ -288,9 +291,3 @@ class RleDut(DutModel):
                 f"count_width={config.count_width}, length={len(words)}"
             )
         return counts
-
-    def event_names(self):
-        return EVENT_NAMES
-
-    def action_space(self):
-        return ACTION_SPACE

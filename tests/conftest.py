@@ -9,7 +9,7 @@ from itertools import islice
 import hypothesis
 from hypothesis import strategies as st
 
-from covsteer.actionspace import ActionSpace, KnobSpec
+from covsteer.actionspace import ActionSpace, Interval, ValueSet
 from covsteer.bridge import (
     PROTOCOL_VERSION,
     Counts,
@@ -33,13 +33,13 @@ def knob_specs(draw, index: int):
     if kind == "continuous":
         lo = draw(st.floats(-100, 99, allow_nan=False, allow_infinity=False))
         width = draw(st.floats(0.5, 50, allow_nan=False, allow_infinity=False))
-        return KnobSpec.continuous(name, lo, lo + width)
+        return Interval(name, lo, lo + width)
     values = draw(
         st.lists(
             st.integers(-1000, 1000).map(float), min_size=1, max_size=12, unique=True
         )
     )
-    return KnobSpec.discrete(name, values)
+    return ValueSet(name, values)
 
 
 @st.composite
@@ -218,8 +218,8 @@ def scripted_server(reply=step_reply, requests=None, nodelay=False, events=None)
         rfile, wfile = conn.makefile("rb"), conn.makefile("wb")
         try:
             dut = RleDut()
-            names = dut.event_names() if events is None else tuple(events)
-            wfile.write(encode(Hello(PROTOCOL_VERSION, dut.action_space(), names)))
+            names = dut.event_names if events is None else tuple(events)
+            wfile.write(encode(Hello(PROTOCOL_VERSION, dut.action_space, names)))
             wfile.flush()
             for i, line in enumerate(islice(iter(rfile.readline, b""), requests)):
                 wfile.write(encode(Counts(reply(i, dut, decode(line)))))

@@ -295,9 +295,9 @@ def test_criterion_8_determinism(check, tmp_path):
 
 
 def test_criterion_9_cem_bandit_sanity(check):
-    from covsteer.actionspace import ActionSpace, KnobSpec
+    from covsteer.actionspace import ActionSpace, ValueSet
 
-    space = ActionSpace(knobs=(KnobSpec.discrete("arm", range(1, 9)),))
+    space = ActionSpace(knobs=(ValueSet("arm", range(1, 9)),))
     target = 6.0
     target_idx = space.knobs[0].values.index(target)
     successes = 0

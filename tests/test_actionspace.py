@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from covsteer.actionspace import ActionSpace, KnobSpec, sample_uniform, validate
+from covsteer.actionspace import ActionSpace, Interval, ValueSet, sample_uniform, validate
 from covsteer.rle import ACTION_SPACE as RLE_SPACE
 
 from conftest import action_spaces
@@ -12,31 +12,42 @@ from conftest import action_spaces
 class TestKnobSpec:
     def test_continuous_requires_lo_below_hi(self):
         with pytest.raises(ValueError):
-            KnobSpec.continuous("p", 1.0, 1.0)
+            Interval("p", 1.0, 1.0)
         with pytest.raises(ValueError):
-            KnobSpec.continuous("p", 2.0, 1.0)
+            Interval("p", 2.0, 1.0)
 
     def test_continuous_requires_finite_bounds(self):
         with pytest.raises(ValueError):
-            KnobSpec.continuous("p", 0.0, float("inf"))
+            Interval("p", 0.0, float("inf"))
         # Both bounds are finite, but hi - lo overflows to inf.
         with pytest.raises(ValueError, match="hi - lo must be finite"):
-            KnobSpec.continuous("p", -1e308, 1e308)
-        assert KnobSpec.continuous("p", -8e307, 8e307).hi == 8e307
+            Interval("p", -1e308, 1e308)
+        assert Interval("p", -8e307, 8e307).hi == 8e307
 
     def test_discrete_rejects_empty_and_duplicates(self):
         with pytest.raises(ValueError):
-            KnobSpec.discrete("d", [])
+            ValueSet("d", [])
         with pytest.raises(ValueError):
-            KnobSpec.discrete("d", [1, 2, 2])
+            ValueSet("d", [1, 2, 2])
+        # A non-finite value could not be sent in a hello, and NaNs are never duplicates.
+        for values in ([float("inf"), 1], [float("-inf")], [float("nan"), float("nan")]):
+            with pytest.raises(ValueError, match="discrete values must be finite"):
+                ValueSet("d", values)
 
     def test_discrete_preserves_order(self):
-        k = KnobSpec.discrete("d", [3, 1, 2])
+        k = ValueSet("d", [3, 1, 2])
         assert k.values == (3.0, 1.0, 2.0)
 
     def test_name_required(self):
         with pytest.raises(ValueError):
-            KnobSpec.continuous("", 0, 1)
+            Interval("", 0, 1)
+
+    def test_each_kind_has_only_its_fields(self):
+        interval, value_set = Interval("p", 0, 1), ValueSet("d", [1])
+        assert (interval.kind, interval.lo, interval.hi) == ("continuous", 0.0, 1.0)
+        assert (value_set.kind, value_set.values) == ("discrete", (1.0,))
+        assert not hasattr(interval, "values")
+        assert not hasattr(value_set, "lo") and not hasattr(value_set, "hi")
 
 
 class TestActionSpace:
@@ -50,7 +61,7 @@ class TestActionSpace:
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):
             ActionSpace(
-                knobs=(KnobSpec.continuous("x", 0, 1), KnobSpec.discrete("x", [1]))
+                knobs=(Interval("x", 0, 1), ValueSet("x", [1]))
             )
 
 
@@ -87,7 +98,7 @@ class TestValidate:
 
 class TestSampleUniform:
     def test_singleton_discrete_always_its_value(self):
-        space = ActionSpace(knobs=(KnobSpec.discrete("only", [5]),))
+        space = ActionSpace(knobs=(ValueSet("only", [5]),))
         rng = np.random.default_rng(0)
         assert all(sample_uniform(space, rng) == (5.0,) for _ in range(20))
 
@@ -99,7 +110,7 @@ class TestSampleUniform:
     def test_discrete_frequencies_close_to_uniform(self):
         # 10k draws from an 8-value set: expected frequency 1/8 = 0.125 with
         # binomial stddev ~0.0033, so [0.10, 0.15] is a ~7.5 sigma band.
-        space = ActionSpace(knobs=(KnobSpec.discrete("w", range(1, 9)),))
+        space = ActionSpace(knobs=(ValueSet("w", range(1, 9)),))
         rng = np.random.default_rng(1234)
         draws = [sample_uniform(space, rng)[0] for _ in range(10_000)]
         for v in range(1, 9):

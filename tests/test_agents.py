@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from covsteer.actionspace import CONTINUOUS, ActionSpace, KnobSpec, validate
+from covsteer.actionspace import ActionSpace, Interval, ValueSet, validate
 from covsteer.agents import (
     CemAgent,
     RandomAgent,
@@ -19,8 +19,8 @@ from covsteer.agents import (
 
 from conftest import action_spaces
 
-UNIT = ActionSpace(knobs=(KnobSpec.continuous("x", 0.0, 1.0),))
-WIDTH8 = ActionSpace(knobs=(KnobSpec.discrete("w", range(1, 9)),))
+UNIT = ActionSpace(knobs=(Interval("x", 0.0, 1.0),))
+WIDTH8 = ActionSpace(knobs=(ValueSet("w", range(1, 9)),))
 
 
 class TestRandomAgent:
@@ -157,7 +157,7 @@ class TestCemPropose:
             assert validate(space, agent.propose(rng)) == []
 
     def test_truncation_respects_bounds(self):
-        space = ActionSpace(knobs=(KnobSpec.continuous("x", -2.0, 3.0),))
+        space = ActionSpace(knobs=(Interval("x", -2.0, 3.0),))
         agent = CemAgent(space)
         rng = np.random.default_rng(4)
         for _ in range(2_000):
@@ -169,7 +169,7 @@ def reference_propose(agent, rng):
     """``CemAgent.propose`` drawing its categories through ``Generator.choice``."""
     vals = []
     for knob, dist in zip(agent.space.knobs, agent.dists):
-        if knob.kind == CONTINUOUS:
+        if isinstance(knob, Interval):
             while True:
                 x = rng.normal(dist.mu, dist.sigma)
                 if knob.lo <= x <= knob.hi:
@@ -198,9 +198,9 @@ class TestCategoricalDraw:
 
     def test_propose_matches_choice_through_refits(self):
         space = ActionSpace(knobs=(
-            KnobSpec.continuous("x", 0.0, 1.0),
-            KnobSpec.discrete("w", range(1, 9)),
-            KnobSpec.discrete("v", [3.0, -1.0, 7.5]),
+            Interval("x", 0.0, 1.0),
+            ValueSet("w", range(1, 9)),
+            ValueSet("v", [3.0, -1.0, 7.5]),
         ))
         agent = CemAgent(space, batch_size=10)
         ours, ref = np.random.default_rng(11), np.random.default_rng(11)
@@ -226,7 +226,7 @@ class TestCemObserve:
     def test_exact_refit_arithmetic(self):
         # B=2, elite fraction 1, smoothing 1: refit equals the plain sample
         # statistics of {2, 4} -> mean 3, population stddev 1.
-        space = ActionSpace(knobs=(KnobSpec.continuous("x", 0.0, 10.0),))
+        space = ActionSpace(knobs=(Interval("x", 0.0, 10.0),))
         agent = CemAgent(space, batch_size=2, elite_frac=1.0, smoothing=1.0,
                          sigma_min_frac=0.01)
         dist = agent.dists[0]
@@ -258,8 +258,8 @@ class TestCemObserve:
     def test_invariants_hold_after_every_refit(self):
         space = ActionSpace(
             knobs=(
-                KnobSpec.continuous("p", 0.0, 1.0),
-                KnobSpec.discrete("w", range(1, 9)),
+                Interval("p", 0.0, 1.0),
+                ValueSet("w", range(1, 9)),
             )
         )
         agent = CemAgent(space, batch_size=20)
@@ -310,12 +310,12 @@ class TestCemObserve:
         ],
     )
     def test_knob_too_wide_for_the_refit_rejected(self, lo, hi, batch_size):
-        space = ActionSpace(knobs=(KnobSpec.continuous("x", lo, hi),))
+        space = ActionSpace(knobs=(Interval("x", lo, hi),))
         with pytest.raises(ValueError, match="knob x too wide"):
             CemAgent(space, batch_size=batch_size)
 
     def test_widest_accepted_knob_keeps_proposing(self):
-        space = ActionSpace(knobs=(KnobSpec.continuous("x", -1e150, 1e150),))
+        space = ActionSpace(knobs=(Interval("x", -1e150, 1e150),))
         agent = CemAgent(space, batch_size=10)
         rng = np.random.default_rng(0)
         for _ in range(50):
@@ -365,7 +365,7 @@ def test_bandit_learns_target_quickly():
 
 def test_snapshot_is_json_ready():
     space = ActionSpace(
-        knobs=(KnobSpec.continuous("p", 0.0, 1.0), KnobSpec.discrete("w", [1, 2]))
+        knobs=(Interval("p", 0.0, 1.0), ValueSet("w", [1, 2]))
     )
     agent = CemAgent(space, prob_floor=0.01)
     snap = agent.snapshot()
@@ -376,9 +376,9 @@ def test_snapshot_is_json_ready():
 
 
 PINNED_SPACE = ActionSpace(knobs=(
-    KnobSpec.continuous("x", -2.0, 3.0),
-    KnobSpec.discrete("w", range(1, 9)),
-    KnobSpec.discrete("v", [3.0, -1.0, 7.5]),
+    Interval("x", -2.0, 3.0),
+    ValueSet("w", range(1, 9)),
+    ValueSet("v", [3.0, -1.0, 7.5]),
 ))
 
 

@@ -339,9 +339,9 @@ class TestGoldenCheck:
 class TestAxiDut:
     def test_event_names_and_space(self):
         dut = AxiDut()
-        assert dut.event_names() == EVENT_NAMES
-        assert dut.event_names()[4] == "fifo_full_slave_4"
-        assert dut.action_space() is ACTION_SPACE
+        assert dut.event_names == EVENT_NAMES
+        assert dut.event_names[4] == "fifo_full_slave_4"
+        assert dut.action_space is ACTION_SPACE
 
     def test_scoreboard_raises_on_corrupt_simulation(self, monkeypatch):
         import covsteer.axi as axi_mod

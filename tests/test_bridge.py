@@ -17,7 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from covsteer import bridge
-from covsteer.actionspace import ActionSpace, KnobSpec, sample_uniform
+from covsteer.actionspace import ActionSpace, Interval, ValueSet, sample_uniform
 from covsteer.agents import CemAgent, RandomAgent
 from covsteer.bridge import (
     MAX_LINE_BYTES,
@@ -109,6 +109,7 @@ HOSTILE_LINES = [
     _HELLO + b'{"knobs":[{"name":"x","kind":"discrete","values":[0],"unit":"ns"}]}}\n',
     _HELLO + b'{"knobs":[' + _KNOB_X + b'],"units":[]}}\n',
     _HELLO + b'{"knobs":[]}}\n',
+    _HELLO + b'{"knobs":[{"name":"x","kind":["discrete"],"values":[0]}]}}\n',
 ]
 HOSTILE_IDS = [
     "type_list", "400_digits", "5000_digits", "nested_1e5", "knob_name_list",
@@ -119,7 +120,7 @@ HOSTILE_IDS = [
     "counts_int", "seed_negative", "error_code_int",
     "seed_bool", "action_string", "count_bool", "events_string", "version_float",
     "detail_null", "knob_name_int", "knob_lo_string", "knob_extra_field", "space_extra_field",
-    "space_empty",
+    "space_empty", "kind_list",
 ]
 
 
@@ -131,7 +132,7 @@ class TestEncode:
         assert encode(Counts(counts=(3, 0))) == b'{"type":"counts","counts":[3,0]}\n'
 
     def test_hello_and_error_framing(self):
-        space = ActionSpace((KnobSpec.continuous("x", 0.0, 2.5), KnobSpec.discrete("mode", [1, 4.5, -2])))
+        space = ActionSpace((Interval("x", 0.0, 2.5), ValueSet("mode", [1, 4.5, -2])))
         assert encode(Hello(PROTOCOL_VERSION, space, ("a", "b"))) == (
             b'{"type":"hello","protocol_version":3,"action_space":{"knobs":['
             b'{"name":"x","kind":"continuous","lo":0,"hi":2.5},'
@@ -210,7 +211,7 @@ def bridge_messages(draw):
     if variant == "counts":
         return Counts(counts=tuple(draw(st.lists(st.integers(0, 10**9), max_size=6))))
     if variant == "hello":
-        knobs = [KnobSpec.continuous("a", -1.0, 2.5), KnobSpec.discrete("b", [1, 4, 9])]
+        knobs = [Interval("a", -1.0, 2.5), ValueSet("b", [1, 4, 9])]
         return Hello(
             protocol_version=PROTOCOL_VERSION,
             action_space=ActionSpace(knobs=tuple(knobs)),
@@ -325,8 +326,8 @@ class TestServeSession:
     def test_hello_first(self, session):
         assert isinstance(session.hello, Hello)
         assert session.hello.protocol_version == PROTOCOL_VERSION
-        assert session.hello.events == RleDut().event_names()
-        assert session.hello.action_space == RleDut().action_space()
+        assert session.hello.events == RleDut().event_names
+        assert session.hello.action_space == RleDut().action_space
 
     def test_bridged_step_matches_in_process(self, session):
         seed = 123
@@ -559,7 +560,7 @@ class TestProxy:
 
     def test_server_close_mid_session_is_transport_error(self):
         def serve_then_die(rfile, wfile):
-            hello = Hello(PROTOCOL_VERSION, RleDut().action_space(), RleDut().event_names())
+            hello = Hello(PROTOCOL_VERSION, RleDut().action_space, RleDut().event_names)
             wfile.write(encode(hello))
             wfile.flush()
             rfile.readline()  # swallow the request, then drop the connection
@@ -573,7 +574,7 @@ class TestProxy:
         for version in (1, 2):
 
             def old_server(rfile, wfile):
-                wfile.write(encode(Hello(version, RleDut().action_space(), ("x",))))
+                wfile.write(encode(Hello(version, RleDut().action_space, ("x",))))
                 wfile.flush()
 
             with socketpair_session(old_server) as client:
@@ -608,7 +609,7 @@ class TestProxy:
     def test_hello_in_place_of_counts_refused(self):
         def hello_twice(rfile, wfile):
             dut = RleDut()
-            hello = encode(Hello(PROTOCOL_VERSION, dut.action_space(), dut.event_names()))
+            hello = encode(Hello(PROTOCOL_VERSION, dut.action_space, dut.event_names))
             wfile.write(hello)
             wfile.flush()
             rfile.readline()
@@ -646,7 +647,7 @@ class ScriptedServer:
 
     def __init__(self, dut):
         self.dut = dut
-        self.lines = deque([encode(Hello(PROTOCOL_VERSION, dut.action_space(), dut.event_names()))])
+        self.lines = deque([encode(Hello(PROTOCOL_VERSION, dut.action_space, dut.event_names))])
         self.requests = []  # (Episode, replies read before it arrived)
         self.read = -1  # the hello is not a reply
         self.most_unanswered = 0
@@ -673,20 +674,15 @@ class ScriptedServer:
 class WideDut(DutModel):
     """A design with so many knobs that one request line outgrows WINDOW_BYTES."""
 
-    SPACE = ActionSpace(tuple(KnobSpec.continuous(f"k{i}", -1e6, 1e6) for i in range(200)))
+    event_names = ("positive", "seed_mod_7")
+    action_space = ActionSpace(tuple(Interval(f"k{i}", -1e6, 1e6) for i in range(200)))
 
     def step(self, action, seed):
         return (int(sum(action) > 0), seed % 7)
 
-    def event_names(self):
-        return ("positive", "seed_mod_7")
-
-    def action_space(self):
-        return self.SPACE
-
 
 def campaign_records(dut, make_agent, episodes=23, seed=4):
-    env = Environment(dut, {dut.event_names()[0]: 1.0})
+    env = Environment(dut, {dut.event_names[0]: 1.0})
     records = []
     run_campaign(env, make_agent(env.space), episodes, seed, on_record=records.append)
     return records
@@ -713,7 +709,7 @@ class TestPipelining:
             assert read_before >= ep - ep % batch
 
     def test_one_request_in_flight_when_a_line_may_outgrow_the_window(self):
-        assert longest_request(WideDut.SPACE) > WINDOW_BYTES
+        assert longest_request(WideDut.action_space) > WINDOW_BYTES
         server = ScriptedServer(WideDut())
         proxy = connect_dut(server, server)
         assert proxy.lookahead == 0
@@ -734,7 +730,7 @@ class TestPipelining:
         proxy = connect_dut(server, server)
         records = []
         with pytest.raises(InvalidActionError):
-            run_campaign(Environment(proxy), InvalidAtEpisode5(proxy.action_space()), 23, seed=4,
+            run_campaign(Environment(proxy), InvalidAtEpisode5(proxy.action_space), 23, seed=4,
                          on_record=records.append)
         assert [r.episode for r in records] == list(range(5))
         assert [msg.seed for msg, _ in server.requests] == [episode_seed(4, ep) for ep in range(5)]
@@ -764,7 +760,7 @@ class TestPipelining:
         client, server = socket.socketpair()
         dut = RleDut()
         with server, server.makefile("wb") as wfile:
-            wfile.write(encode(Hello(PROTOCOL_VERSION, dut.action_space(), dut.event_names())))
+            wfile.write(encode(Hello(PROTOCOL_VERSION, dut.action_space, dut.event_names)))
             for seed in (1, 2):
                 wfile.write(encode(Counts(dut.step(ACTION, seed))))
         proxy = connect_dut(client.makefile("rb"), client.makefile("wb"), sock=client)
@@ -781,7 +777,7 @@ class TestPipelining:
 
 @given(action_spaces(), st.integers(0, 2**64 - 1), st.integers(0, 2**32 - 1))
 def test_longest_request_bounds_every_valid_request(space, seed, draw_seed):
-    ends = [k.values[-1] if k.values else k.lo for k in space.knobs]
+    ends = [k.lo if isinstance(k, Interval) else k.values[-1] for k in space.knobs]
     actions = [sample_uniform(space, np.random.default_rng(draw_seed)), tuple(ends)]
     for values in actions:
         assert len(encode(Episode(seed, values))) <= longest_request(space)
@@ -789,9 +785,9 @@ def test_longest_request_bounds_every_valid_request(space, seed, draw_seed):
 
 def test_longest_request_bounds_wide_numbers():
     space = ActionSpace((
-        KnobSpec.continuous("huge", -1e300, 1e300),
-        KnobSpec.continuous("tiny", -1.0, 1.0),
-        KnobSpec.discrete("set", [-1e200, 0.5]),
+        Interval("huge", -1e300, 1e300),
+        Interval("tiny", -1.0, 1.0),
+        ValueSet("set", [-1e200, 0.5]),
     ))
     widest = (-1e300, -2.2250738585072014e-308, -1e200)
     assert len(encode(Episode(2**64 - 1, widest))) <= longest_request(space)
@@ -869,7 +865,7 @@ class TestTcp:
                 conn.settimeout(CLIENT_TIMEOUT_S)
                 if after == "hello":
                     dut = RleDut()
-                    conn.sendall(encode(Hello(PROTOCOL_VERSION, dut.action_space(), dut.event_names())))
+                    conn.sendall(encode(Hello(PROTOCOL_VERSION, dut.action_space, dut.event_names)))
                     conn.recv(4096)  # the episode request
                 conn.sendall(b"9" * (MAX_LINE_BYTES + 2))
                 while conn.recv(4096):  # until the client closes

@@ -333,7 +333,8 @@ class TestMainEntry:
         (["x", "x"], "error: column 'x' appears twice"),
         (["a,b", "c"], "error: column name 'a,b' holds a comma"),
         (["e0", "reward"], "error: column 'reward' appears twice"),
-    ], ids=["repeated", "comma", "reward"])
+        (["e0", "zero_prob"], "error: column 'zero_prob' appears twice"),
+    ], ids=["repeated", "comma", "reward", "knob_name"])
     def test_clashing_column_names_exit_nonzero(self, tmp_path, capsys, events, error):
         # A bridged hello names the event columns; none may clash in the log.
         with scripted_server(
@@ -347,7 +348,7 @@ class TestMainEntry:
             assert main(["run", "--config", str(cfg_path), "--out", str(out_dir)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(error) and "Traceback" not in err
-        assert not (out_dir / "episodes.csv").exists()
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("config, error", [
         ({"multipliers": {"e3_partial_count": 1}},
@@ -445,7 +446,7 @@ class TestServeTcpCli:
 
             proxy = connect_tcp("127.0.0.1", port, timeout=10)
             try:
-                assert proxy.event_names()[4] == "fifo_full_slave_4"
+                assert proxy.event_names[4] == "fifo_full_slave_4"
                 counts = proxy.step((4.0, 4.0), 1)
                 assert counts[4] == 65
             finally:
@@ -486,7 +487,7 @@ class TestBridgeAbort:
         assert len(rows) == 1 + 3  # header + the episodes that completed
         report = cmd_report([out_dir], tmp_path / "r.json")
         assert report["runs"][0]["episodes"] == 3
-        assert report["event_names"] == list(RleDut().event_names())
+        assert report["event_names"] == list(RleDut().event_names)
 
     def test_aborted_rerun_leaves_no_stale_histogram(self, tmp_path):
         out_dir = tmp_path / "reused"

@@ -330,7 +330,7 @@ _MULTIPLIERS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_fro
 @st.composite
 def bundled_configs(draw):
     dut = draw(st.sampled_from(sorted(DESIGNS)))
-    events = make_design(dut).event_names() + ("e9",)
+    events = make_design(dut).event_names + ("e9",)
     return {
         "dut": dut,
         "agent": draw(st.sampled_from(AGENT_KINDS)),

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from covsteer.actionspace import ActionSpace, KnobSpec
+from covsteer.actionspace import ActionSpace, Interval, ValueSet
 from covsteer.agents import CemAgent, RandomAgent
 from covsteer.coverage import compute_reward
 from covsteer.env import DutModel, Environment, episode_seed, run_campaign, stimulus_rng
@@ -23,6 +23,10 @@ class TestReset:
 
 
 class TestStep:
+    def test_step_is_the_only_abstract_method(self):
+        # A design declares its events and knobs as attributes.
+        assert DutModel.__abstractmethods__ == {"step"}
+
     def test_reward_equals_selected_count(self):
         env = rle_env({"e3_partial_count": 1.0})
         result = env.step((0.4, 6, 300), seed=5)
@@ -74,17 +78,14 @@ class TestStep:
         monkeypatch.setattr(env_mod, "stimulus_rng", built.append)
 
         class Constant(DutModel):
+            event_names = ("one", "seed")
+            action_space = ActionSpace(knobs=(Interval("x", 0.0, 1.0),))
+
             def reset(self, seed):
                 raise AssertionError("the environment reset the design")
 
             def step(self, action, seed):
                 return (1, seed)
-
-            def event_names(self):
-                return ("one", "seed")
-
-            def action_space(self):
-                return ActionSpace(knobs=(KnobSpec.continuous("x", 0.0, 1.0),))
 
         env = Environment(Constant(), {"one": 2.0})
         assert env.step((0.5,), seed=3).counts == (1, 3)
@@ -154,20 +155,15 @@ class TestRunCampaign:
         monkeypatch.setattr(env_mod, "episode_seed", recorded_seed)
 
         class Recording(DutModel):
+            event_names = ("b",)
+            action_space = ActionSpace(knobs=(Interval("a", 0.0, 1.0), ValueSet("b", (1.0, 2.0))))
+
             def hint(self, action, seed):
                 calls.append(("hint", seed))
 
             def step(self, action, seed):
                 calls.append(("step", action, seed))
                 return (int(action[1]),)
-
-            def event_names(self):
-                return ("b",)
-
-            def action_space(self):
-                return ActionSpace(
-                    knobs=(KnobSpec.continuous("a", 0.0, 1.0), KnobSpec.discrete("b", (1.0, 2.0)))
-                )
 
         class RecordingCem(CemAgent):
             def propose(self, rng):

@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from covsteer.actionspace import ActionSpace, KnobSpec
+from covsteer.actionspace import ActionSpace, Interval
 from covsteer.env import EpisodeRecord
 from covsteer.errors import ReportError
 from covsteer.reporting import (
-    CONTINUOUS_BINS,
+    INTERVAL_BINS,
     EpisodeCsvWriter,
     build_report,
     format_real,
     knob_histograms,
+    log_columns,
     read_episode_log,
     render_report_text,
     summary_schema,
@@ -22,7 +23,7 @@ from covsteer.reporting import (
 
 
 def histogram(lo, hi, values):
-    space = ActionSpace(knobs=(KnobSpec.continuous("x", lo, hi),))
+    space = ActionSpace(knobs=(Interval("x", lo, hi),))
     return knob_histograms(space, [(v,) for v in values])["x"]["bins"]
 
 
@@ -37,12 +38,12 @@ class TestKnobHistograms:
         bins = histogram(lo, hi, edges)
         assert sum(b["count"] for b in bins) == len(edges)
         assert bins[0]["lo"] == lo and bins[-1]["hi"] == hi
-        assert len(bins) == CONTINUOUS_BINS
+        assert len(bins) == INTERVAL_BINS
 
     def test_printed_edges_unchanged(self):
-        width = 2.0 / CONTINUOUS_BINS
+        width = 2.0 / INTERVAL_BINS
         bins = histogram(-1.0, 1.0, [])
-        assert [b["lo"] for b in bins] == [-1.0 + b * width for b in range(CONTINUOUS_BINS)]
+        assert [b["lo"] for b in bins] == [-1.0 + b * width for b in range(INTERVAL_BINS)]
         assert [b["hi"] for b in bins[:-1]] == [b["lo"] + width for b in bins[:-1]]
 
 
@@ -53,7 +54,7 @@ def write_run(out: Path, records, knob_names=("x",), event_names=("a", "b", "c")
         config_dict={}, defaulted=[], knob_names=knob_names, event_names=event_names
     )
     write_json(out / "summary.json", schema)
-    with EpisodeCsvWriter(out / "episodes.csv", knob_names, event_names) as writer:
+    with EpisodeCsvWriter(out / "episodes.csv", log_columns(knob_names, event_names)) as writer:
         for rec in records:
             writer.write(rec)
     return out
@@ -180,9 +181,10 @@ class TestReadEpisodeLogRefusals:
     @pytest.mark.parametrize(
         "row",
         ["1,0.5,2,0,0,nan", "1,0.5,2,0,0,inf", "1,0.5,2,0,0,-inf", "1,inf,2,0,0,2.0",
-         "1,nan,2,0,0,2.0", "1,0.5,-7,0,0,-7.0"],
+         "1,nan,2,0,0,2.0", "1,0.5,-7,0,0,-7.0", "1,abc,2,0,0,2.0", "1,0.5,2.5,0,0,2.0",
+         "x,0.5,2,0,0,2.0"],
         ids=["nan_reward", "inf_reward", "minus_inf_reward", "inf_action", "nan_action",
-             "negative_count"],
+             "negative_count", "text_action", "fractional_count", "text_episode"],
     )
     def test_poisoned_row_refused(self, tmp_path, row):
         out = write_run(tmp_path / "run", records_of((1, 0, 0), (2, 0, 0), (3, 0, 0)))

@@ -294,8 +294,8 @@ class TestDecompressValidation:
 class TestRleDut:
     def test_event_names_and_space(self):
         dut = RleDut()
-        assert dut.event_names() == EVENT_NAMES
-        assert dut.action_space() is ACTION_SPACE
+        assert dut.event_names == EVENT_NAMES
+        assert dut.action_space is ACTION_SPACE
 
     def test_scoreboard_runs_every_step(self, monkeypatch):
         import covsteer.rle as rle_mod
