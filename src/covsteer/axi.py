@@ -21,16 +21,16 @@ columnar: request ``i`` is master ``i % N_MASTERS`` in cycle
 ``i // N_MASTERS``, with its address, routed slave and acceptance in three
 per-request lists, and the dequeues are one list of ``(cycle, slave,
 req_id)`` tuples. ``golden_check`` is the scoreboard: a reference model
-that re-derives the step from its addresses and the config alone, so
-``AxiDut.step`` checks the routing, acceptances, releases and event counts
-of every episode by equality.
+that re-derives the step's ``Trace`` and counts from its addresses and
+the config alone, so ``AxiDut.step`` checks the routing, acceptances,
+dequeues and event counts of every episode by equality, with
+``env.check_golden`` as the compressor's scoreboard does.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, fields
-from itertools import zip_longest
 from numbers import Integral
 from typing import NamedTuple
 
@@ -142,13 +142,6 @@ class Trace:
             yield CycleRecord(cycle, enqueues, released)
 
 
-@dataclass(frozen=True)
-class TraceViolation:
-    cycle: int
-    kind: str
-    detail: str
-
-
 def decode_action(action: Action, config: AxiConfig) -> tuple[int, int]:
     """Map the two chosen slave indices to an address range [a_min, a_max)."""
     lo_choice, hi_choice = (int(v) for v in action)
@@ -207,39 +200,27 @@ def simulate_step(
     return tuple(counts), Trace(draw.tolist(), slaves, accepted, dequeues, n_cycles)
 
 
-def golden_check(
-    trace: Trace, counts: tuple[int, ...], config: AxiConfig
-) -> list[TraceViolation]:
+def golden_check(trace: Trace, counts: tuple[int, ...], config: AxiConfig) -> None:
     """Re-derive a step from its addresses and the config, and compare.
 
-    The reference model runs the module docstring's cycle and routes each
-    address by the region bounds. A misrouted or unmapped request is one
-    ``routing`` violation, returned alone.
-    Otherwise the first divergence of the acceptances (``enqueue_at_full``
-    or ``drop_below_full``), of the dequeues (``fifo_order`` for another
-    request from the same slave and cycle, else ``drain``) and of
-    ``counts`` (``full_counts``, at the step's cycle count) is returned, in
-    cycle order. A trace whose columns do not fit its cycle count raises
-    ``ScoreboardError``.
+    The reference model runs the module docstring's cycle over the step's
+    addresses, routing each by the region bounds, and builds the ``Trace``
+    and full-cycle counts the step should have produced;
+    ``env.check_golden`` raises ``ScoreboardError`` unless the step's equal
+    them. A step whose address count does not fit the config, or that drew
+    an address outside the slave map, cannot be replayed and raises
+    ``ScoreboardError`` first.
     """
-    addrs, slaves, accepted, dequeues = trace.addrs, trace.slaves, trace.accepted, trace.dequeues
-    if not len(addrs) == len(slaves) == len(accepted) == trace.cycles * N_MASTERS:
-        raise ScoreboardError(
-            f"trace of {trace.cycles} cycles has {len(addrs)} addresses, "
-            f"{len(slaves)} slaves and {len(accepted)} acceptances"
-        )
+    addrs = trace.addrs
+    n_cycles = config.cycles_per_step
+    if len(addrs) != n_cycles * N_MASTERS:
+        raise ScoreboardError(f"crossbar step of {n_cycles} cycles drew {len(addrs)} addresses")
     size = config.region_size
     routed = [addr // size for addr in addrs]
     regions = sorted(set(routed))
-    if routed != slaves or (regions and not 0 <= regions[0] <= regions[-1] < N_SLAVES):
-        for req_id, (region, slave) in enumerate(zip(routed, slaves)):
-            if not 0 <= region < N_SLAVES:
-                detail = f"address {addrs[req_id]:#x} unmapped"
-            elif region != slave:
-                detail = f"request {req_id} routed to slave {slave}, region is {region}"
-            else:
-                continue
-            return [TraceViolation(req_id // N_MASTERS, "routing", detail)]
+    if regions and not 0 <= regions[0] <= regions[-1] < N_SLAVES:
+        addr = next(a for a, region in zip(addrs, routed) if not 0 <= region < N_SLAVES)
+        raise ScoreboardError(f"crossbar step drew address {addr:#x}, outside the slave map")
 
     depth, period = config.fifo_depth, config.drain_period
     fifos = [deque() for _ in range(N_SLAVES)]
@@ -267,33 +248,8 @@ def golden_check(
             full.clear()
         for slave in full:
             full_cycles[slave] += 1
-
-    violations: list[TraceViolation] = []
-    if accepted != taken:
-        req_id, was_taken, _ = _first_difference(accepted, taken)
-        kind = "enqueue_at_full" if was_taken else "drop_below_full"
-        violations.append(TraceViolation(req_id // N_MASTERS, kind, f"request {req_id}"))
-    if dequeues != released:
-        _, got, want = _first_difference(dequeues, released)
-        if got and want and got[:2] == want[:2]:
-            cycle, slave, oldest = want
-            detail = f"slave {slave} released {got[2]}, oldest was {oldest}"
-            violations.append(TraceViolation(cycle, "fifo_order", detail))
-        else:
-            cycle = min(d[0] for d in (got, want) if d)
-            detail = f"step dequeued {got or 'nothing'}, reference dequeues {want or 'nothing'}"
-            violations.append(TraceViolation(cycle, "drain", detail))
-    if tuple(counts) != tuple(full_cycles):
-        detail = f"step counted {tuple(counts)}, reference counts {tuple(full_cycles)}"
-        violations.append(TraceViolation(trace.cycles, "full_counts", detail))
-    return sorted(violations, key=lambda v: v.cycle)
-
-
-def _first_difference(got: list, want: list) -> tuple:
-    """Index and entries where two unequal lists first differ; None past a list's end."""
-    for i, (a, b) in enumerate(zip_longest(got, want)):
-        if a != b:
-            return i, a, b
+    golden = Trace(addrs, routed, taken, released, n_cycles)
+    env.check_golden("crossbar", (counts, trace), (tuple(full_cycles), golden))
 
 
 class AxiDut(DutModel):
@@ -311,11 +267,5 @@ class AxiDut(DutModel):
     def step(self, action: Action, seed: int) -> tuple[int, ...]:
         addr_range = decode_action(action, self.config)
         counts, trace = simulate_step(self.config, addr_range, env.stimulus_rng(seed))
-        violations = golden_check(trace, counts, self.config)
-        if violations:
-            first = violations[0]
-            raise ScoreboardError(
-                f"{len(violations)} trace violations; first at cycle "
-                f"{first.cycle}: {first.kind} ({first.detail})"
-            )
+        golden_check(trace, counts, self.config)
         return counts

@@ -52,13 +52,13 @@ def make_agent(config: RunConfig, space):
     return CemAgent(space, **config.agent_params)
 
 
-def cmd_run(config: RunConfig, out_dir: str | Path | None = None) -> Path:
-    """Execute one campaign and write its artifacts; returns the output dir.
+def cmd_run(config: RunConfig) -> Path:
+    """Execute one campaign and write its artifacts into ``config.out_dir``, which it returns.
 
     The design, environment, agent and log columns are built before the output
     directory is created, so a run refused at connect or at hello leaves none.
     """
-    out = Path(out_dir if out_dir is not None else config.out_dir)
+    out = Path(config.out_dir)
     dut = make_dut(config.dut, config.dut_params)
     try:
         env = Environment(dut, config.multipliers)

@@ -39,15 +39,17 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import deque
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 from functools import lru_cache
+from itertools import zip_longest
 from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
 from .actionspace import Action, ActionSpace, validate
 from .coverage import CoverageCounts, CumulativeCoverage, EventSpec, compute_reward
-from .errors import InvalidActionError
+from .errors import InvalidActionError, ScoreboardError
 
 _EPISODE_TAG = 1
 _AGENT_TAG = 2
@@ -247,6 +249,37 @@ class DutModel(ABC):
     @abstractmethod
     def step(self, action: Action, seed: int) -> CoverageCounts:
         """Expand the action into stimulus from ``stimulus_rng(seed)``, simulate, count events."""
+
+
+class _Nothing:
+    """Stands for the entry past the end of the shorter of two sequences."""
+
+    def __repr__(self) -> str:
+        return "nothing"
+
+
+def check_golden(what: str, step: tuple, golden: tuple) -> None:
+    """Raise ``ScoreboardError`` unless a step's ``(counts, output)`` equals its golden model's.
+
+    ``output`` is a dataclass. The message says that ``what`` diverged and
+    names the first field that differs, in the dataclass's field order with
+    the counts last, and for a sequence the first entry that differs. It
+    gives the step's value, then the golden model's.
+    """
+    if step == golden:
+        return
+    (counts, output), (golden_counts, golden_output) = step, golden
+    pairs = [(f.name, getattr(output, f.name), getattr(golden_output, f.name)) for f in fields(output)]
+    pairs.append(("counts", counts, golden_counts))
+    field, got, want = next(pair for pair in pairs if pair[1] != pair[2])
+    if isinstance(got, Sequence) and isinstance(want, Sequence):
+        for i, (a, b) in enumerate(zip_longest(got, want, fillvalue=_Nothing())):
+            if a != b:
+                field, got, want = f"{field} entry {i}", a, b
+                break
+    raise ScoreboardError(
+        f"{what} diverged from its golden model in {field}: step has {got!r}, golden has {want!r}"
+    )
 
 
 class Environment:

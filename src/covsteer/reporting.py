@@ -115,8 +115,10 @@ def read_episode_log(path) -> EpisodeLog:
         raise ReportError(f"no summary.json next to {p}; pass the run directory")
     try:
         meta = json.loads(summary.read_text(encoding="utf-8"))
-        knob_names = tuple(meta["knob_names"])
-        ev_names = tuple(meta["event_names"])
+        knob_names, ev_names = (meta[key] for key in ("knob_names", "event_names"))
+        for names in (knob_names, ev_names):
+            if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+                raise TypeError("knob_names and event_names must be lists of strings")
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ReportError(f"cannot read the column schema from {summary}: {exc!r}") from None
     with open(p, "r", encoding="utf-8") as fh:
@@ -144,7 +146,7 @@ def read_episode_log(path) -> EpisodeLog:
             records.append(EpisodeRecord(int(cells[0]), action, counts, reward))
         except ValueError:
             raise ReportError(f"malformed row in {p}: {ln!r}") from None
-    return EpisodeLog(str(p), knob_names, ev_names, tuple(records))
+    return EpisodeLog(str(p), tuple(knob_names), tuple(ev_names), tuple(records))
 
 
 def knob_histograms(space: ActionSpace, actions) -> dict:

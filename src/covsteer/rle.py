@@ -44,8 +44,8 @@ machine: numpy run lengths of the zero mask, fields by ``divmod`` with the
 saturation value, and a packed bit stream, all over a ``uint8`` view of
 the words; it places the fields among the words by their input positions.
 It derives the event counts arithmetically from the run lengths and the
-count fields' bit positions, and ``RleDut.step`` compares counts and
-output every episode.
+count fields' bit positions, and ``RleDut.step`` checks every episode's
+counts and output equal the reference's with ``env.check_golden``.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ from . import env
 from .actionspace import Action, ActionSpace, Interval, ValueSet
 from .coverage import CoverageCounts
 from .env import DutModel
-from .errors import ScoreboardError
 
 EVENT_NAMES = ("e0_word_full", "e1_zc_full", "e2_counter_mid", "e3_partial_count")
 
@@ -267,9 +266,10 @@ def rle_golden(config: RleConfig, words: bytes) -> tuple[CoverageCounts, RleOutp
 class RleDut(DutModel):
     """Compressor wrapped in the design-model contract, with a built-in scoreboard.
 
-    Every step re-encodes the stimulus with the golden reference and
-    raises ScoreboardError on any output or event-count mismatch. Every
-    step also starts a fresh compressor, so there is nothing to reset.
+    Every step re-encodes the stimulus with the golden reference, and
+    ``env.check_golden`` raises ScoreboardError unless the counts and the
+    output equal the reference's. Every step also starts a fresh
+    compressor, so there is nothing to reset.
     """
 
     event_names = EVENT_NAMES
@@ -278,16 +278,6 @@ class RleDut(DutModel):
     def step(self, action: Action, seed: int) -> CoverageCounts:
         config, words = decode_action(action, env.stimulus_rng(seed))
         counts, output = rle_run(config, words)
-        golden_counts, golden_output = rle_golden(config, words)
-        if golden_output != output:
-            field = next(k for k, v in vars(output).items() if v != getattr(golden_output, k))
-            raise ScoreboardError(
-                f"compressor output diverged from golden model in {field} for "
-                f"count_width={config.count_width}, length={len(words)}"
-            )
-        if golden_counts != counts:
-            raise ScoreboardError(
-                f"event counts {counts} diverged from golden {golden_counts} for "
-                f"count_width={config.count_width}, length={len(words)}"
-            )
+        what = f"compressor at count_width={config.count_width}, length={len(words)}"
+        env.check_golden(what, (counts, output), rle_golden(config, words))
         return counts

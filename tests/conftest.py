@@ -19,6 +19,8 @@ from covsteer.bridge import (
     encode,
     serve_tcp,
 )
+from covsteer.cli import cmd_run
+from covsteer.config import build_config
 from covsteer.env import stimulus_rng
 from covsteer.rle import RleDut
 
@@ -75,6 +77,16 @@ class StreamThenFault(RleDut):
             stimulus_rng(seed).random(100)
             raise RuntimeError("transient fault")
         return super().step(action, seed)
+
+
+def run_into(raw, out_dir):
+    """Run the campaign of the config mapping ``raw`` with its artifacts in ``out_dir``."""
+    return cmd_run(build_config(raw, {"out_dir": str(out_dir)}))
+
+
+def corrupt(value):
+    """A value unequal to ``value``: a sequence gains an entry and a number grows by one."""
+    return value + type(value)([1]) if isinstance(value, (bytes, tuple, list)) else value + 1
 
 
 def exec_in_module(module, source, name):

@@ -1,5 +1,6 @@
 import hashlib
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -12,14 +13,13 @@ from covsteer.axi import (
     AxiConfig,
     AxiDut,
     Trace,
-    TraceViolation,
     decode_action,
     golden_check,
     simulate_step,
 )
 from covsteer.errors import ScoreboardError
 
-from conftest import exec_mutant
+from conftest import corrupt, exec_mutant
 
 CFG = AxiConfig()
 
@@ -184,7 +184,7 @@ class TestSimulation:
         cfg = AxiConfig(**params)
         counts, trace = run_episode(action, seed, config=cfg)
         assert hashlib.sha256(repr((counts, tuple(trace))).encode()).hexdigest() == digest
-        assert golden_check(trace, counts, cfg) == []
+        assert golden_check(trace, counts, cfg) is None
 
     def test_deterministic_given_seed(self):
         a = run_episode((1, 8), seed=13)
@@ -198,6 +198,17 @@ class TestSimulation:
             assert counts == run_episode((4, 5), seed=3)[0]
 
 
+def golden_error(field, got, want):
+    """The pattern of the ScoreboardError that names ``field`` with the step's and golden values."""
+    return re.escape(
+        f"crossbar diverged from its golden model in {field}: step has {got}, golden has {want}"
+    )
+
+
+# One cycle, for the hand-written traces.
+ONE_CYCLE = replace(CFG, cycles_per_step=1)
+
+
 class TestGoldenCheck:
     def clean_step(self, action=(3, 5), seed=11):
         return run_episode(action, seed=seed)
@@ -205,7 +216,7 @@ class TestGoldenCheck:
     def test_clean_traces_replay_clean(self):
         for seed in range(30):
             counts, trace = self.clean_step(seed=seed)
-            assert golden_check(trace, counts, CFG) == []
+            assert golden_check(trace, counts, CFG) is None
 
     @given(
         fifo_depth=st.integers(1, 6),
@@ -227,7 +238,7 @@ class TestGoldenCheck:
         )
         counts, trace = run_episode(slaves, seed, config=cfg)
         assert len(trace) == cycles
-        assert golden_check(trace, counts, cfg) == []
+        assert golden_check(trace, counts, cfg) is None
         occupancies = replay_occupancy(trace)
         assert counts == tuple(
             sum(occ[slave] == fifo_depth for occ in occupancies) for slave in range(10)
@@ -240,25 +251,25 @@ class TestGoldenCheck:
         (ci, si, ri), (cj, sj, rj), *rest = trace.dequeues
         assert ci != cj
         swapped = replace(trace, dequeues=[(ci, si, rj), (cj, sj, ri), *rest])
-        kinds = {v.kind for v in golden_check(swapped, counts, CFG)}
-        assert "fifo_order" in kinds
+        pattern = golden_error("dequeues entry 0", (ci, si, rj), (ci, si, ri))
+        with pytest.raises(ScoreboardError, match=pattern):
+            golden_check(swapped, counts, CFG)
 
     def test_enqueue_at_full_flagged(self):
         counts, trace = self.clean_step(action=(4, 4))
         rejected = trace.accepted.index(False)
         accepted = [*trace.accepted]
         accepted[rejected] = True
-        violations = golden_check(replace(trace, accepted=accepted), counts, CFG)
-        assert violations == [
-            TraceViolation(rejected // 2, "enqueue_at_full", f"request {rejected}")
-        ]
+        pattern = golden_error(f"accepted entry {rejected}", True, False)
+        with pytest.raises(ScoreboardError, match=pattern):
+            golden_check(replace(trace, accepted=accepted), counts, CFG)
 
     def test_drop_below_full_flagged(self):
         counts, trace = self.clean_step(action=(4, 4))
         accepted = [*trace.accepted]
         accepted[3] = False
-        violations = golden_check(replace(trace, accepted=accepted), counts, CFG)
-        assert violations == [TraceViolation(1, "drop_below_full", "request 3")]
+        with pytest.raises(ScoreboardError, match=golden_error("accepted entry 3", False, True)):
+            golden_check(replace(trace, accepted=accepted), counts, CFG)
 
     def test_dequeue_at_empty_flagged(self):
         # Only slave 4 is reached, so slave 2 is empty when cycle 0 drains.
@@ -266,47 +277,42 @@ class TestGoldenCheck:
         first = trace.dequeues[0]
         assert first[:2] == (0, 4)
         dequeues = [(0, 2, 0), *trace.dequeues]
-        violations = golden_check(replace(trace, dequeues=dequeues), counts, CFG)
-        assert violations == [
-            TraceViolation(0, "drain", f"step dequeued (0, 2, 0), reference dequeues {first}")
-        ]
+        pattern = golden_error("dequeues entry 0", (0, 2, 0), first)
+        with pytest.raises(ScoreboardError, match=pattern):
+            golden_check(replace(trace, dequeues=dequeues), counts, CFG)
 
     def test_missed_drain_flagged(self):
         counts, trace = self.clean_step(action=(4, 4))
-        (cycle, slave, req_id), *rest = trace.dequeues
-        violations = golden_check(replace(trace, dequeues=rest), counts, CFG)
-        assert [v.kind for v in violations] == ["drain"]
-        assert violations[0].cycle == cycle
-        assert f"reference dequeues {(cycle, slave, req_id)}" in violations[0].detail
+        first, second, *rest = trace.dequeues
+        with pytest.raises(ScoreboardError, match=golden_error("dequeues entry 0", second, first)):
+            golden_check(replace(trace, dequeues=[second, *rest]), counts, CFG)
 
     def test_misrouted_request_flagged(self):
         trace = hand_trace([(0x8000, 8, False), (0x4000, 3, True)])
-        violations = golden_check(trace, (0,) * 10, CFG)
-        assert "routing" in {v.kind for v in violations}
-        assert violations[0].detail == "request 1 routed to slave 3, region is 4"
+        with pytest.raises(ScoreboardError, match=golden_error("slaves entry 1", 3, 4)):
+            golden_check(trace, (0,) * 10, ONE_CYCLE)
 
     def test_unmapped_address_flagged(self):
-        # The unmapped request is not replayed, so slave 9 releases request 1 in order.
         for addr in (-1, 0xA000, 1 << 63, -(1 << 63) - 1):
             trace = hand_trace([(addr, 9, True), (0x9000, 9, True)], dequeues=[(0, 9, 1)])
-            violations = golden_check(trace, (0,) * 10, CFG)
-            assert [v.kind for v in violations] == ["routing"]
-            assert violations[0].detail == f"address {addr:#x} unmapped"
+            message = f"crossbar step drew address {addr:#x}, outside the slave map"
+            with pytest.raises(ScoreboardError, match=re.escape(message)):
+                golden_check(trace, (0,) * 10, ONE_CYCLE)
 
     def test_enqueue_to_a_missing_slave_is_a_routing_violation(self):
         trace = hand_trace([(0x4000, 10, True), (0x4000, 4, True)])
-        violations = golden_check(trace, (0,) * 10, CFG)
-        assert [v.kind for v in violations] == ["routing"]
-        assert "slave 10" in violations[0].detail
+        with pytest.raises(ScoreboardError, match=golden_error("slaves entry 0", 10, 4)):
+            golden_check(trace, (0,) * 10, ONE_CYCLE)
 
     def test_dequeue_from_a_missing_slave_is_a_drain_violation(self):
         counts, trace = self.clean_step(action=(9, 9))
-        (cycle, _, req_id), *rest = trace.dequeues
+        (cycle, slave, req_id), *rest = trace.dequeues
         for missing in (-1, 10):
             dequeues = [(cycle, missing, req_id), *rest]
-            violations = golden_check(replace(trace, dequeues=dequeues), counts, CFG)
-            assert [v.kind for v in violations] == ["drain"]
-            assert f"step dequeued {(cycle, missing, req_id)}" in violations[0].detail
+            got, want = (cycle, missing, req_id), (cycle, slave, req_id)
+            pattern = golden_error("dequeues entry 0", got, want)
+            with pytest.raises(ScoreboardError, match=pattern):
+                golden_check(replace(trace, dequeues=dequeues), counts, CFG)
 
     def test_full_counts_mismatch_flagged(self):
         counts, trace = self.clean_step(action=(4, 4))
@@ -315,25 +321,31 @@ class TestGoldenCheck:
             counts[:4] + (counts[4] - 1,) + counts[5:],
             counts[:4] + (0, counts[4]) + counts[6:],
         ):
-            violations = golden_check(trace, wrong, CFG)
-            assert [v.kind for v in violations] == ["full_counts"]
-            assert violations[0].cycle == len(trace)
+            pattern = golden_error("counts entry 4", wrong[4], counts[4])
+            with pytest.raises(ScoreboardError, match=pattern):
+                golden_check(trace, wrong, CFG)
+
+    def test_address_count_must_fit_the_config(self):
+        counts, trace = self.clean_step()
+        for addrs in (trace.addrs[:-2], trace.addrs[:-1], [*trace.addrs, 0x3000]):
+            message = f"crossbar step of 100 cycles drew {len(addrs)} addresses"
+            with pytest.raises(ScoreboardError, match=message):
+                golden_check(replace(trace, addrs=addrs), counts, CFG)
 
     def test_malformed_trace_raises(self):
         counts, trace = self.clean_step()
-        for bad in (
-            replace(trace, cycles=trace.cycles + 1),
-            replace(trace, accepted=trace.accepted[:-1]),
+        *_, last = trace.dequeues
+        for bad, field, got, want in (
+            (replace(trace, cycles=101), "cycles", 101, 100),
+            (replace(trace, accepted=trace.accepted[:-1]), "accepted entry 199", "nothing",
+             trace.accepted[-1]),
+            (replace(trace, dequeues=trace.dequeues[::-1]), "dequeues entry 0", last,
+             trace.dequeues[0]),
+            (replace(trace, dequeues=[*trace.dequeues, (100, 4, 0)]),
+             f"dequeues entry {len(trace.dequeues)}", (100, 4, 0), "nothing"),
         ):
-            with pytest.raises(ScoreboardError):
+            with pytest.raises(ScoreboardError, match=golden_error(field, got, want)):
                 golden_check(bad, counts, CFG)
-        # Dequeues out of cycle order or past the step fit the columns: they
-        # are released off the drain schedule.
-        for bad in (
-            replace(trace, dequeues=trace.dequeues[::-1]),
-            replace(trace, dequeues=[*trace.dequeues, (trace.cycles, 4, 0)]),
-        ):
-            assert [v.kind for v in golden_check(bad, counts, CFG)] == ["drain"]
 
 
 class TestAxiDut:
@@ -357,7 +369,8 @@ class TestAxiDut:
 
         monkeypatch.setattr(axi_mod, "simulate_step", corrupted)
         dut = AxiDut()
-        with pytest.raises(ScoreboardError, match="fifo_order"):
+        pattern = golden_error("dequeues entry 0", (0, 4, 1), (0, 4, 0))
+        with pytest.raises(ScoreboardError, match=pattern):
             dut.step((4, 4), 0)
 
     def test_scoreboard_catches_miscounted_full_cycles(self, monkeypatch):
@@ -374,8 +387,11 @@ class TestAxiDut:
         rng = np.random.default_rng(29)
         for _ in range(50):
             action = tuple(int(v) for v in rng.integers(0, 10, size=2))
-            with pytest.raises(ScoreboardError, match="full_counts"):
-                dut.step(action, int(rng.integers(1 << 30)))
+            seed = int(rng.integers(1 << 30))
+            counts, _ = run_episode(action, seed)
+            pattern = golden_error("counts entry 0", counts[0] + 1, counts[0])
+            with pytest.raises(ScoreboardError, match=pattern):
+                dut.step(action, seed)
 
     def test_scoreboard_catches_a_faulty_address_decoder(self, monkeypatch):
         # The scoreboard routes by the region bounds, not by the model's
@@ -390,43 +406,67 @@ class TestAxiDut:
         rng = np.random.default_rng(23)
         for _ in range(50):
             action = tuple(int(v) for v in rng.integers(0, 10, size=2))
-            with pytest.raises(ScoreboardError, match="routing"):
-                dut.step(action, int(rng.integers(1 << 30)))
+            seed = int(rng.integers(1 << 30))
+            slave = run_episode(action, seed)[1].slaves[0]
+            pattern = golden_error("slaves entry 0", (slave + 1) % 10, slave)
+            with pytest.raises(ScoreboardError, match=pattern):
+                dut.step(action, seed)
 
     @pytest.mark.parametrize(
-        "line,mutation,action,kinds",
+        "line,mutation,action,message",
         [
             # accepts a request into a FIFO that is already full
-            ("if len(fifo) < depth:", "if len(fifo) <= depth:", (4, 4), "enqueue_at_full"),
+            ("if len(fifo) < depth:", "if len(fifo) <= depth:", (4, 4),
+             golden_error("accepted entry 5", True, False)),
             # pops cycle 0's dequeues without recording them
             (
                 "dequeues.append((cycle, slave, fifo.popleft()))",
                 "dequeues.append((cycle, slave, fifo.popleft())) if cycle else fifo.popleft()",
                 (0, 9),
-                "drain",
+                golden_error("dequeues entry 0", (3, 0, 5), (0, 6, 1)),
             ),
             # drops every seventh request even when its FIFO has room
             (
                 "if len(fifo) < depth:",
                 "if len(fifo) < depth and req_id % 7 != 3:",
                 (4, 4),
-                "drop_below_full",
+                golden_error("accepted entry 3", False, True),
             ),
-            # skips every fourth drain
+            # skips every fourth drain (cycle 9's), so cycle 10 finds the FIFO still full
             (
                 "if req_id % drain_every == N_MASTERS - 1:",
                 "if req_id % drain_every == N_MASTERS - 1 and req_id // drain_every % 4 != 3:",
                 (4, 4),
-                "drain",
+                golden_error("accepted entry 20", False, True),
             ),
         ],
     )
-    def test_scoreboard_catches_a_model_mutant(self, monkeypatch, line, mutation, action, kinds):
+    def test_scoreboard_catches_a_model_mutant(self, monkeypatch, line, mutation, action, message):
         import covsteer.axi as axi_mod
 
         exec_mutant(monkeypatch, axi_mod, "simulate_step", line, mutation)
-        with pytest.raises(ScoreboardError, match=kinds):
+        with pytest.raises(ScoreboardError, match=message):
             AxiDut().step(action, 0)
+
+    @pytest.mark.parametrize(
+        "field", [f.name for f in fields(Trace) if f.name != "addrs"] + ["counts"]
+    )
+    def test_scoreboard_names_each_corrupted_field(self, monkeypatch, field):
+        # The golden model replays the step's own addresses, so every other
+        # column of the trace, and the counts, is compared.
+        import covsteer.axi as axi_mod
+
+        real = axi_mod.simulate_step
+
+        def corrupted(config, addr_range, rng):
+            counts, trace = real(config, addr_range, rng)
+            if field == "counts":
+                return corrupt(counts), trace
+            return counts, replace(trace, **{field: corrupt(getattr(trace, field))})
+
+        monkeypatch.setattr(axi_mod, "simulate_step", corrupted)
+        with pytest.raises(ScoreboardError, match=rf"golden model in {field}( entry \d+)?: "):
+            AxiDut().step((3, 6), 4)
 
     def test_config_is_pinned_to_paper_instance(self):
         with pytest.raises(TypeError):

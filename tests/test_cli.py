@@ -13,14 +13,14 @@ import pytest
 
 import covsteer
 from covsteer.bridge import connect_dut, serve_tcp
-from covsteer.cli import _build_parser, cmd_report, cmd_run, main, make_agent, make_dut
+from covsteer.cli import _build_parser, cmd_report, main, make_agent, make_dut
 from covsteer.config import AGENT_KINDS, DESIGNS, build_config
 from covsteer.env import Environment, episode_seed, run_campaign
 from covsteer.errors import ConfigError, CovsteerError, ReportError
 from covsteer.reporting import read_episode_log
 from covsteer.rle import RleDut
 
-from conftest import scripted_server, step_reply, tcp_server
+from conftest import run_into, scripted_server, step_reply, tcp_server
 
 SRC_DIR = str(Path(covsteer.__file__).resolve().parent.parent)
 
@@ -50,15 +50,13 @@ def rle_config(**kw):
 
 class TestCmdRun:
     def test_artifacts_written(self, tmp_path):
-        cfg = build_config(rle_config(episodes=30))
-        out = cmd_run(cfg, tmp_path / "run")
+        out = run_into(rle_config(episodes=30), tmp_path / "run")
         assert (out / "episodes.csv").exists()
         assert (out / "summary.json").exists()
         assert (out / "histograms.csv").exists()
 
     def test_single_episode_single_row(self, tmp_path):
-        cfg = build_config(rle_config(episodes=1, agent="random"))
-        out = cmd_run(cfg, tmp_path / "run")
+        out = run_into(rle_config(episodes=1, agent="random"), tmp_path / "run")
         lines = (out / "episodes.csv").read_text().splitlines()
         assert len(lines) == 2  # header + one data row
         assert lines[0] == (
@@ -67,15 +65,14 @@ class TestCmdRun:
         )
 
     def test_byte_identical_reruns(self, tmp_path):
-        cfg = build_config(rle_config())
-        out1 = cmd_run(cfg, tmp_path / "a")
-        out2 = cmd_run(cfg, tmp_path / "b")
-        assert (out1 / "episodes.csv").read_bytes() == (out2 / "episodes.csv").read_bytes()
-        assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
+        # summary.json records the output directory, so both runs write to one.
+        out = run_into(rle_config(), tmp_path / "run")
+        first = [(out / name).read_bytes() for name in ("episodes.csv", "summary.json")]
+        run_into(rle_config(), out)
+        assert [(out / name).read_bytes() for name in ("episodes.csv", "summary.json")] == first
 
     def test_summary_totals_match_csv_sums(self, tmp_path):
-        cfg = build_config(rle_config(episodes=80))
-        out = cmd_run(cfg, tmp_path / "run")
+        out = run_into(rle_config(episodes=80), tmp_path / "run")
         summary = json.loads((out / "summary.json").read_text())
         log = read_episode_log(out)
         assert summary["event_totals"] == {
@@ -85,19 +82,19 @@ class TestCmdRun:
         assert summary["episodes"] == 80
         assert summary["total_reward"] == reward_fold(log.records)
         assert summary["agent_snapshot"]["kind"] == "cem"
-        assert "out_dir" in summary["applied_defaults"]
+        assert "agent_params.batch_size" in summary["applied_defaults"]
+        assert summary["config"]["out_dir"] == str(out)
+        assert "out_dir" not in summary["applied_defaults"]
 
     def test_total_reward_equals_report_exactly(self, tmp_path):
         # Fractional multipliers make a total of counts x multipliers differ
         # from the sum of the logged per-episode rewards in the last bits.
-        cfg = build_config(
-            rle_config(
-                episodes=300,
-                agent="random",
-                multipliers={"e0_word_full": 0.1, "e1_zc_full": 0.7, "e2_counter_mid": 1.3},
-            )
+        raw = rle_config(
+            episodes=300,
+            agent="random",
+            multipliers={"e0_word_full": 0.1, "e1_zc_full": 0.7, "e2_counter_mid": 1.3},
         )
-        out = cmd_run(cfg, tmp_path / "run")
+        out = run_into(raw, tmp_path / "run")
         summary = json.loads((out / "summary.json").read_text())
         report = cmd_report([out], tmp_path / "report.json")
         assert summary["total_reward"] == report["runs"][0]["total_reward"]
@@ -105,32 +102,32 @@ class TestCmdRun:
     def test_csv_replay_reproduces_counts(self, tmp_path):
         # The log is loss-free: logged actions + derived episode seeds
         # reproduce the logged counts exactly.
-        cfg = build_config(rle_config(episodes=40, agent="random"))
-        out = cmd_run(cfg, tmp_path / "run")
+        raw = rle_config(episodes=40, agent="random")
+        out = run_into(raw, tmp_path / "run")
         log = read_episode_log(out)
         dut = RleDut()
         for rec in log.records:
-            assert dut.step(rec.action, episode_seed(cfg.seed, rec.episode)) == rec.counts
+            assert dut.step(rec.action, episode_seed(raw["seed"], rec.episode)) == rec.counts
 
     @pytest.mark.parametrize("served", [False, True], ids=["in_process", "served"])
     def test_log_reads_back_as_the_campaign_records(self, tmp_path, served):
-        cfg = build_config(rle_config(episodes=40))
+        raw = rle_config(episodes=40)
+        cfg = build_config(raw)
         env = Environment(RleDut(), cfg.multipliers)
         records = []
         run_campaign(env, make_agent(cfg, env.space), cfg.episodes, cfg.seed, records.append)
         if served:
             with tcp_server() as server:
-                cfg = build_config(rle_config(episodes=40, dut=f"bridge:127.0.0.1:{server.port}"))
-                out = cmd_run(cfg, tmp_path / "run")
+                out = run_into(dict(raw, dut=f"bridge:127.0.0.1:{server.port}"), tmp_path / "run")
         else:
-            out = cmd_run(cfg, tmp_path / "run")
+            out = run_into(raw, tmp_path / "run")
         assert read_episode_log(out).records == tuple(records)
 
     def test_torn_last_row_is_dropped(self, tmp_path):
         # An episode whose write was cut off: its row lost its line break
         # and the last digits of its reward, so 1.4 would read as 1.
-        cfg = build_config(rle_config(episodes=5, seed=2, multipliers={"e3_partial_count": 0.7}))
-        out = cmd_run(cfg, tmp_path / "run")
+        raw = rle_config(episodes=5, seed=2, multipliers={"e3_partial_count": 0.7})
+        out = run_into(raw, tmp_path / "run")
         whole = read_episode_log(out).records
         csv = out / "episodes.csv"
         assert csv.read_bytes().endswith(b",1.4\n")
@@ -141,24 +138,21 @@ class TestCmdRun:
         assert run["total_reward"] == reward_fold(whole[:4])
 
     def test_axi_run(self, tmp_path):
-        cfg = build_config(
-            {
-                "dut": "axi",
-                "agent": "random",
-                "episodes": 25,
-                "seed": 3,
-                "multipliers": {"fifo_full_slave_4": 1},
-                "dut_params": {"cycles_per_step": 50},
-            }
-        )
-        out = cmd_run(cfg, tmp_path / "axi")
+        raw = {
+            "dut": "axi",
+            "agent": "random",
+            "episodes": 25,
+            "seed": 3,
+            "multipliers": {"fifo_full_slave_4": 1},
+            "dut_params": {"cycles_per_step": 50},
+        }
+        out = run_into(raw, tmp_path / "axi")
         log = read_episode_log(out)
         assert log.knob_names == ("lower_slave", "upper_slave")
         assert len(log.event_names) == 10
 
     def test_histograms_csv_totals(self, tmp_path):
-        cfg = build_config(rle_config(episodes=40))
-        out = cmd_run(cfg, tmp_path / "run")
+        out = run_into(rle_config(episodes=40), tmp_path / "run")
         lines = (out / "histograms.csv").read_text().splitlines()
         assert lines[0] == "knob,lo,hi,count"
         per_knob = {}
@@ -170,10 +164,8 @@ class TestCmdRun:
 
 class TestCmdReport:
     def make_runs(self, tmp_path):
-        steered = cmd_run(build_config(rle_config(episodes=60)), tmp_path / "steered")
-        baseline = cmd_run(
-            build_config(rle_config(episodes=60, agent="random")), tmp_path / "baseline"
-        )
+        steered = run_into(rle_config(episodes=60), tmp_path / "steered")
+        baseline = run_into(rle_config(episodes=60, agent="random"), tmp_path / "baseline")
         return steered, baseline
 
     def test_two_run_comparison_has_ratios(self, tmp_path):
@@ -188,23 +180,21 @@ class TestCmdReport:
         assert (tmp_path / "report.json").exists()
 
     def test_single_log_totals_only(self, tmp_path):
-        cfg = build_config(rle_config(episodes=20))
-        out = cmd_run(cfg, tmp_path / "only")
+        out = run_into(rle_config(episodes=20), tmp_path / "only")
         report = cmd_report([out], tmp_path / "r.json")
         assert report["ratios"] == []
         assert report["runs"][0]["episodes"] == 20
 
     def test_schema_mismatch_rejected(self, tmp_path):
-        rle_out = cmd_run(build_config(rle_config(episodes=10)), tmp_path / "rle")
-        axi_out = cmd_run(
-            build_config({"dut": "axi", "episodes": 10, "dut_params": {"cycles_per_step": 20}}),
-            tmp_path / "axi",
+        rle_out = run_into(rle_config(episodes=10), tmp_path / "rle")
+        axi_out = run_into(
+            {"dut": "axi", "episodes": 10, "dut_params": {"cycles_per_step": 20}}, tmp_path / "axi"
         )
         with pytest.raises(ReportError, match="schemas"):
             cmd_report([rle_out, axi_out], tmp_path / "r.json")
 
     def test_csv_path_reads_schema_from_summary(self, tmp_path):
-        out = cmd_run(build_config(rle_config(episodes=10)), tmp_path / "run")
+        out = run_into(rle_config(episodes=10), tmp_path / "run")
         log = read_episode_log(out / "episodes.csv")
         assert log.knob_names == ("zero_prob", "count_width", "seq_length")
         (out / "summary.json").unlink()
@@ -212,7 +202,7 @@ class TestCmdReport:
             read_episode_log(out / "episodes.csv")
 
     def test_header_must_match_summary(self, tmp_path):
-        out = cmd_run(build_config(rle_config(episodes=10)), tmp_path / "run")
+        out = run_into(rle_config(episodes=10), tmp_path / "run")
         summary = json.loads((out / "summary.json").read_text())
         summary["event_names"].reverse()
         (out / "summary.json").write_text(json.dumps(summary))
@@ -220,7 +210,7 @@ class TestCmdReport:
             read_episode_log(out)
 
     def test_report_has_no_second_histogram(self, tmp_path):
-        out = cmd_run(build_config(rle_config(episodes=10)), tmp_path / "run")
+        out = run_into(rle_config(episodes=10), tmp_path / "run")
         report = cmd_report([out], tmp_path / "r.json")
         assert set(report["runs"][0]) == {"path", "episodes", "event_totals", "total_reward"}
 
@@ -235,7 +225,7 @@ class TestMainEntry:
         assert "e3_partial_count" in captured.out
 
     def test_report_of_a_poisoned_log_exits_nonzero(self, tmp_path, capsys):
-        out_dir = cmd_run(build_config(rle_config(episodes=3)), tmp_path / "out")
+        out_dir = run_into(rle_config(episodes=3), tmp_path / "out")
         log = out_dir / "episodes.csv"
         header, first, *rest = log.read_text().splitlines(keepends=True)
         cells = first.rstrip("\n").split(",")
@@ -245,6 +235,15 @@ class TestMainEntry:
         assert main(["report", str(out_dir), "--out", str(report_path)]) == 1
         assert capsys.readouterr().err.startswith("error: malformed row")
         assert not report_path.exists()
+
+    @pytest.mark.parametrize("key", ["knob_names", "event_names"])
+    @pytest.mark.parametrize("names", [[1, 2, 3], "zero_prob", {"zero_prob": 0}, None])
+    def test_report_of_a_malformed_schema_exits_nonzero(self, tmp_path, capsys, key, names):
+        out_dir = run_into(rle_config(episodes=3), tmp_path / "out")
+        summary = out_dir / "summary.json"
+        summary.write_text(json.dumps({**json.loads(summary.read_text()), key: names}))
+        assert main(["report", str(out_dir), "--out", str(tmp_path / "rep.json")]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot read the column schema")
 
     def test_flag_overrides_apply(self, tmp_path):
         cfg_path = write_config(tmp_path, rle_config(episodes=50, agent="cem"))
@@ -397,10 +396,9 @@ class TestMainEntry:
         assert choices("run", "--agent") == list(AGENT_KINDS)
 
     def test_report_schema_mismatch_exits_nonzero(self, tmp_path, capsys):
-        rle_out = cmd_run(build_config(rle_config(episodes=5)), tmp_path / "rle")
-        axi_out = cmd_run(
-            build_config({"dut": "axi", "episodes": 5, "dut_params": {"cycles_per_step": 10}}),
-            tmp_path / "axi",
+        rle_out = run_into(rle_config(episodes=5), tmp_path / "rle")
+        axi_out = run_into(
+            {"dut": "axi", "episodes": 5, "dut_params": {"cycles_per_step": 10}}, tmp_path / "axi"
         )
         assert main(["report", str(rle_out), str(axi_out)]) == 1
 
@@ -475,11 +473,9 @@ class TestBridgeAbort:
     def test_midcampaign_close_aborts_with_partial_log(self, tmp_path):
         out_dir = tmp_path / "partial"
         with scripted_server(requests=3) as server:
-            cfg = build_config(
-                rle_config(episodes=10, agent="random", dut=f"bridge:127.0.0.1:{server.port}")
-            )
+            raw = rle_config(episodes=10, agent="random", dut=f"bridge:127.0.0.1:{server.port}")
             with pytest.raises(Exception) as exc_info:
-                cmd_run(cfg, out_dir)
+                run_into(raw, out_dir)
         from covsteer.errors import TransportError
 
         assert isinstance(exc_info.value, TransportError)
@@ -491,16 +487,14 @@ class TestBridgeAbort:
 
     def test_aborted_rerun_leaves_no_stale_histogram(self, tmp_path):
         out_dir = tmp_path / "reused"
-        cmd_run(build_config(rle_config(episodes=20, agent="random")), out_dir)
+        run_into(rle_config(episodes=20, agent="random"), out_dir)
         assert (out_dir / "histograms.csv").exists()
         from covsteer.errors import TransportError
 
         with scripted_server(requests=3) as server:
-            cfg = build_config(
-                rle_config(episodes=10, agent="random", dut=f"bridge:127.0.0.1:{server.port}")
-            )
+            raw = rle_config(episodes=10, agent="random", dut=f"bridge:127.0.0.1:{server.port}")
             with pytest.raises(TransportError):
-                cmd_run(cfg, out_dir)
+                run_into(raw, out_dir)
         assert len((out_dir / "episodes.csv").read_text().splitlines()) == 1 + 3
         assert not (out_dir / "histograms.csv").exists()
 
@@ -515,10 +509,10 @@ class TestBridgeAbort:
         assert (out_dir / "episodes.csv").exists()
 
 
-def run_until_abort(cfg, out_dir):
+def run_until_abort(raw, out_dir):
     """Run a campaign that must abort; returns the error's type and the partial log."""
     with pytest.raises(Exception) as exc_info:
-        cmd_run(cfg, out_dir)
+        run_into(raw, out_dir)
     return type(exc_info.value), (out_dir / "episodes.csv").read_bytes()
 
 
@@ -557,15 +551,15 @@ class TestPipelinedAbort:
             monkeypatch.setattr(CemAgent, "propose", failing)
 
         fail_at_k()
-        local = run_until_abort(build_config(rle_config(episodes=80)), tmp_path / "local")
+        local = run_until_abort(rle_config(episodes=80), tmp_path / "local")
         outcomes = []
         for mode in ("pipelined", "serial"):
             if mode == "serial":
                 self.serial(monkeypatch)
             fail_at_k()
             with tcp_server() as server:
-                cfg = build_config(rle_config(episodes=80, dut=f"bridge:127.0.0.1:{server.port}"))
-                outcomes.append(run_until_abort(cfg, tmp_path / mode))
+                raw = rle_config(episodes=80, dut=f"bridge:127.0.0.1:{server.port}")
+                outcomes.append(run_until_abort(raw, tmp_path / mode))
         assert outcomes == [local, local]
         assert local[0] is AgentFault
         assert len(local[1].splitlines()) == 1 + k
@@ -585,13 +579,13 @@ class TestPipelinedAbort:
             if mode == "serial":
                 self.serial(monkeypatch)
             with tcp_server(partial(serve_tcp, FaultAt20, max_sessions=1)) as server:
-                cfg = build_config(rle_config(episodes=80, dut=f"bridge:127.0.0.1:{server.port}"))
-                outcomes.append(run_until_abort(cfg, tmp_path / mode))
+                raw = rle_config(episodes=80, dut=f"bridge:127.0.0.1:{server.port}")
+                outcomes.append(run_until_abort(raw, tmp_path / mode))
         from covsteer.errors import RemoteDutError
 
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][0] is RemoteDutError
-        local = cmd_run(build_config(rle_config(episodes=20)), tmp_path / "local")
+        local = run_into(rle_config(episodes=20), tmp_path / "local")
         assert outcomes[0][1] == (local / "episodes.csv").read_bytes()
 
     def test_server_closes_after_k_episodes(self, tmp_path, monkeypatch):
@@ -603,13 +597,13 @@ class TestPipelinedAbort:
             # close with unread input resets the connection, which drops
             # replies still held back for an acknowledgement.
             with scripted_server(requests=5, nodelay=True) as server:
-                cfg = build_config(rle_config(episodes=80, dut=f"bridge:127.0.0.1:{server.port}"))
-                outcomes.append(run_until_abort(cfg, tmp_path / mode))
+                raw = rle_config(episodes=80, dut=f"bridge:127.0.0.1:{server.port}")
+                outcomes.append(run_until_abort(raw, tmp_path / mode))
         from covsteer.errors import TransportError
 
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][0] is TransportError
-        local = cmd_run(build_config(rle_config(episodes=5)), tmp_path / "local")
+        local = run_into(rle_config(episodes=5), tmp_path / "local")
         assert outcomes[0][1] == (local / "episodes.csv").read_bytes()
 
 
@@ -617,11 +611,10 @@ class TestRunOverBridge:
     @pytest.mark.parametrize("batch_size", [1, 7, 50])
     def test_bridged_cem_log_byte_identical_to_local(self, tmp_path, batch_size):
         raw = rle_config(episodes=23, agent_params={"batch_size": batch_size})
-        local_out = cmd_run(build_config(raw), tmp_path / "local")
+        local_out = run_into(raw, tmp_path / "local")
         with tcp_server() as server:
-            bridged_out = cmd_run(
-                build_config(dict(raw, dut=f"bridge:127.0.0.1:{server.port}")), tmp_path / "bridged"
-            )
+            bridged_raw = dict(raw, dut=f"bridge:127.0.0.1:{server.port}")
+            bridged_out = run_into(bridged_raw, tmp_path / "bridged")
         assert (
             (local_out / "episodes.csv").read_bytes()
             == (bridged_out / "episodes.csv").read_bytes()
@@ -629,15 +622,10 @@ class TestRunOverBridge:
 
     def test_bridged_run_byte_identical_to_local(self, tmp_path):
         with tcp_server() as server:
-            local_cfg = build_config(rle_config(episodes=40, agent="random"))
-            local_out = cmd_run(local_cfg, tmp_path / "local")
-
-            bridged_cfg = build_config(
-                rle_config(
-                    episodes=40, agent="random", dut=f"bridge:127.0.0.1:{server.port}"
-                )
-            )
-            bridged_out = cmd_run(bridged_cfg, tmp_path / "bridged")
+            raw = rle_config(episodes=40, agent="random")
+            local_out = run_into(raw, tmp_path / "local")
+            bridged_raw = dict(raw, dut=f"bridge:127.0.0.1:{server.port}")
+            bridged_out = run_into(bridged_raw, tmp_path / "bridged")
 
         assert (
             (local_out / "episodes.csv").read_bytes()

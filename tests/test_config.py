@@ -349,15 +349,15 @@ def bundled_configs(draw):
 @given(bundled_configs())
 def test_every_accepted_bundled_config_runs_clean(raw):
     """What build_config accepts runs to its artifacts, or is refused for a non-finite reward."""
-    try:
-        config = build_config(raw)
-    except ConfigError as exc:
-        event(f"refused: {str(exc).split(maxsplit=1)[0]}")
-        return
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "run"
         try:
-            cmd_run(config, out)
+            config = build_config(raw, {"out_dir": str(out)})
+        except ConfigError as exc:
+            event(f"refused: {str(exc).split(maxsplit=1)[0]}")
+            return
+        try:
+            cmd_run(config)
         except ValueError as exc:
             assert "not finite" in str(exc) and str(exc).startswith(("reward", "total reward"))
             event("run refused: reward not finite")

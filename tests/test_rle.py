@@ -1,4 +1,6 @@
 import hashlib
+import re
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -14,16 +16,25 @@ from covsteer.rle import (
     EVENT_NAMES,
     RleConfig,
     RleDut,
+    RleOutput,
     decode_action,
     rle_golden,
     rle_run,
 )
 
-from conftest import exec_mutant
+from conftest import corrupt, exec_mutant
 from rle_oracle import BlockFormatError, rle_decompress
 
 DIVISORS = (1, 2, 4, 8)
 NON_DIVISORS = (3, 5, 6, 7)
+
+
+def golden_error(count_width, length, field, got, want):
+    """The pattern of the ScoreboardError that names ``field`` with the step's and golden values."""
+    return re.escape(
+        f"compressor at count_width={count_width}, length={length} diverged from its golden "
+        f"model in {field}: step has {got}, golden has {want}"
+    )
 
 
 def random_sequence(rng, max_len=300):
@@ -305,7 +316,10 @@ class TestRleDut:
         monkeypatch.setattr(
             rle_mod, "rle_golden", lambda cfg, words: real(cfg, words + bytes([1]))
         )
-        with pytest.raises(ScoreboardError):
+        _, words = decode_action((0.4, 6, 300), np.random.default_rng(0))
+        stored = len(words.replace(b"\0", b""))
+        pattern = golden_error(6, 300, f"stored entry {stored}", "nothing", 1)
+        with pytest.raises(ScoreboardError, match=pattern):
             dut.step((0.4, 6, 300), 0)
 
     def test_scoreboard_catches_miscounted_events(self, monkeypatch):
@@ -322,8 +336,12 @@ class TestRleDut:
         rng = np.random.default_rng(31)
         for _ in range(50):
             action = sample_uniform(ACTION_SPACE, rng)
-            with pytest.raises(ScoreboardError, match="event counts"):
-                dut.step(action, int(rng.integers(1 << 30)))
+            seed = int(rng.integers(1 << 30))
+            config, words = decode_action(action, np.random.default_rng(seed))
+            (_, _, e2, _), _ = real(config, words)
+            pattern = golden_error(config.count_width, len(words), "counts entry 2", e2 + 1, e2)
+            with pytest.raises(ScoreboardError, match=pattern):
+                dut.step(action, seed)
 
     def test_scoreboard_catches_a_lost_carry(self, monkeypatch):
         # Mutant model: a straddled field's high bits never reach the next
@@ -331,18 +349,19 @@ class TestRleDut:
         import covsteer.rle as rle_mod
 
         exec_mutant(monkeypatch, rle_mod, "rle_run", "zc_bits = counter >> free", "zc_bits = 0")
-        diverged = "output diverged from golden model in tail_zc_bits "
-        with pytest.raises(ScoreboardError, match=diverged):
+        pattern = golden_error(6, 1000, "tail_zc_bits", 67108860, 67108863)
+        with pytest.raises(ScoreboardError, match=pattern):
             RleDut().step((1.0, 6, 1000), 0)
 
     @pytest.mark.parametrize(
         "line,mutation,action,message",
         [
             # skips e1 when a field fills the zero-count vector exactly
-            ("e1 += 1", "e1 += zc_used > 0", (1.0, 1, 1000), "event counts"),
+            ("e1 += 1", "e1 += zc_used > 0", (1.0, 1, 1000),
+             golden_error(1, 1000, "counts entry 1", 0, 15)),
             # flushes a saturated count field one zero word late
             ("if counter < saturation:", "if counter <= saturation:", (1.0, 6, 1000),
-             "output diverged"),
+             golden_error(6, 1000, "zc_blocks entry 0", 1171221845949812800, (1 << 64) - 1)),
         ],
     )
     def test_scoreboard_catches_a_model_mutant(self, monkeypatch, line, mutation, action, message):
@@ -351,6 +370,22 @@ class TestRleDut:
         exec_mutant(monkeypatch, rle_mod, "rle_run", line, mutation)
         with pytest.raises(ScoreboardError, match=message):
             RleDut().step(action, 0)
+
+    @pytest.mark.parametrize("field", [f.name for f in fields(RleOutput)] + ["counts"])
+    def test_scoreboard_names_each_corrupted_field(self, monkeypatch, field):
+        import covsteer.rle as rle_mod
+
+        real = rle_mod.rle_run
+
+        def corrupted(config, words):
+            counts, output = real(config, words)
+            if field == "counts":
+                return corrupt(counts), output
+            return counts, replace(output, **{field: corrupt(getattr(output, field))})
+
+        monkeypatch.setattr(rle_mod, "rle_run", corrupted)
+        with pytest.raises(ScoreboardError, match=rf"golden model in {field}( entry \d+)?: "):
+            RleDut().step((0.5, 3, 500), 2)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
