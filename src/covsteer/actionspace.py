@@ -30,6 +30,11 @@ def is_finite_real(value) -> bool:
         return False
 
 
+def _check_name(name) -> None:
+    if not isinstance(name, str) or not name:
+        raise ValueError(f"knob name must be a non-empty string, not {name!r}")
+
+
 @dataclass(frozen=True)
 class Interval:
     """A knob that takes any float in [lo, hi]."""
@@ -40,11 +45,10 @@ class Interval:
     hi: float
 
     def __post_init__(self):
-        if not self.name:
-            raise ValueError("knob name must be a non-empty string")
+        _check_name(self.name)
+        if not (is_finite_real(self.lo) and is_finite_real(self.hi)):
+            raise ValueError(f"knob {self.name!r}: bounds must be finite numbers")
         lo, hi = float(self.lo), float(self.hi)
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValueError(f"knob {self.name!r}: bounds must be finite")
         if not lo < hi:
             raise ValueError(f"knob {self.name!r}: lo must be < hi")
         # Agents sample and histogram over the width, so it must be a float too.
@@ -63,13 +67,13 @@ class ValueSet:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        if not self.name:
-            raise ValueError("knob name must be a non-empty string")
-        vals = tuple(float(v) for v in self.values)
+        _check_name(self.name)
+        vals = tuple(self.values)
         if not vals:
             raise ValueError(f"knob {self.name!r}: discrete value set is empty")
-        if not all(map(math.isfinite, vals)):
-            raise ValueError(f"knob {self.name!r}: discrete values must be finite")
+        if not all(map(is_finite_real, vals)):
+            raise ValueError(f"knob {self.name!r}: discrete values must be finite numbers")
+        vals = tuple(map(float, vals))
         if len(set(vals)) != len(vals):
             raise ValueError(f"knob {self.name!r}: duplicate discrete values")
         object.__setattr__(self, "values", vals)

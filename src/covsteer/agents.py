@@ -50,8 +50,10 @@ class Agent(ABC):
 
         That many proposals come from the current policy whether or not their
         rewards were observed first, which is how far ``run_campaign`` may
-        propose ahead. None: the policy never changes. The default lets it
-        change at every observation.
+        propose ahead. Return at least 1, or None: the policy never changes.
+        ``run_campaign`` always proposes the episode it steps next, so a
+        bound below 1 counts as 1. The default lets the policy change at
+        every observation.
         """
         return 1
 

@@ -21,13 +21,13 @@ import math
 import sys
 from pathlib import Path
 
-from . import bridge
 from .agents import CemAgent, RandomAgent
 from .config import AGENT_KINDS, DESIGNS, RunConfig, make_design, parse_config, parse_endpoint
 from .env import Environment, run_campaign
 from .errors import CovsteerError
 from .reporting import (
     EpisodeCsvWriter,
+    KnobTally,
     build_report,
     knob_histograms,
     log_columns,
@@ -40,8 +40,13 @@ from .reporting import (
 
 
 def make_dut(name: str, dut_params: dict | None = None):
-    """Instantiate a bundled design or connect to a bridged one, which takes no dut_params."""
+    """Instantiate a bundled design or connect to a bridged one, which takes no dut_params.
+
+    The bridge module, and ``socket`` with it, is imported only for a bridged one.
+    """
     if name.startswith("bridge:") and not dut_params:
+        from . import bridge
+
         return bridge.connect_tcp(*parse_endpoint(name))
     return make_design(name, dut_params)
 
@@ -57,6 +62,9 @@ def cmd_run(config: RunConfig) -> Path:
 
     The design, environment, agent and log columns are built before the output
     directory is created, so a run refused at connect or at hello leaves none.
+    Each logged action is counted into its knob histograms as its row is
+    written, so the campaign keeps no per-episode state and its memory does
+    not grow with its episode count.
     """
     out = Path(config.out_dir)
     dut = make_dut(config.dut, config.dut_params)
@@ -71,7 +79,7 @@ def cmd_run(config: RunConfig) -> Path:
         )
         columns = log_columns(schema["knob_names"], schema["event_names"])
         out.mkdir(parents=True, exist_ok=True)
-        actions = []
+        knobs = KnobTally(env.space)
 
         with EpisodeCsvWriter(out / "episodes.csv", columns) as writer:
             # The schema goes next to the log before its first row, so a
@@ -81,7 +89,7 @@ def cmd_run(config: RunConfig) -> Path:
             (out / "histograms.csv").unlink(missing_ok=True)
 
             def record(rec):
-                actions.append(rec.action)
+                knobs.add(rec.action)
                 writer.write(rec)
 
             cumulative = run_campaign(
@@ -89,7 +97,7 @@ def cmd_run(config: RunConfig) -> Path:
             )
         if not math.isfinite(cumulative.reward):
             raise ValueError(f"total reward over {cumulative.episodes} episodes is not finite")
-        hists = knob_histograms(env.space, actions)
+        hists = knob_histograms(knobs)
         write_histograms_csv(out / "histograms.csv", hists)
         write_summary(
             out / "summary.json",
@@ -112,6 +120,8 @@ def cmd_report(paths, out_file: str | Path | None = None) -> dict:
 
 
 def cmd_serve(dut_name: str, stdio: bool, port: int | None, host: str) -> None:
+    from . import bridge
+
     if dut_name not in DESIGNS:
         raise CovsteerError(f"serve supports the bundled designs, not {dut_name!r}")
     factory = lambda: make_dut(dut_name)  # noqa: E731

@@ -43,11 +43,12 @@ from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import zip_longest
+from numbers import Integral
 from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from .actionspace import Action, ActionSpace, validate
+from .actionspace import Action, ActionSpace, is_finite_real, validate
 from .coverage import CoverageCounts, CumulativeCoverage, EventSpec, compute_reward
 from .errors import InvalidActionError, ScoreboardError
 
@@ -168,6 +169,15 @@ class _StateWords(np.random.bit_generator.ISeedSequence):
         return self.words
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int; seeds and counts are Python or numpy integers, never bools or floats."""
+    if type(value) is int:  # the common case, and far cheaper than the Integral check
+        return value
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise TypeError(f"{what} must be an integer, not {value!r}")
+    return int(value)
+
+
 def episode_seed(campaign_seed: int, episode: int) -> int:
     """Counter-based split: a distinct, reconstructible seed per episode.
 
@@ -176,7 +186,7 @@ def episode_seed(campaign_seed: int, episode: int) -> int:
     derives whole (see ``_SEED_BLOCK``).
     """
     global _blocks
-    campaign_seed, episode = int(campaign_seed), int(episode)
+    campaign_seed, episode = _integer(campaign_seed, "campaign seed"), _integer(episode, "episode")
     if campaign_seed < 0 or episode < 0:
         raise ValueError("campaign seed and episode must be non-negative")
     offset = episode % _SEED_BLOCK
@@ -195,7 +205,7 @@ def stimulus_rng(seed: int) -> np.random.Generator:
     It is the stream of ``np.random.default_rng(seed)``, built from a cached
     block's words when the seed came from one.
     """
-    seed = int(seed)
+    seed = _integer(seed, "seed")
     for block in _blocks:
         row = block.rows.get(seed)
         if row is not None:
@@ -205,7 +215,9 @@ def stimulus_rng(seed: int) -> np.random.Generator:
 
 def agent_rng(campaign_seed: int) -> np.random.Generator:
     """The campaign-wide stream the agent proposes actions from."""
-    return np.random.default_rng(np.random.SeedSequence((int(campaign_seed), _AGENT_TAG)))
+    return np.random.default_rng(
+        np.random.SeedSequence((_integer(campaign_seed, "campaign seed"), _AGENT_TAG))
+    )
 
 
 @dataclass(frozen=True)
@@ -292,7 +304,10 @@ class Environment:
         mult = dict(multipliers or {})
         unknown = set(mult) - set(names)
         if unknown:
-            raise ValueError(f"multipliers name unknown events: {sorted(unknown)}")
+            raise ValueError(f"multipliers name unknown events: {sorted(unknown, key=str)}")
+        for name, value in mult.items():
+            if not is_finite_real(value):
+                raise ValueError(f"multiplier for {name!r} must be a finite number, not {value!r}")
         self.events = tuple(EventSpec(n, float(mult.get(n, 0.0))) for n in names)
 
     def reset(self, seed: int) -> None:
@@ -326,15 +341,17 @@ def run_campaign(
 
     Episodes are seeded and proposed up to the design's lookahead (at least
     one) ahead of the one being stepped, but only as far as
-    ``agent.observes_until_update()`` reaches; a design with a lookahead is
-    hinted of each. An exception raised while looking ahead is raised on
-    its episode's own turn, so the episodes before it are stepped and
-    logged first, as in a one-at-a-time loop.
+    ``agent.observes_until_update()`` reaches, and always as far as the
+    episode being stepped; a design with a lookahead is hinted of each. An
+    exception raised while looking ahead is raised on its episode's own
+    turn, so the episodes before it are stepped and logged first, as in a
+    one-at-a-time loop. ``episodes`` and ``seed`` are integers, not bools
+    or floats.
 
     The record callback fires after every episode, so a partially written
     log survives an abort. Raises whatever the environment or agent raises.
     """
-    if episodes < 1:
+    if _integer(episodes, "episodes") < 1:
         raise ValueError("episodes must be >= 1")
     rng = agent_rng(seed)
     cumulative = CumulativeCoverage.zero(len(env.events))
@@ -345,7 +362,7 @@ def run_campaign(
         horizon = min(episodes, ep + window)
         until = agent.observes_until_update()
         if until is not None:
-            horizon = min(horizon, ep + until)
+            horizon = min(horizon, ep + max(until, 1))
         for j in range(ep + len(ahead), horizon):
             if ahead and ahead[-1][2] is not None:
                 break

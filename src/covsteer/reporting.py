@@ -5,7 +5,9 @@ The episode log is a CSV with the fixed header
 with repr() so the file round-trips exactly and identical runs produce
 identical bytes. A run directory holds ``episodes.csv``, ``summary.json``
 (totals, histograms, final agent snapshot, resolved config), and
-``histograms.csv`` (per-knob value frequencies).
+``histograms.csv`` (per-knob value frequencies). A ``KnobTally`` counts the
+histograms as the rows are logged, so a campaign keeps no list of its
+actions.
 
 Reports aggregate several runs of the same design side by side: per-event
 totals, total reward, and event ratios of the first run over each other
@@ -21,7 +23,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
-from .actionspace import ActionSpace, Interval
+from .actionspace import Action, ActionSpace, KnobSpec, ValueSet
 from .coverage import CumulativeCoverage
 from .env import EpisodeRecord
 from .errors import ReportError
@@ -149,34 +151,53 @@ def read_episode_log(path) -> EpisodeLog:
     return EpisodeLog(str(p), tuple(knob_names), tuple(ev_names), tuple(records))
 
 
-def knob_histograms(space: ActionSpace, actions) -> dict:
+def _knob_bins(knob: KnobSpec):
+    """A knob's histogram bins as ``(lo, hi)`` pairs, and the function from a value to its bin.
+
+    A value set has one bin per value, an interval 10; the function returns
+    the index of the value's bin, or None for a value outside every bin.
+    """
+    if isinstance(knob, ValueSet):
+        return [(v, v) for v in knob.values], {v: b for b, v in enumerate(knob.values)}.__getitem__
+    lo, hi = knob.lo, knob.hi
+    width = (hi - lo) / INTERVAL_BINS
+    los = [lo + b * width for b in range(INTERVAL_BINS)]
+    bins = [(b_lo, hi if b == INTERVAL_BINS - 1 else b_lo + width) for b, b_lo in enumerate(los)]
+    # A value belongs to the last bin whose lo it reaches; the printed hi
+    # (lo + width) can miss the next lo by an ulp, so it is not an edge.
+    return bins, lambda v: bisect_right(los, v) - 1 if lo <= v <= hi else None
+
+
+class KnobTally:
+    """Each knob's histogram counts, added one logged action at a time.
+
+    It holds one count per bin, so a campaign that counts its actions as it
+    logs them keeps no list of them.
+    """
+
+    def __init__(self, space: ActionSpace):
+        self.space = space
+        knob_bins = [_knob_bins(knob) for knob in space.knobs]
+        self.bins = [bins for bins, _ in knob_bins]
+        self._finders = [find for _, find in knob_bins]
+        self.counts = [[0] * len(bins) for bins in self.bins]
+
+    def add(self, action: Action) -> None:
+        for find, counts, v in zip(self._finders, self.counts, action):
+            b = find(v)
+            if b is not None:
+                counts[b] += 1
+
+
+def knob_histograms(tally: KnobTally) -> dict:
     """Value frequencies per knob: exact values for a value set, 10 bins for an interval."""
-    hists = {}
-    for k, knob in enumerate(space.knobs):
-        values = [a[k] for a in actions]
-        if isinstance(knob, Interval):
-            width = (knob.hi - knob.lo) / INTERVAL_BINS
-            los = [knob.lo + b * width for b in range(INTERVAL_BINS)]
-            # A value belongs to the last bin whose lo it reaches; the printed
-            # hi (lo + width) can miss the next lo by an ulp, so it is not an edge.
-            counts = [0] * INTERVAL_BINS
-            for v in values:
-                if knob.lo <= v <= knob.hi:
-                    counts[bisect_right(los, v) - 1] += 1
-            bins = [
-                {"lo": lo, "hi": knob.hi if b == INTERVAL_BINS - 1 else lo + width, "count": n}
-                for b, (lo, n) in enumerate(zip(los, counts))
-            ]
-            hists[knob.name] = {"kind": knob.kind, "bins": bins}
-        else:
-            counts = {v: 0 for v in knob.values}
-            for v in values:
-                counts[v] += 1
-            hists[knob.name] = {
-                "kind": knob.kind,
-                "bins": [{"lo": v, "hi": v, "count": c} for v, c in counts.items()],
-            }
-    return hists
+    return {
+        knob.name: {
+            "kind": knob.kind,
+            "bins": [{"lo": lo, "hi": hi, "count": n} for (lo, hi), n in zip(bins, counts)],
+        }
+        for knob, bins, counts in zip(tally.space.knobs, tally.bins, tally.counts)
+    }
 
 
 def write_histograms_csv(path, hists: dict) -> None:

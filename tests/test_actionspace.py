@@ -42,6 +42,33 @@ class TestKnobSpec:
         with pytest.raises(ValueError):
             Interval("", 0, 1)
 
+    @pytest.mark.parametrize("name", [5, None, b"x", ("x",)], ids=["int", "none", "bytes", "tuple"])
+    def test_name_must_be_a_string(self, name):
+        for make in (lambda: Interval(name, 0, 1), lambda: ValueSet(name, [1])):
+            with pytest.raises(ValueError, match="knob name must be a non-empty string"):
+                make()
+
+    @pytest.mark.parametrize(
+        "bad", ["0", True, None, 10**400, float("nan")],
+        ids=["str", "bool", "none", "huge_int", "nan"],
+    )
+    def test_bounds_must_be_finite_numbers(self, bad):
+        for lo, hi in ((bad, 2), (-2, bad)):
+            with pytest.raises(ValueError, match="bounds must be finite numbers"):
+                Interval("y", lo, hi)
+
+    @pytest.mark.parametrize(
+        "values", [["1", 2], [True, False], [1, None], [10**400]],
+        ids=["str", "bool", "none", "huge_int"],
+    )
+    def test_discrete_values_must_be_numbers(self, values):
+        with pytest.raises(ValueError, match="discrete values must be finite numbers"):
+            ValueSet("x", values)
+
+    def test_numpy_numbers_accepted(self):
+        assert Interval("p", np.int64(0), np.float32(0.5)).hi == 0.5
+        assert ValueSet("d", np.arange(3)).values == (0.0, 1.0, 2.0)
+
     def test_each_kind_has_only_its_fields(self):
         interval, value_set = Interval("p", 0, 1), ValueSet("d", [1])
         assert (interval.kind, interval.lo, interval.hi) == ("continuous", 0.0, 1.0)

@@ -5,6 +5,7 @@ import operator
 import socket
 import subprocess
 import sys
+import tracemalloc
 from functools import partial, reduce
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import covsteer
+from covsteer import cli
 from covsteer.bridge import connect_dut, serve_tcp
 from covsteer.cli import _build_parser, cmd_report, main, make_agent, make_dut
 from covsteer.config import AGENT_KINDS, DESIGNS, build_config
@@ -401,6 +403,55 @@ class TestMainEntry:
             {"dut": "axi", "episodes": 5, "dut_params": {"cycles_per_step": 10}}, tmp_path / "axi"
         )
         assert main(["report", str(rle_out), str(axi_out)]) == 1
+
+
+class FixedCounts(RleDut):
+    """The compressor's knobs and events with its step stubbed out: the campaign alone is measured."""
+
+    def step(self, action, seed):
+        return (1, 0, 0, 1)
+
+
+class TestCampaignFootprint:
+    def test_peak_memory_does_not_grow_with_episodes(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "make_dut", lambda name, params=None: FixedCounts())
+
+        def traced_peak(episodes):
+            config = build_config(
+                {"dut": "rle", "agent": "cem", "episodes": episodes},
+                {"out_dir": str(tmp_path / str(episodes))},
+            )
+            tracemalloc.start()
+            try:
+                cli.cmd_run(config)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        traced_peak(1000)  # first-run caches and imports
+        short, long = traced_peak(1000), traced_peak(9000)
+        # A list of the logged actions costs ~110 bytes per episode, ~870 kB
+        # here; a flat campaign's peak moves by at most ~50 kB either way.
+        assert long - short < 100_000
+
+    def test_bundled_run_imports_neither_bridge_nor_socket(self, tmp_path):
+        config = write_config(tmp_path, {"dut": "rle", "episodes": 3})
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "covsteer", "run", "--config",
+             str(config), "--out", str(tmp_path / "out")],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={"PYTHONPATH": SRC_DIR, "PATH": "/usr/bin:/bin", "PYTHONDONTWRITEBYTECODE": "1"},
+        )
+        assert proc.returncode == 0, proc.stderr
+        imported = {
+            line.rsplit("|", 1)[1].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")
+        }
+        assert {"covsteer.cli", "covsteer.rle", "numpy"} <= imported
+        assert not {"covsteer.bridge", "socket"} & imported
 
 
 class TestMakeDut:

@@ -6,7 +6,14 @@ from hypothesis import strategies as st
 from covsteer.actionspace import ActionSpace, Interval, ValueSet
 from covsteer.agents import CemAgent, RandomAgent
 from covsteer.coverage import compute_reward
-from covsteer.env import DutModel, Environment, episode_seed, run_campaign, stimulus_rng
+from covsteer.env import (
+    DutModel,
+    Environment,
+    agent_rng,
+    episode_seed,
+    run_campaign,
+    stimulus_rng,
+)
 from covsteer.errors import InvalidActionError
 from covsteer.rle import RleDut
 
@@ -15,6 +22,14 @@ from conftest import StreamThenFault
 
 def rle_env(multipliers=None):
     return Environment(RleDut(), multipliers or {})
+
+
+def logged_campaign(episodes, seed, agent_cls=RandomAgent):
+    """The records of an rle campaign rewarded on e3_partial_count."""
+    env = rle_env({"e3_partial_count": 1.0})
+    records = []
+    run_campaign(env, agent_cls(env.space), episodes, seed, on_record=records.append)
+    return records
 
 
 class TestReset:
@@ -94,6 +109,19 @@ class TestStep:
     def test_unknown_multiplier_rejected(self):
         with pytest.raises(ValueError):
             rle_env({"not_an_event": 1.0})
+        with pytest.raises(ValueError, match=r"unknown events: \[3, 'x'\]"):
+            rle_env({"x": 1.0, 3: 1.0})
+
+    @pytest.mark.parametrize(
+        "value", ["2", float("nan"), float("inf"), True, None, 10**400],
+        ids=["str", "nan", "inf", "bool", "none", "huge_int"],
+    )
+    def test_multiplier_must_be_a_finite_number(self, value):
+        with pytest.raises(ValueError, match="multiplier for 'e3_partial_count'"):
+            rle_env({"e3_partial_count": value})
+
+    def test_numpy_multiplier_accepted(self):
+        assert rle_env({"e3_partial_count": np.float32(2.5)}).events[3].multiplier == 2.5
 
 
 class TestRunCampaign:
@@ -141,6 +169,25 @@ class TestRunCampaign:
         with pytest.raises(RuntimeError):
             run_campaign(env, FailingAgent(env.space), 10, seed=0, on_record=records.append)
         assert len(records) == 3
+
+    @pytest.mark.parametrize("bound", [0, -3])
+    def test_agent_bound_below_one_still_steps_each_episode(self, bound):
+        class Eager(RandomAgent):
+            def observes_until_update(self):
+                return bound
+
+        assert logged_campaign(3, 4, Eager) == logged_campaign(3, 4)
+
+    @pytest.mark.parametrize("episodes, seed", [(3, 1.7), (3.0, 1), (True, 1), (3, True)])
+    def test_episodes_and_seed_must_be_integers(self, episodes, seed):
+        env = rle_env()
+        records = []
+        with pytest.raises(TypeError, match="must be an integer"):
+            run_campaign(env, RandomAgent(env.space), episodes, seed, on_record=records.append)
+        assert records == []
+
+    def test_numpy_integers_run_the_same_campaign(self):
+        assert logged_campaign(np.int64(3), np.uint32(5)) == logged_campaign(3, 5)
 
     def test_in_process_design_sees_one_episode_at_a_time(self, monkeypatch):
         import covsteer.env as env_mod
@@ -235,6 +282,25 @@ class TestSeeding:
         for args in ((-1, 0), (0, -1)):
             with pytest.raises(ValueError):
                 episode_seed(*args)
+
+    @pytest.mark.parametrize(
+        "bad", [1.9, 2.0, True, np.float64(1.0), np.bool_(True), "1", None],
+        ids=["float", "integral_float", "bool", "numpy_float", "numpy_bool", "str", "none"],
+    )
+    def test_non_integer_seeds_rejected(self, bad):
+        for call in (
+            lambda: episode_seed(bad, 2),
+            lambda: episode_seed(1, bad),
+            lambda: stimulus_rng(bad),
+            lambda: agent_rng(bad),
+        ):
+            with pytest.raises(TypeError, match="must be an integer"):
+                call()
+
+    def test_numpy_integer_seeds_match_python_ints(self):
+        assert episode_seed(np.int64(7), np.uint16(300)) == episode_seed(7, 300)
+        assert same_stream(stimulus_rng(np.uint64(2**63)), np.random.default_rng(2**63))
+        assert same_stream(agent_rng(np.int32(3)), agent_rng(3))
 
     @given(campaign_seeds, episode_indices)
     def test_stimulus_rng_from_a_block_is_default_rng(self, campaign_seed, episode):

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from covsteer.actionspace import ActionSpace, Interval
+from covsteer.actionspace import ActionSpace, Interval, ValueSet
 from covsteer.env import EpisodeRecord
 from covsteer.errors import ReportError
 from covsteer.reporting import (
     INTERVAL_BINS,
     EpisodeCsvWriter,
+    KnobTally,
     build_report,
     format_real,
     knob_histograms,
@@ -23,11 +24,28 @@ from covsteer.reporting import (
 
 
 def histogram(lo, hi, values):
-    space = ActionSpace(knobs=(Interval("x", lo, hi),))
-    return knob_histograms(space, [(v,) for v in values])["x"]["bins"]
+    tally = KnobTally(ActionSpace(knobs=(Interval("x", lo, hi),)))
+    for v in values:
+        tally.add((v,))
+    return knob_histograms(tally)["x"]["bins"]
 
 
 class TestKnobHistograms:
+    def test_each_value_counted_in_its_bin(self):
+        tally = KnobTally(ActionSpace((Interval("x", 0.0, 1.0), ValueSet("n", (4, 1, 2)))))
+        for action in [(0.0, 1), (0.05, 2), (0.95, 2), (1.0, 4), (1.5, 2), (-0.1, 1)]:
+            tally.add(action)
+        hists = knob_histograms(tally)
+        assert [b["count"] for b in hists["x"]["bins"]] == [2, 0, 0, 0, 0, 0, 0, 0, 0, 2]
+        assert hists["n"] == {
+            "kind": "discrete",
+            "bins": [
+                {"lo": 4.0, "hi": 4.0, "count": 1},
+                {"lo": 1.0, "hi": 1.0, "count": 2},
+                {"lo": 2.0, "hi": 2.0, "count": 3},
+            ],
+        }
+
     @pytest.mark.parametrize("lo, hi, value", [(0.0, 1.0, 0.6), (-1.0, 1.0, 0.0)])
     def test_value_on_a_bin_edge_counted_once(self, lo, hi, value):
         assert sum(b["count"] for b in histogram(lo, hi, [value])) == 1
