@@ -10,6 +10,7 @@ from the same seed derivation.
 Run:  python demos/bridge_session.py
 """
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -43,7 +44,7 @@ def main():
         [sys.executable, "-m", "covsteer", "serve", "--dut", "rle", "--stdio"],
         stdin=subprocess.PIPE,
         stdout=subprocess.PIPE,
-        env={"PYTHONPATH": str(SRC)},
+        env={**os.environ, "PYTHONPATH": str(SRC)},
     )
     try:
         proxy = connect_dut(proc.stdout, proc.stdin)

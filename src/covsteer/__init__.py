@@ -14,7 +14,6 @@ from .actionspace import (
     Interval,
     KnobSpec,
     ValueSet,
-    Violation,
     sample_uniform,
     validate,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "StepResult",
     "TransportError",
     "ValueSet",
-    "Violation",
     "agent_rng",
     "compute_reward",
     "episode_seed",

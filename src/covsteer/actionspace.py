@@ -6,15 +6,22 @@ names its class on the wire and in reports. One concrete action is a
 plain tuple with one float per knob, in the space's order. Knob values
 parameterize stimulus generation; the agents never transform them, so
 discrete values round-trip exactly.
+
+This module owns the package's checks of numbers and actions:
+``is_finite_real`` and ``is_integer`` decide what counts as a real number
+and as an integer, and ``validate`` raises ``InvalidActionError`` for an
+action outside its space.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
+
+from .errors import InvalidActionError
 
 # One concrete knob assignment: one float per knob, in the space's order.
 Action = tuple[float, ...]
@@ -28,6 +35,11 @@ def is_finite_real(value) -> bool:
         return math.isfinite(value)
     except OverflowError:  # an integer beyond the float range
         return False
+
+
+def is_integer(value) -> bool:
+    """A Python or numpy integer, not a bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 def _check_name(name) -> None:
@@ -92,6 +104,9 @@ class ActionSpace:
         knobs = tuple(self.knobs)
         if not knobs:
             raise ValueError("action space needs at least one knob")
+        for i, knob in enumerate(knobs):
+            if not isinstance(knob, KnobSpec):
+                raise ValueError(f"knob {i} must be an Interval or a ValueSet, not {knob!r}")
         names = [k.name for k in knobs]
         if len(set(names)) != len(names):
             raise ValueError("knob names must be unique")
@@ -105,31 +120,23 @@ class ActionSpace:
         return tuple(k.name for k in self.knobs)
 
 
-@dataclass(frozen=True)
-class Violation:
-    """One failed membership check; knob is None for a length mismatch."""
+def validate(space: ActionSpace, action: Action) -> None:
+    """Raise ``InvalidActionError`` unless the action is in the space.
 
-    knob: int | None
-    message: str
-
-
-def validate(space: ActionSpace, action: Action) -> list[Violation]:
-    """Check an action against a space; an empty list means the action is valid."""
+    The message names every knob whose value is outside it, joined with
+    ``"; "``, or says that the action has the wrong number of values.
+    """
     if len(action) != len(space):
-        return [Violation(None, f"action has {len(action)} values, space has {len(space)} knobs")]
-    out: list[Violation] = []
+        raise InvalidActionError(f"action has {len(action)} values, space has {len(space)} knobs")
+    problems = []
     for i, (knob, v) in enumerate(zip(space.knobs, action)):
         if isinstance(knob, Interval):
             if not (knob.lo <= v <= knob.hi):
-                out.append(
-                    Violation(i, f"knob {i} ({knob.name}): {v!r} not in [{knob.lo}, {knob.hi}]")
-                )
-        else:
-            if v not in knob.values:
-                out.append(
-                    Violation(i, f"knob {i} ({knob.name}): {v!r} not in value set")
-                )
-    return out
+                problems.append(f"knob {i} ({knob.name}): {v!r} not in [{knob.lo}, {knob.hi}]")
+        elif v not in knob.values:
+            problems.append(f"knob {i} ({knob.name}): {v!r} not in value set")
+    if problems:
+        raise InvalidActionError("; ".join(problems))
 
 
 def sample_uniform(space: ActionSpace, rng: np.random.Generator) -> Action:

@@ -23,11 +23,10 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from bisect import bisect_right
-from numbers import Integral
 
 import numpy as np
 
-from .actionspace import Action, ActionSpace, Interval, ValueSet, is_finite_real, sample_uniform
+from .actionspace import Action, ActionSpace, Interval, ValueSet, is_finite_real, is_integer, sample_uniform
 
 
 class Agent(ABC):
@@ -142,7 +141,7 @@ def check_cem_params(batch_size, elite_frac, smoothing, sigma_min_frac, prob_flo
     bounds the rejection loop in ``TruncatedNormal.draw``.
     """
     # Bounded above so that the summary can print it and a refit's sums stay floats.
-    if isinstance(batch_size, bool) or not isinstance(batch_size, Integral) or not 0 < batch_size < 2**63:
+    if not is_integer(batch_size) or not 0 < batch_size < 2**63:
         raise ValueError("batch_size must be a positive integer below 2**63")
     reals = {
         "elite_frac": elite_frac,

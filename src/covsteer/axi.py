@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, fields
-from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -39,7 +38,7 @@ import numpy as np
 # Designs call env.stimulus_rng through the module, so a rebinding of it
 # (as the benchmark tracer does) reaches every episode.
 from . import env
-from .actionspace import Action, ActionSpace, ValueSet
+from .actionspace import Action, ActionSpace, ValueSet, is_integer
 from .env import DutModel
 from .errors import ScoreboardError
 
@@ -76,7 +75,7 @@ class AxiConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             least = 0 if f.name == "cycles_per_step" else 1
-            if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+            if not is_integer(value) or value < least:
                 raise ValueError(f"{f.name} must be an integer >= {least}")
         if self.cycles_per_step > MAX_CYCLES_PER_STEP:
             raise ValueError(f"cycles_per_step must be at most {MAX_CYCLES_PER_STEP}")

@@ -28,9 +28,10 @@ request line longer than ``MAX_LINE_BYTES``, which also ends the session
 once the lines before it are answered. Error codes:
 ``decode`` (unparseable or over-long line), ``protocol`` (a message only
 the serving side sends), ``invalid_action`` (action outside the served
-space), ``dut_fault`` (design model raised), ``busy`` (sent in place of
-``hello`` by a TCP server already serving ``MAX_CONCURRENT_SESSIONS``
-sessions; the connection is then closed). A TCP session whose peer sends
+space; the detail names every knob out of range), ``dut_fault`` (design
+model raised), ``busy`` (sent in place of ``hello`` by a TCP server
+already serving ``MAX_CONCURRENT_SESSIONS`` sessions; the connection is
+then closed). A TCP session whose peer sends
 nothing for ``SESSION_IDLE_TIMEOUT_S`` seconds is closed. The client
 reads at most ``MAX_LINE_BYTES`` of a reply line too: a longer ``hello``,
 ``counts`` or ``error`` line raises ``BridgeDecodeError``.
@@ -270,7 +271,7 @@ def _answer(env: Environment, line: bytes) -> BridgeMessage:
     except BridgeDecodeError as exc:
         return Error("decode", str(exc))
     except InvalidActionError as exc:
-        return Error("invalid_action", exc.violations[0].message)
+        return Error("invalid_action", str(exc))
     except Exception as exc:  # noqa: BLE001 - reported to the peer
         return Error("dut_fault", f"{type(exc).__name__}: {exc}")
 

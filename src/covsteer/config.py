@@ -50,7 +50,7 @@ from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from . import axi, rle
-from .actionspace import is_finite_real
+from .actionspace import is_finite_real, is_integer
 from .agents import CemAgent, check_cem_params
 from .env import DutModel, Environment
 from .errors import ConfigError
@@ -96,10 +96,6 @@ _FIELDS = {f.name: f for f in fields(RunConfig) if f.name != "defaulted"}
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ConfigError(message)
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def parse_endpoint(dut: str) -> tuple[str, int]:
@@ -170,11 +166,11 @@ def build_config(raw: dict, overrides: dict | None = None) -> RunConfig:
     _require(agent in AGENT_KINDS, f"unknown agent {agent!r}: expected one of {AGENT_KINDS}")
 
     episodes = given("episodes")
-    _require(_is_int(episodes) and episodes >= 1, "config key 'episodes' must be a positive integer")
+    _require(is_integer(episodes) and episodes >= 1, "config key 'episodes' must be a positive integer")
 
     seed = given("seed")
     _require(
-        _is_int(seed) and 0 <= seed < 1 << 64,
+        is_integer(seed) and 0 <= seed < 1 << 64,
         "config key 'seed' must be an integer in [0, 2**64)",
     )
 
@@ -225,8 +221,8 @@ def build_config(raw: dict, overrides: dict | None = None) -> RunConfig:
     return RunConfig(
         dut=dut,
         agent=agent,
-        episodes=episodes,
-        seed=seed,
+        episodes=int(episodes),  # a numpy integer is accepted, and summary.json needs an int
+        seed=int(seed),
         multipliers=multipliers,
         agent_params=agent_params,
         dut_params=dict(dut_params),

@@ -5,7 +5,9 @@ the agent picks knob values once, the design model expands them into
 stimulus from the seed's random stream and simulates it, and the episode
 ends. An episode is one call, ``Environment.step(action, seed)``: it
 validates the action, calls ``dut.step(action, seed)``, and returns the
-per-event counts and the multiplier-weighted reward. The environment keeps
+per-event counts and the multiplier-weighted reward. It is the one gate
+for a design's counts: each must be a Python or numpy integer, and a
+float or a bool is refused with ``TypeError``. The environment keeps
 no state between calls, so a repeated or retried step replays the episode.
 
 A design with a ``lookahead`` (a bridged one) is told of episodes before
@@ -43,14 +45,13 @@ from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import zip_longest
-from numbers import Integral
 from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from .actionspace import Action, ActionSpace, is_finite_real, validate
+from .actionspace import Action, ActionSpace, is_finite_real, is_integer, validate
 from .coverage import CoverageCounts, CumulativeCoverage, EventSpec, compute_reward
-from .errors import InvalidActionError, ScoreboardError
+from .errors import ScoreboardError
 
 _EPISODE_TAG = 1
 _AGENT_TAG = 2
@@ -171,9 +172,9 @@ class _StateWords(np.random.bit_generator.ISeedSequence):
 
 def _integer(value, what: str) -> int:
     """``value`` as an int; seeds and counts are Python or numpy integers, never bools or floats."""
-    if type(value) is int:  # the common case, and far cheaper than the Integral check
+    if type(value) is int:  # the common case, and far cheaper than is_integer
         return value
-    if isinstance(value, bool) or not isinstance(value, Integral):
+    if not is_integer(value):
         raise TypeError(f"{what} must be an integer, not {value!r}")
     return int(value)
 
@@ -313,20 +314,15 @@ class Environment:
     def reset(self, seed: int) -> None:
         """Never called by covsteer; kept only because ``bench/tracer.py`` binds it by name."""
 
-    def _check(self, action: Action) -> None:
-        violations = validate(self.space, action)
-        if violations:
-            raise InvalidActionError(violations)
-
     def hint(self, action: Action, seed: int) -> None:
         """Check an upcoming episode's action and announce it to the design model."""
-        self._check(action)
+        validate(self.space, action)
         self.dut.hint(action, seed)
 
     def step(self, action: Action, seed: int) -> StepResult:
-        """Run the episode of this seed with this action."""
-        self._check(action)
-        counts = tuple(int(c) for c in self.dut.step(action, seed))
+        """Run the episode of this seed with this action; a non-integer count raises TypeError."""
+        validate(self.space, action)
+        counts = tuple([_integer(c, "count") for c in self.dut.step(action, seed)])
         return StepResult(reward=compute_reward(counts, self.events), counts=counts)
 
 

@@ -10,11 +10,7 @@ class ConfigError(CovsteerError):
 
 
 class InvalidActionError(CovsteerError):
-    """An action violates the environment's action space."""
-
-    def __init__(self, violations):
-        self.violations = list(violations)
-        super().__init__("; ".join(v.message for v in self.violations))
+    """An action is outside its action space; the message names every violation."""
 
 
 class ScoreboardError(CovsteerError):

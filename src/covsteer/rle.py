@@ -52,14 +52,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from numbers import Integral
 
 import numpy as np
 
 # Designs call env.stimulus_rng through the module, so a rebinding of it
 # (as the benchmark tracer does) reaches every episode.
 from . import env
-from .actionspace import Action, ActionSpace, Interval, ValueSet
+from .actionspace import Action, ActionSpace, Interval, ValueSet, is_integer
 from .coverage import CoverageCounts
 from .env import DutModel
 
@@ -86,7 +85,7 @@ class RleConfig:
 
     def __post_init__(self):
         cw = self.count_width
-        if isinstance(cw, bool) or not isinstance(cw, Integral) or cw not in COUNT_WIDTHS:
+        if not is_integer(cw) or cw not in COUNT_WIDTHS:
             lo, hi = COUNT_WIDTHS[0], COUNT_WIDTHS[-1]
             raise ValueError(f"count_width must be an integer in {lo}..{hi}, got {cw!r}")
 

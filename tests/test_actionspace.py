@@ -1,12 +1,40 @@
+from decimal import Decimal
+from fractions import Fraction
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from covsteer.actionspace import ActionSpace, Interval, ValueSet, sample_uniform, validate
+from covsteer.actionspace import (
+    ActionSpace,
+    Interval,
+    ValueSet,
+    is_integer,
+    sample_uniform,
+    validate,
+)
+from covsteer.errors import InvalidActionError
 from covsteer.rle import ACTION_SPACE as RLE_SPACE
 
 from conftest import action_spaces
+
+
+class TestIsInteger:
+    @pytest.mark.parametrize(
+        "value", [0, -3, 10**400, np.int8(-1), np.int64(7), np.uint8(255), np.uint64(2**64 - 1)]
+    )
+    def test_python_and_numpy_integers(self, value):
+        assert is_integer(value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [True, False, np.bool_(True), 2.0, np.float64(2.0), Fraction(2), Decimal(2), "2", None],
+        ids=["true", "false", "np_bool", "float", "np_float64", "fraction", "decimal", "str", "none"],
+    )
+    def test_bools_and_other_numbers_are_not(self, value):
+        assert not is_integer(value)
 
 
 class TestKnobSpec:
@@ -85,6 +113,16 @@ class TestActionSpace:
     def test_names_in_order(self):
         assert RLE_SPACE.names == ("zero_prob", "count_width", "seq_length")
 
+    @pytest.mark.parametrize(
+        "knobs",
+        [("x",), (Interval("a", 0, 1), None), (ValueSet("a", [1]), SimpleNamespace(name="b"))],
+        ids=["str", "none", "has_a_name"],
+    )
+    def test_every_knob_is_an_interval_or_a_value_set(self, knobs):
+        position = len(knobs) - 1
+        with pytest.raises(ValueError, match=f"knob {position} must be an Interval or a ValueSet"):
+            ActionSpace(knobs)
+
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):
             ActionSpace(
@@ -94,33 +132,39 @@ class TestActionSpace:
 
 class TestValidate:
     def test_valid_action(self):
-        assert validate(RLE_SPACE, (0.4, 6, 300)) == []
+        assert validate(RLE_SPACE, (0.4, 6, 300)) is None
 
     def test_continuous_bound_violation(self):
-        violations = validate(RLE_SPACE, (1.5, 6, 300))
-        assert len(violations) == 1
-        assert violations[0].knob == 0
+        with pytest.raises(InvalidActionError) as info:
+            validate(RLE_SPACE, (1.5, 6, 300))
+        assert str(info.value) == "knob 0 (zero_prob): 1.5 not in [0.0, 1.0]"
 
     def test_discrete_membership_violation(self):
-        violations = validate(RLE_SPACE, (0.4, 9, 300))
-        assert len(violations) == 1
-        assert violations[0].knob == 1
+        with pytest.raises(InvalidActionError) as info:
+            validate(RLE_SPACE, (0.4, 9, 300))
+        assert str(info.value) == "knob 1 (count_width): 9 not in value set"
 
     def test_length_mismatch_is_its_own_violation(self):
-        violations = validate(RLE_SPACE, (0.4, 6))
-        assert len(violations) == 1
-        assert violations[0].knob is None
-        assert "3 knobs" in violations[0].message
+        with pytest.raises(InvalidActionError) as info:
+            validate(RLE_SPACE, (0.4, 6))
+        assert str(info.value) == "action has 2 values, space has 3 knobs"
 
     def test_multiple_violations_reported(self):
-        violations = validate(RLE_SPACE, (-0.1, 9, 300))
-        assert [v.knob for v in violations] == [0, 1]
+        with pytest.raises(InvalidActionError) as info:
+            validate(RLE_SPACE, (-0.1, 9, 300))
+        assert str(info.value).split("; ") == [
+            "knob 0 (zero_prob): -0.1 not in [0.0, 1.0]",
+            "knob 1 (count_width): 9 not in value set",
+        ]
 
     def test_pure_function(self):
         action = (2.0, 6, 300)
-        first = validate(RLE_SPACE, action)
-        second = validate(RLE_SPACE, action)
-        assert first == second
+        messages = []
+        for _ in range(2):
+            with pytest.raises(InvalidActionError) as info:
+                validate(RLE_SPACE, action)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1] == "knob 0 (zero_prob): 2.0 not in [0.0, 1.0]"
 
 
 class TestSampleUniform:
@@ -148,4 +192,4 @@ class TestSampleUniform:
     def test_samples_always_validate(self, space, seed):
         rng = np.random.default_rng(seed)
         for _ in range(3):
-            assert validate(space, sample_uniform(space, rng)) == []
+            assert validate(space, sample_uniform(space, rng)) is None

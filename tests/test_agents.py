@@ -30,7 +30,7 @@ class TestRandomAgent:
         agent = RandomAgent(ACTION_SPACE)
         rng = np.random.default_rng(0)
         for _ in range(50):
-            assert validate(ACTION_SPACE, agent.propose(rng)) == []
+            assert validate(ACTION_SPACE, agent.propose(rng)) is None
 
     def test_observe_is_a_no_op(self):
         # Stronger than a histogram comparison: with observe stateless the
@@ -154,7 +154,7 @@ class TestCemPropose:
         agent = CemAgent(space, prob_floor=0.001)
         rng = np.random.default_rng(seed)
         for _ in range(3):
-            assert validate(space, agent.propose(rng)) == []
+            assert validate(space, agent.propose(rng)) is None
 
     def test_truncation_respects_bounds(self):
         space = ActionSpace(knobs=(Interval("x", -2.0, 3.0),))

@@ -344,6 +344,13 @@ class TestServeSession:
         reply = session.request(Episode(1, (9.0, 6.0, 300.0)))
         assert isinstance(reply, Error) and reply.code == "invalid_action"
 
+    def test_invalid_action_detail_names_every_bad_knob(self, session):
+        reply = session.request(Episode(1, (9.0, 4.5, 300.0)))
+        assert reply == Error(
+            "invalid_action",
+            "knob 0 (zero_prob): 9.0 not in [0.0, 1.0]; knob 1 (count_width): 4.5 not in value set",
+        )
+
     def test_unexpected_server_message_rejected(self, session):
         reply = session.request(Counts((1, 0, 0, 0)))
         assert isinstance(reply, Error) and reply.code == "protocol"

@@ -25,6 +25,9 @@ from covsteer.rle import RleDut
 from conftest import run_into, scripted_server, step_reply, tcp_server
 
 SRC_DIR = str(Path(covsteer.__file__).resolve().parent.parent)
+# A child process's environment: the package on its path, and no bytecode
+# cache written into the source tree.
+CHILD_ENV = {"PYTHONPATH": SRC_DIR, "PATH": "/usr/bin:/bin", "PYTHONDONTWRITEBYTECODE": "1"}
 
 
 def reward_fold(records) -> float:
@@ -442,7 +445,7 @@ class TestCampaignFootprint:
             capture_output=True,
             text=True,
             timeout=60,
-            env={"PYTHONPATH": SRC_DIR, "PATH": "/usr/bin:/bin", "PYTHONDONTWRITEBYTECODE": "1"},
+            env=CHILD_ENV,
         )
         assert proc.returncode == 0, proc.stderr
         imported = {
@@ -467,7 +470,7 @@ class TestServeStdio:
             [sys.executable, "-m", "covsteer", "serve", "--dut", "rle", "--stdio"],
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
-            env={"PYTHONPATH": SRC_DIR, "PATH": "/usr/bin:/bin"},
+            env=CHILD_ENV,
         )
         try:
             proxy = connect_dut(proc.stdout, proc.stdin)
@@ -485,7 +488,7 @@ class TestServeTcpCli:
         proc = subprocess.Popen(
             [sys.executable, "-m", "covsteer", "serve", "--dut", "axi", "--port", "0"],
             stderr=subprocess.PIPE,
-            env={"PYTHONPATH": SRC_DIR, "PATH": "/usr/bin:/bin"},
+            env=CHILD_ENV,
         )
         try:
             announce = proc.stderr.readline().decode()

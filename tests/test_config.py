@@ -4,6 +4,7 @@ from dataclasses import fields
 from datetime import timedelta
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
@@ -242,6 +243,12 @@ class TestOverrides:
         path = write(tmp_path, {"dut": "rle", "episodes": 10, "seed": 1})
         cfg = parse_config(path, {"episodes": 20, "seed": 2, "agent": "cem", "out_dir": "x"})
         assert (cfg.episodes, cfg.seed, cfg.agent, cfg.out_dir) == (20, 2, "cem", "x")
+
+    def test_numpy_integer_overrides_become_ints(self):
+        cfg = build_config({"dut": "rle"}, {"episodes": np.int64(20), "seed": np.uint64(2)})
+        assert (cfg.episodes, cfg.seed, cfg.out_dir) == (20, 2, "runs/rle_random_seed2")
+        assert type(cfg.episodes) is int and type(cfg.seed) is int
+        json.dumps(cfg.to_json_dict())  # the summary's echo of the config
 
     def test_none_overrides_ignored(self, tmp_path):
         path = write(tmp_path, {"dut": "rle", "episodes": 10})

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -18,6 +20,19 @@ from covsteer.errors import InvalidActionError
 from covsteer.rle import RleDut
 
 from conftest import StreamThenFault
+
+
+class FixedCounts(DutModel):
+    """A design whose every step returns the counts it was built with."""
+
+    event_names = ("a", "b")
+    action_space = ActionSpace(knobs=(Interval("x", 0.0, 1.0),))
+
+    def __init__(self, counts):
+        self.counts = counts
+
+    def step(self, action, seed):
+        return self.counts
 
 
 def rle_env(multipliers=None):
@@ -105,6 +120,19 @@ class TestStep:
         env = Environment(Constant(), {"one": 2.0})
         assert env.step((0.5,), seed=3).counts == (1, 3)
         assert built == []
+
+    @pytest.mark.parametrize(
+        "bad", [1.7, True, np.float64(2.0), "2"], ids=["float", "bool", "np_float64", "str"]
+    )
+    def test_counts_must_be_integers(self, bad):
+        env = Environment(FixedCounts((0, bad)), {"b": 1.0})
+        with pytest.raises(TypeError, match=re.escape(f"count must be an integer, not {bad!r}")):
+            env.step((0.5,), seed=0)
+
+    def test_numpy_integer_counts_become_ints(self):
+        result = Environment(FixedCounts((np.int64(3), np.uint8(2))), {"a": 1.0}).step((0.5,), seed=0)
+        assert result.counts == (3, 2) and result.reward == 3.0
+        assert all(type(c) is int for c in result.counts)
 
     def test_unknown_multiplier_rejected(self):
         with pytest.raises(ValueError):
