@@ -15,16 +15,18 @@ no state between episodes. Every cycle:
 3. each FIFO ending the cycle full counts one occurrence of its
    ``fifo_full_slave_<i>`` event.
 
-A step checks its address span, draws all of its addresses and routes
-them at once, then runs the FIFOs request by request. Its ``Trace`` is
-columnar: request ``i`` is master ``i % N_MASTERS`` in cycle
-``i // N_MASTERS``, with its address, routed slave and acceptance in three
-per-request lists, and the dequeues are one list of ``(cycle, slave,
-req_id)`` tuples. ``golden_check`` is the scoreboard: a reference model
-that re-derives the step's ``Trace`` and counts from its addresses and
-the config alone, so ``AxiDut.step`` checks the routing, acceptances,
-dequeues and event counts of every episode by equality, with
-``env.check_golden`` as the compressor's scoreboard does.
+A step draws all of its addresses from the span ``decode_action`` makes
+and routes them at once, then runs the FIFOs request by request. Two
+slave indices that ``validate`` accepted make a non-empty span inside the
+slave map, so the step checks no span. Its ``Trace`` is columnar:
+request ``i`` is master ``i % N_MASTERS`` in cycle ``i // N_MASTERS``,
+with its address, routed slave and acceptance in three per-request lists,
+and the dequeues are one list of ``(cycle, slave, req_id)`` tuples.
+``golden_check`` is the scoreboard: a reference model that re-derives the
+step's ``Trace`` and counts from its addresses and the config alone, so
+``AxiDut.step`` checks the routing, acceptances, dequeues and event counts
+of every episode by equality, with ``env.check_golden`` as the
+compressor's scoreboard does.
 """
 
 from __future__ import annotations
@@ -157,12 +159,10 @@ def simulate_step(
     """Run one step of ``cycles_per_step`` cycles from empty FIFOs.
 
     Returns the per-slave full-cycle counts and the recorded trace. Every
-    address is drawn from ``addr_range``, so one check of that span covers
-    them all: an empty span or one beyond the slave map raises ``ValueError``.
+    address is drawn from ``addr_range``, a non-empty span inside the slave
+    map as ``decode_action`` makes it from two valid slave indices.
     """
     a_min, a_max = addr_range
-    if not 0 <= a_min < a_max <= N_SLAVES * config.region_size:
-        raise ValueError(f"address span [{a_min:#x}, {a_max:#x}) is empty or outside the slave map")
     n_cycles = config.cycles_per_step
     depth = config.fifo_depth
     draw = rng.integers(a_min, a_max, size=n_cycles * N_MASTERS)

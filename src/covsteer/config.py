@@ -38,8 +38,11 @@ defaults are echoed into the run's summary.
 
 The ``agent_params`` keys, defaults and range checks are those of
 ``agents.CemAgent``; the ``dut_params`` keys, defaults and checks are the
-fields of the design's params class. ``dut_params`` is echoed as given,
-with the design's defaults left implicit.
+fields of the design's params class. ``dut_params`` is stored as its
+defaults' types, with the design's defaults left implicit; ``agent_params``
+is stored whole, also as its defaults' types; ``episodes`` and ``seed`` as
+``int`` and multipliers as ``float``. So a numpy scalar or a ``Fraction``
+given through the Python API runs, and ``summary.json`` echoes it as JSON.
 """
 
 from __future__ import annotations
@@ -194,8 +197,8 @@ def build_config(raw: dict, overrides: dict | None = None) -> RunConfig:
     dut_params = given("dut_params")
     _require(isinstance(dut_params, dict), "config key 'dut_params' must be an object")
     params_cls = None if is_bridge else DESIGNS[dut][1]
-    allowed = {f.name for f in fields(params_cls)} if params_cls else set()
-    bad = set(dut_params) - allowed
+    dut_defaults = {f.name: f.default for f in fields(params_cls)} if params_cls else {}
+    bad = set(dut_params) - set(dut_defaults)
     if bad:
         raise ConfigError(f"unknown dut_params key for {dut!r}: {sorted(bad)[0]!r}")
 
@@ -221,11 +224,11 @@ def build_config(raw: dict, overrides: dict | None = None) -> RunConfig:
     return RunConfig(
         dut=dut,
         agent=agent,
-        episodes=int(episodes),  # a numpy integer is accepted, and summary.json needs an int
+        episodes=int(episodes),
         seed=int(seed),
         multipliers=multipliers,
-        agent_params=agent_params,
-        dut_params=dict(dut_params),
+        agent_params={k: type(_CEM_DEFAULTS[k])(v) for k, v in agent_params.items()},
+        dut_params={k: type(dut_defaults[k])(v) for k, v in dut_params.items()},
         out_dir=out_dir,
         defaulted=tuple(defaulted),
     )

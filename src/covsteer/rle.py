@@ -46,6 +46,9 @@ the words; it places the fields among the words by their input positions.
 It derives the event counts arithmetically from the run lengths and the
 count fields' bit positions, and ``RleDut.step`` checks every episode's
 counts and output equal the reference's with ``env.check_golden``.
+``validate`` checks every action against ``ACTION_SPACE`` before its step,
+so the model and the scoreboard take the count width as a plain ``int``
+and check it no further.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ import numpy as np
 # Designs call env.stimulus_rng through the module, so a rebinding of it
 # (as the benchmark tracer does) reaches every episode.
 from . import env
-from .actionspace import Action, ActionSpace, Interval, ValueSet, is_integer
+from .actionspace import Action, ActionSpace, Interval, ValueSet
 from .coverage import CoverageCounts
 from .env import DutModel
 
@@ -80,17 +83,6 @@ ACTION_SPACE = ActionSpace(
 
 
 @dataclass(frozen=True)
-class RleConfig:
-    count_width: int
-
-    def __post_init__(self):
-        cw = self.count_width
-        if not is_integer(cw) or cw not in COUNT_WIDTHS:
-            lo, hi = COUNT_WIDTHS[0], COUNT_WIDTHS[-1]
-            raise ValueError(f"count_width must be an integer in {lo}..{hi}, got {cw!r}")
-
-
-@dataclass(frozen=True)
 class RleOutput:
     """Everything the compressor emitted plus the residual (unflushed) state.
 
@@ -109,8 +101,8 @@ class RleOutput:
     tail_counter: int
 
 
-def decode_action(action: Action, rng: np.random.Generator) -> tuple[RleConfig, bytes]:
-    """Expand (zero_prob, count_width, seq_length) into the episode's config and words.
+def decode_action(action: Action, rng: np.random.Generator) -> tuple[int, bytes]:
+    """Expand (zero_prob, count_width, seq_length) into the episode's count width and words.
 
     Each word is 0 with probability zero_prob, otherwise uniform on
     [1, 255]; the words are one byte each.
@@ -120,10 +112,10 @@ def decode_action(action: Action, rng: np.random.Generator) -> tuple[RleConfig, 
     zero_mask = rng.random(n) < zero_prob
     words = rng.integers(1, MAX_WORD + 1, size=n)
     words[zero_mask] = 0
-    return RleConfig(int(count_width)), words.astype(np.uint8).tobytes()
+    return int(count_width), words.astype(np.uint8).tobytes()
 
 
-def rle_run(config: RleConfig, words: bytes) -> tuple[CoverageCounts, RleOutput]:
+def rle_run(count_width: int, words: bytes) -> tuple[CoverageCounts, RleOutput]:
     """Fold the compressor over the words, one word per cycle.
 
     The loop steps the word counter and marks each count field with it;
@@ -132,7 +124,7 @@ def rle_run(config: RleConfig, words: bytes) -> tuple[CoverageCounts, RleOutput]
     flush: a partial word vector, partial zero-count vector, and a non-zero
     counter all stay in the output's tail.
     """
-    cw = config.count_width
+    cw = count_width
     cap = ZC_CAPACITY_BITS
     saturation = (1 << cw) - 1
     # Width 1 has no midpoint; the counter is at least 1 when compared.
@@ -181,7 +173,7 @@ def rle_run(config: RleConfig, words: bytes) -> tuple[CoverageCounts, RleOutput]
     )
 
 
-def rle_golden(config: RleConfig, words: bytes) -> tuple[CoverageCounts, RleOutput]:
+def rle_golden(count_width: int, words: bytes) -> tuple[CoverageCounts, RleOutput]:
     """Reference compressor: numpy run lengths instead of a state machine.
 
     Views the words as a ``uint8`` array, finds the maximal zero runs from
@@ -195,7 +187,7 @@ def rle_golden(config: RleConfig, words: bytes) -> tuple[CoverageCounts, RleOutp
     arithmetic over the run lengths and the fields' absolute bit positions.
     Produces counts and output identical to ``rle_run``.
     """
-    cw = config.count_width
+    cw = count_width
     cap = ZC_CAPACITY_BITS
     saturation = (1 << cw) - 1
     seq = np.frombuffer(words, np.uint8)
@@ -275,8 +267,8 @@ class RleDut(DutModel):
     action_space = ACTION_SPACE
 
     def step(self, action: Action, seed: int) -> CoverageCounts:
-        config, words = decode_action(action, env.stimulus_rng(seed))
-        counts, output = rle_run(config, words)
-        what = f"compressor at count_width={config.count_width}, length={len(words)}"
-        env.check_golden(what, (counts, output), rle_golden(config, words))
+        count_width, words = decode_action(action, env.stimulus_rng(seed))
+        counts, output = rle_run(count_width, words)
+        what = f"compressor at count_width={count_width}, length={len(words)}"
+        env.check_golden(what, (counts, output), rle_golden(count_width, words))
         return counts

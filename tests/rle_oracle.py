@@ -8,14 +8,14 @@ tail registers carry the whole input.
 from __future__ import annotations
 
 from covsteer.errors import CovsteerError
-from covsteer.rle import ZC_CAPACITY_BITS, RleConfig, RleOutput
+from covsteer.rle import ZC_CAPACITY_BITS, RleOutput
 
 
 class BlockFormatError(CovsteerError):
     """Compressed block data cannot be decoded back to the words."""
 
 
-def rle_decompress(output: RleOutput, config: RleConfig) -> bytes:
+def rle_decompress(output: RleOutput, count_width: int) -> bytes:
     """Invert compressor output back into the original words.
 
     Count field k expands to its zero run after the first
@@ -25,7 +25,7 @@ def rle_decompress(output: RleOutput, config: RleConfig) -> bytes:
     next. Raises BlockFormatError when the emitted data is internally
     inconsistent.
     """
-    cw = config.count_width
+    cw = count_width
     cap = ZC_CAPACITY_BITS
     stored = output.stored
 

@@ -19,7 +19,6 @@ from covsteer.env import Environment, run_campaign
 from covsteer.errors import ScoreboardError
 from covsteer.rle import (
     ACTION_SPACE as RLE_SPACE,
-    RleConfig,
     RleDut,
     decode_action,
     rle_golden,
@@ -126,13 +125,13 @@ def test_criterion_3_divisor_property(check):
             n = int(rng.integers(0, 1001))
             p = float(rng.random())
             seq = np.where(rng.random(n) < p, 0, rng.integers(1, 256, size=n))
-            counts, _ = rle_run(RleConfig(cw), seq.astype(np.uint8).tobytes())
+            counts, _ = rle_run(cw, seq.astype(np.uint8).tobytes())
             if counts[3] != 0:
                 violations += 1
     missing = 0
     for cw in NON_DIVISORS:
         length = 2 * 64 * ((1 << cw) - 1) // cw
-        counts, _ = rle_run(RleConfig(cw), bytes(length))
+        counts, _ = rle_run(cw, bytes(length))
         if counts[3] < 1:
             missing += 1
     check(
@@ -203,11 +202,11 @@ def test_criterion_7_scoreboard_cleanliness(check):
     rle_mismatches = 0
     roundtrip_failures = 0
     for _ in range(10_000):
-        config, words = decode_action(sample_uniform(RLE_SPACE, rng), rng)
-        counts, out = rle_run(config, words)
-        if rle_golden(config, words) != (counts, out):
+        count_width, words = decode_action(sample_uniform(RLE_SPACE, rng), rng)
+        counts, out = rle_run(count_width, words)
+        if rle_golden(count_width, words) != (counts, out):
             rle_mismatches += 1
-        if rle_decompress(out, config) != words:
+        if rle_decompress(out, count_width) != words:
             roundtrip_failures += 1
 
     axi_config = AxiConfig()

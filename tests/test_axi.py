@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import re
 from dataclasses import fields, replace
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from covsteer.axi import (
     ACTION_SPACE,
     EVENT_NAMES,
+    N_SLAVES,
     AxiConfig,
     AxiDut,
     Trace,
@@ -108,11 +110,18 @@ class TestDecode:
         for addr, slave in ((0x4800, 4), (0x0, 0), (0x9FFF, 9), (0x1000, 1), (0x0FFF, 0)):
             assert routed_to(addr, CFG) == slave
 
-    def test_out_of_map_address(self):
-        # A span is checked once for every address drawn from it.
-        for a_min, a_max in ((0, 0xA001), (-1, 0x1000), (0x1000, 0x1000)):
-            with pytest.raises(ValueError, match=rf"address span \[{a_min:#x}, {a_max:#x}\) is"):
-                simulate_step(CFG, (a_min, a_max), np.random.default_rng(0))
+    @pytest.mark.parametrize("config", [CFG, AxiConfig(region_size=(1 << 63) // N_SLAVES)])
+    def test_every_action_draws_inside_the_slave_map(self, config):
+        # simulate_step does not check its span: the two slave knobs make
+        # every span it can be given, and each lies inside the map.
+        lower, upper = ACTION_SPACE.knobs
+        for seed, action in enumerate(itertools.product(lower.values, upper.values)):
+            _, trace = run_episode(action, seed, config)
+            lo, hi = sorted(int(v) for v in action)
+            size = config.region_size
+            assert all(0 <= lo * size <= a < (hi + 1) * size <= N_SLAVES * size
+                       for a in trace.addrs), action
+            assert set(trace.slaves) <= set(range(lo, hi + 1)), action
 
     def test_largest_region_size(self):
         cfg = AxiConfig(region_size=(1 << 63) // 10)

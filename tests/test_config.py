@@ -2,6 +2,7 @@ import json
 import tempfile
 from dataclasses import fields
 from datetime import timedelta
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -377,3 +378,66 @@ def test_every_accepted_bundled_config_runs_clean(raw):
         assert summary["episodes"] == config.episodes
         for hist in summary["knob_histograms"].values():
             assert sum(b["count"] for b in hist["bins"]) == config.episodes
+
+
+# Accepted agent_params and dut_params values as the Python API may pass
+# them: numpy scalars and Fractions, none of which json can write.
+def _scalar(types, values):
+    return st.tuples(st.sampled_from(types), values).map(lambda t: t[0](t[1]))
+
+
+_INTEGERS = (np.int64, np.int32, np.uint64)
+_REALS = (np.float32, np.float64, Fraction)
+_SCALAR_AGENT_PARAMS = st.fixed_dictionaries(
+    {},
+    optional={
+        "batch_size": _scalar(_INTEGERS, st.integers(1, 20)),
+        "elite_frac": _scalar(_REALS, st.floats(0.05, 1.0)) | st.just(np.int64(1)),
+        "smoothing": _scalar(_REALS, st.floats(0.0, 1.0)) | st.fractions(0, 1)
+        | _scalar(_INTEGERS, st.integers(0, 1)),
+        "sigma_min_frac": _scalar(_REALS, st.floats(0.01, 0.5)),
+        "prob_floor": _scalar(_REALS, st.floats(0.0, 0.05)),
+    },
+)
+_SCALAR_DUT_PARAMS = {
+    "rle": st.just({}),
+    "axi": st.fixed_dictionaries(
+        {},
+        optional={
+            "fifo_depth": _scalar(_INTEGERS, st.integers(1, 6)),
+            "region_size": _scalar(_INTEGERS, st.integers(1, 4096)),
+            "cycles_per_step": _scalar(_INTEGERS, st.integers(0, 40)),
+            "drain_period": _scalar(_INTEGERS, st.integers(1, 5)),
+        },
+    ),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_accepted_numpy_and_fraction_params_run_and_echo_as_json(data):
+    """Config stores what it accepts as plain int and float, so the run writes it and re-runs from it."""
+    dut = data.draw(st.sampled_from(sorted(DESIGNS)))
+    raw = {
+        "dut": dut,
+        "agent": "cem",
+        "episodes": data.draw(st.integers(1, 30)),
+        "agent_params": data.draw(_SCALAR_AGENT_PARAMS),
+        "dut_params": data.draw(_SCALAR_DUT_PARAMS[dut]),
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        first, again = Path(tmp) / "first", Path(tmp) / "again"
+        config = build_config(raw, {"out_dir": str(first)})
+        cmd_run(config)
+        summary = json.loads((first / "summary.json").read_text())
+        stored = config.to_json_dict()
+        assert summary["config"] == stored
+        defaults = {**_CEM_DEFAULTS, **{f.name: f.default for f in fields(AxiConfig)}}
+        for key in ("agent_params", "dut_params"):
+            for name, value in stored[key].items():
+                assert type(value) is type(defaults[name]), (name, value)
+                assert value == float(raw[key].get(name, value)), (name, value)
+        # The echo is the run: re-running it logs the same episodes.
+        cmd_run(build_config(summary["config"], {"out_dir": str(again)}))
+        for name in ("episodes.csv", "histograms.csv"):
+            assert (first / name).read_bytes() == (again / name).read_bytes()

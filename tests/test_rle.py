@@ -14,7 +14,6 @@ from covsteer.errors import ScoreboardError
 from covsteer.rle import (
     ACTION_SPACE,
     EVENT_NAMES,
-    RleConfig,
     RleDut,
     RleOutput,
     decode_action,
@@ -45,10 +44,10 @@ def random_sequence(rng, max_len=300):
 
 class TestDecodeAction:
     def test_zero_probability_means_all_nonzero(self):
-        config, words = decode_action((0.0, 4, 100), np.random.default_rng(0))
+        count_width, words = decode_action((0.0, 4, 100), np.random.default_rng(0))
         assert len(words) == 100
         assert all(1 <= w <= 255 for w in words)
-        assert config == RleConfig(4)
+        assert count_width == 4 and type(count_width) is int
 
     def test_probability_one_means_all_zero(self):
         _, words = decode_action((1.0, 4, 100), np.random.default_rng(0))
@@ -65,6 +64,18 @@ class TestDecodeAction:
         assert 0.3 <= fractions[0] <= 0.5
         assert abs(np.mean(fractions) - 0.4) <= 0.01
 
+    def test_every_count_width_runs_to_the_golden_output(self):
+        # rle_run and rle_golden do not check their width: the count_width
+        # knob makes every width they can be given.
+        widths = ACTION_SPACE.knobs[ACTION_SPACE.names.index("count_width")].values
+        for value in widths:
+            for seed, zero_prob in enumerate((0.0, 0.5, 0.95, 1.0)):
+                action = (zero_prob, value, 1000)
+                count_width, words = decode_action(action, np.random.default_rng(seed))
+                counts, out = rle_run(count_width, words)
+                assert rle_golden(count_width, words) == (counts, out), action
+                assert rle_decompress(out, count_width) == words
+
     def test_deterministic_given_seed(self):
         a = decode_action((0.4, 6, 300), np.random.default_rng(5))
         b = decode_action((0.4, 6, 300), np.random.default_rng(5))
@@ -74,7 +85,7 @@ class TestDecodeAction:
 
 class TestStepSemantics:
     def test_three_zeros_then_word(self):
-        counts, out = rle_run(RleConfig(3), bytes([0, 0, 0, 5]))
+        counts, out = rle_run(3, bytes([0, 0, 0, 5]))
         assert out.field_marks == (0,)
         assert out.stored == bytes([5])
         assert out.tail_zc_bits == 3  # one 3-bit field holding the value 3
@@ -84,31 +95,31 @@ class TestStepSemantics:
     def test_straddle_at_eleventh_saturation(self):
         # count_width 6: 693 zeros saturate the counter 11 times; fields
         # 1..10 use 60 bits, field 11 splits 4/2 across the 64-bit boundary.
-        counts, out = rle_run(RleConfig(6), bytes(693))
+        counts, out = rle_run(6, bytes(693))
         e0, e1, e2, e3 = counts
         assert (e1, e3) == (1, 1)
         assert len(out.zc_blocks) == 1
         assert out.tail_zc_used == 2
 
     def test_empty_sequence(self):
-        counts, out = rle_run(RleConfig(5), b"")
+        counts, out = rle_run(5, b"")
         assert counts == (0, 0, 0, 0)
         assert out.stored == b"" and out.zc_blocks == ()
         assert out.field_marks == ()
 
     def test_no_zeros_no_count_fields(self):
-        counts, out = rle_run(RleConfig(4), bytes([1, 2]))
+        counts, out = rle_run(4, bytes([1, 2]))
         assert out.stored == bytes([1, 2])
         assert out.field_marks == ()
         assert out.tail_zc_used == 0
 
     def test_word_block_flush_at_16(self):
-        counts, out = rle_run(RleConfig(4), bytes(range(1, 18)))
+        counts, out = rle_run(4, bytes(range(1, 18)))
         assert counts[0] == 1
         assert out.stored == bytes(range(1, 18))
 
     def test_count_width_one_saturates_every_zero(self):
-        counts, out = rle_run(RleConfig(1), bytes(64))
+        counts, out = rle_run(1, bytes(64))
         # each zero saturates immediately: 64 one-bit fields fill one block
         assert counts == (0, 1, 0, 0)
         assert out.zc_blocks == ((1 << 64) - 1,)
@@ -117,7 +128,7 @@ class TestStepSemantics:
         cw = 3
         seq = bytes(100) + bytes(range(1, 41))
         for end in range(len(seq) + 1):
-            counts, out = rle_run(RleConfig(cw), seq[:end])
+            counts, out = rle_run(cw, seq[:end])
             assert out.tail_counter < (1 << cw) - 1
             assert out.tail_zc_used < 64
             assert counts[0] == len(out.stored) // 16
@@ -132,9 +143,9 @@ class TestStepSemantics:
         actions += [(0.5, 7, 1000)] * 100
         digest = hashlib.sha256()
         for seed, action in enumerate(actions):
-            config, words = decode_action(action, np.random.default_rng(seed))
-            counts, out = rle_run(config, words)
-            assert rle_golden(config, words) == (counts, out)
+            count_width, words = decode_action(action, np.random.default_rng(seed))
+            counts, out = rle_run(count_width, words)
+            assert rle_golden(count_width, words) == (counts, out)
             digest.update(repr((counts, out.stored, out.field_marks, out.zc_blocks,
                                 out.tail_zc_bits, out.tail_zc_used, out.tail_counter)).encode())
         assert digest.hexdigest() == (
@@ -146,8 +157,8 @@ class TestStepSemantics:
         for _ in range(400):
             cw = int(rng.integers(1, 9))
             seq = random_sequence(rng)
-            counts, _ = rle_run(RleConfig(cw), seq)
-            assert counts == rle_golden(RleConfig(cw), seq)[0], (cw, seq)
+            counts, _ = rle_run(cw, seq)
+            assert counts == rle_golden(cw, seq)[0], (cw, seq)
 
 
 class TestDivisorProperty:
@@ -156,13 +167,13 @@ class TestDivisorProperty:
         rng = np.random.default_rng(cw)
         for _ in range(1000):
             seq = random_sequence(rng)
-            counts, _ = rle_run(RleConfig(cw), seq)
+            counts, _ = rle_run(cw, seq)
             assert counts[3] == 0
 
     @pytest.mark.parametrize("cw", NON_DIVISORS)
     def test_non_divisor_widths_straddle_on_long_zero_runs(self, cw):
         length = 2 * 64 * ((1 << cw) - 1) // cw
-        counts, _ = rle_run(RleConfig(cw), bytes(length))
+        counts, _ = rle_run(cw, bytes(length))
         assert counts[3] >= 1
 
     def test_campaign_partition_by_count_width(self):
@@ -184,10 +195,9 @@ class TestGoldenAndRoundtrip:
         for _ in range(1500):
             cw = int(rng.integers(1, 9))
             seq = random_sequence(rng)
-            cfg = RleConfig(cw)
-            counts, out = rle_run(cfg, seq)
-            assert rle_golden(cfg, seq) == (counts, out)
-            assert rle_decompress(out, cfg) == seq
+            counts, out = rle_run(cw, seq)
+            assert rle_golden(cw, seq) == (counts, out)
+            assert rle_decompress(out, cw) == seq
 
     @given(
         st.integers(1, 8),
@@ -195,10 +205,9 @@ class TestGoldenAndRoundtrip:
     )
     @settings(max_examples=200)
     def test_property_golden_matches_and_roundtrips(self, cw, seq):
-        cfg = RleConfig(cw)
-        counts, out = rle_run(cfg, seq)
-        assert rle_golden(cfg, seq) == (counts, out)
-        assert rle_decompress(out, cfg) == seq
+        counts, out = rle_run(cw, seq)
+        assert rle_golden(cw, seq) == (counts, out)
+        assert rle_decompress(out, cw) == seq
 
     @pytest.mark.parametrize("cw", range(1, 9))
     @given(
@@ -208,10 +217,9 @@ class TestGoldenAndRoundtrip:
     @settings(max_examples=40, deadline=None)
     def test_property_zero_run_heavy_golden_matches_and_roundtrips(self, cw, runs, trailing):
         seq = b"".join(bytes(zeros) + bytes([word]) for zeros, word in runs) + bytes(trailing)
-        cfg = RleConfig(cw)
-        counts, out = rle_run(cfg, seq)
-        assert rle_golden(cfg, seq) == (counts, out)
-        assert rle_decompress(out, cfg) == seq
+        counts, out = rle_run(cw, seq)
+        assert rle_golden(cw, seq) == (counts, out)
+        assert rle_decompress(out, cw) == seq
 
     @pytest.mark.parametrize(
         "cw, seq, tail_counter, tail_zc_used",
@@ -229,77 +237,75 @@ class TestGoldenAndRoundtrip:
     )
     def test_pinned_golden_cases(self, cw, seq, tail_counter, tail_zc_used):
         seq = bytes(seq)
-        cfg = RleConfig(cw)
-        counts, out = rle_golden(cfg, seq)
-        assert (counts, out) == rle_run(cfg, seq)
+        counts, out = rle_golden(cw, seq)
+        assert (counts, out) == rle_run(cw, seq)
         assert (out.tail_counter, out.tail_zc_used) == (tail_counter, tail_zc_used)
-        assert rle_decompress(out, cfg) == seq
+        assert rle_decompress(out, cw) == seq
 
     def test_all_nonzero_roundtrip_is_identity(self):
-        cfg = RleConfig(6)
+        cw = 6
         seq = bytes(range(1, 41))
-        _, out = rle_run(cfg, seq)
-        assert rle_decompress(out, cfg) == seq
+        _, out = rle_run(cw, seq)
+        assert rle_decompress(out, cw) == seq
 
     def test_straddle_case_roundtrips(self):
-        cfg = RleConfig(6)
+        cw = 6
         seq = bytes(693) + bytes([9])
-        _, out = rle_run(cfg, seq)
-        assert rle_decompress(out, cfg) == seq
+        _, out = rle_run(cw, seq)
+        assert rle_decompress(out, cw) == seq
 
     def test_e1_monotone_in_all_zero_length(self):
-        cfg = RleConfig(5)
+        cw = 5
         previous = 0
         for n in range(0, 4000, 250):
-            counts, _ = rle_run(cfg, bytes(n))
+            counts, _ = rle_run(cw, bytes(n))
             assert counts[1] >= previous
             previous = counts[1]
 
 
 class TestDecompressValidation:
     def make_output(self, cw=6, seq=(0, 0, 0, 7, 7)):
-        cfg = RleConfig(cw)
-        _, out = rle_run(cfg, bytes(seq))
-        return cfg, out
+        _, out = rle_run(cw, bytes(seq))
+        return cw, out
 
     def test_missing_field_mark_detected(self):
-        cfg, out = self.make_output()
+        cw, out = self.make_output()
         broken = out.__class__(**{**out.__dict__, "field_marks": ()})
         with pytest.raises(BlockFormatError, match="cannot occupy"):
-            rle_decompress(broken, cfg)
+            rle_decompress(broken, cw)
 
     def test_extra_field_mark_detected(self):
-        cfg, out = self.make_output()
+        cw, out = self.make_output()
         broken = out.__class__(**{**out.__dict__, "field_marks": out.field_marks + (2,)})
         with pytest.raises(BlockFormatError, match="cannot occupy"):
-            rle_decompress(broken, cfg)
+            rle_decompress(broken, cw)
 
     def test_marks_out_of_order_detected(self):
-        cfg, out = self.make_output(seq=(7, 0, 0, 7, 0, 7))
+        cw, out = self.make_output(seq=(7, 0, 0, 7, 0, 7))
         assert out.field_marks == (1, 2)
         broken = out.__class__(**{**out.__dict__, "field_marks": (2, 1)})
         with pytest.raises(BlockFormatError, match="follows mark"):
-            rle_decompress(broken, cfg)
+            rle_decompress(broken, cw)
 
     def test_mark_past_stored_words_detected(self):
-        cfg, out = self.make_output()
+        cw, out = self.make_output()
         broken = out.__class__(**{**out.__dict__, "field_marks": (len(out.stored) + 1,)})
         with pytest.raises(BlockFormatError, match="past the 2 stored words"):
-            rle_decompress(broken, cfg)
+            rle_decompress(broken, cw)
 
     def test_truncated_straddle_detected(self):
-        cfg = RleConfig(6)
-        _, out = rle_run(cfg, bytes(693))
+        cw = 6
+        _, out = rle_run(cw, bytes(693))
         # drop the carried high bits of the straddled field
         broken = out.__class__(**{**out.__dict__, "tail_zc_bits": 0, "tail_zc_used": 0})
         with pytest.raises(BlockFormatError):
-            rle_decompress(broken, cfg)
+            rle_decompress(broken, cw)
 
     def test_zero_valued_field_detected(self):
-        cfg, out = self.make_output(cw=6, seq=(0, 0, 0, 7))
+        cw, out = self.make_output(cw=6, seq=(0, 0, 0, 7))
         broken = out.__class__(**{**out.__dict__, "tail_zc_bits": 0})
         with pytest.raises(BlockFormatError):
-            rle_decompress(broken, cfg)
+            rle_decompress(broken, cw)
 
 
 class TestRleDut:
@@ -314,7 +320,7 @@ class TestRleDut:
         dut = RleDut()
         real = rle_mod.rle_golden
         monkeypatch.setattr(
-            rle_mod, "rle_golden", lambda cfg, words: real(cfg, words + bytes([1]))
+            rle_mod, "rle_golden", lambda count_width, words: real(count_width, words + bytes([1]))
         )
         _, words = decode_action((0.4, 6, 300), np.random.default_rng(0))
         stored = len(words.replace(b"\0", b""))
@@ -327,8 +333,8 @@ class TestRleDut:
 
         real = rle_mod.rle_run
 
-        def miscounted(config, words):
-            (e0, e1, e2, e3), output = real(config, words)
+        def miscounted(count_width, words):
+            (e0, e1, e2, e3), output = real(count_width, words)
             return (e0, e1, e2 + 1, e3), output
 
         monkeypatch.setattr(rle_mod, "rle_run", miscounted)
@@ -337,9 +343,9 @@ class TestRleDut:
         for _ in range(50):
             action = sample_uniform(ACTION_SPACE, rng)
             seed = int(rng.integers(1 << 30))
-            config, words = decode_action(action, np.random.default_rng(seed))
-            (_, _, e2, _), _ = real(config, words)
-            pattern = golden_error(config.count_width, len(words), "counts entry 2", e2 + 1, e2)
+            count_width, words = decode_action(action, np.random.default_rng(seed))
+            (_, _, e2, _), _ = real(count_width, words)
+            pattern = golden_error(count_width, len(words), "counts entry 2", e2 + 1, e2)
             with pytest.raises(ScoreboardError, match=pattern):
                 dut.step(action, seed)
 
@@ -377,8 +383,8 @@ class TestRleDut:
 
         real = rle_mod.rle_run
 
-        def corrupted(config, words):
-            counts, output = real(config, words)
+        def corrupted(count_width, words):
+            counts, output = real(count_width, words)
             if field == "counts":
                 return corrupt(counts), output
             return counts, replace(output, **{field: corrupt(getattr(output, field))})
@@ -386,14 +392,3 @@ class TestRleDut:
         monkeypatch.setattr(rle_mod, "rle_run", corrupted)
         with pytest.raises(ScoreboardError, match=rf"golden model in {field}( entry \d+)?: "):
             RleDut().step((0.5, 3, 500), 2)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            RleConfig(0)
-        with pytest.raises(ValueError):
-            RleConfig(9)
-        # A float or bool width would reach the model's shifts.
-        for width in (7.0, True):
-            with pytest.raises(ValueError, match="integer"):
-                RleConfig(width)
-        assert RleConfig(np.int64(7)).count_width == 7
